@@ -1,0 +1,7 @@
+"""Benchmark tests: python3 -m pytest perfbench/tests (from the checkout root)."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
