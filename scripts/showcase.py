@@ -18,8 +18,6 @@ from ringinv import (
     has_hirano,
     matrix,
     modular,
-    render_element,
-    render_ring,
     run_census,
     square_zero_sum,
     strongly_drazin,
@@ -52,21 +50,18 @@ def show_classifications() -> None:
     for ring, payload in FIXTURES:
         a = ring.element(payload)
         report = classify(a)
-        print(f"{render_element(a)} in {render_ring(ring)}")
+        print(f"{a} in {ring}")
         print(f"  hirano: {describe(report.has_hirano)}", end="")
         if report.hirano is not None:
-            print(f" -> {render_element(report.hirano.b)}", end="")
+            print(f" -> {report.hirano.b}", end="")
         print()
         print(f"  strongly drazin: {describe(report.has_strongly_drazin)}", end="")
         if report.strongly_drazin is not None:
-            print(f" -> {render_element(report.strongly_drazin.b)}", end="")
+            print(f" -> {report.strongly_drazin.b}", end="")
         print()
         print(f"  drazin: {describe(report.has_drazin)}", end="")
         if report.drazin is not None:
-            print(
-                f" -> {render_element(report.drazin.b)} (index {report.drazin.index})",
-                end="",
-            )
+            print(f" -> {report.drazin.b} (index {report.drazin.index})", end="")
         print()
 
 
@@ -79,8 +74,7 @@ def show_decompositions() -> None:
             continue
         dec = tripotent_decomposition(a)
         print(
-            f"{render_element(a)} in {render_ring(ring)}: "
-            f"p = {render_element(dec.tripotent)}, w = {render_element(dec.nilpotent_part)} "
+            f"{a} in {ring}: p = {dec.tripotent}, w = {dec.nilpotent_part} "
             f"(index {dec.nilpotent_witness.index})"
         )
         print(f"  p = {format_polynomial(dec.tripotent_certificate.coefficients)}")
@@ -93,10 +87,7 @@ def show_square_zero_sum() -> None:
     a = m2.element([[0, 1], [0, 0]])
     b = m2.element([[0, 0], [1, 0]])
     result = square_zero_sum(a, b, strongly_drazin(a * b))
-    print(
-        f"a = {render_element(a)}, b = {render_element(b)}: "
-        f"(a+b) has Hirano inverse {render_element(result.certificate.b)}"
-    )
+    print(f"a = {a}, b = {b}: (a+b) has Hirano inverse {result.certificate.b}")
     print(f"  statement and proof forms agree: {result.forms_agree}")
 
 
@@ -107,7 +98,7 @@ def show_censuses() -> None:
         report = run_census(ring)
         counts = report.counts
         print(
-            f"{render_ring(ring)}: {counts['total']} elements, "
+            f"{ring}: {counts['total']} elements, "
             f"{counts['hirano']} hirano, {counts['strongly_drazin']} strongly drazin, "
             f"{counts['unit']} units, strongly 2-nil-clean: {report.is_strongly_2_nil_clean}"
         )

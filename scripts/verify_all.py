@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ringinv import LAWS, PreconditionError, matrix, modular, render_ring, verify_theorem
+from ringinv import LAWS, PreconditionError, matrix, modular, verify_theorem
 
 DEFAULT_RINGS = [
     modular(3),
@@ -41,11 +41,11 @@ def main() -> int:
                 report = verify_theorem(law_id, ring, seed=args.seed, samples=args.samples)
             except PreconditionError as exc:
                 skipped += 1
-                print(f"SKIP  {law_id} on {render_ring(ring)}: {exc}")
+                print(f"SKIP  {law_id} on {ring}: {exc}")
                 continue
             status = "ok" if report.ok else "FAIL"
             print(
-                f"{status:5} {law_id} on {render_ring(ring)}: {report.strategy}, "
+                f"{status:5} {law_id} on {ring}: {report.strategy}, "
                 f"{report.instances} instances, {report.checked} checked, "
                 f"{len(report.violations)} violations ({report.elapsed_seconds:.2f}s)"
             )

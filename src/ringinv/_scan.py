@@ -18,15 +18,14 @@ _BLOCK = 1 << 18
 class RingScan:
     """All elements of a finite ring as an (N, d, d) integer stack.
 
-    A scalar ring Z/n is handled as 1x1 matrices.  An element's index in
-    the stack equals its enumeration index in RingSpec.elements(), and the
-    stack row at an index is exactly that element's entries.
+    A scalar ring Z/n is handled as 1x1 matrices.  The stack and ``codes``
+    are the vectorized form of RingSpec.element_at and RingSpec.index_of:
+    the stack row at an index is exactly the entries of that element.
     """
 
     def __init__(self, ring: RingSpec):
         if not ring.is_finite:
             raise InfiniteRingError(f"cannot scan {ring}")
-        self.ring = ring
         self.size = ring.size()
         self.dim = ring.dim if ring.is_matrix else 1
         self.modulus = ring.scalar_base.n if ring.is_matrix else ring.n
@@ -50,9 +49,6 @@ class RingScan:
         flat = stack.reshape(stack.shape[0], -1)
         return flat @ self._radix
 
-    def element_at(self, index: int):
-        return self.ring.element_at(index)
-
     def nilpotent_mask(self) -> np.ndarray:
         """Boolean mask over indexes: x^t = 0 for the power-of-two t >= bound."""
         if self._nilpotent_mask is None:
@@ -63,13 +59,6 @@ class RingScan:
                 t *= 2
             self._nilpotent_mask = ~x.any(axis=(1, 2))
         return self._nilpotent_mask
-
-    def idempotent_mask(self) -> np.ndarray:
-        return (self._mul(self.stack, self.stack) == self.stack).all(axis=(1, 2))
-
-    def tripotent_mask(self) -> np.ndarray:
-        sq = self._mul(self.stack, self.stack)
-        return (self._mul(sq, self.stack) == self.stack).all(axis=(1, 2))
 
     def _nilpotent_codes(self, values: np.ndarray) -> np.ndarray:
         return self.nilpotent_mask()[self.codes(values)]

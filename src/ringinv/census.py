@@ -21,7 +21,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ._scan import RingScan
@@ -122,25 +121,11 @@ class CensusReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _element_index(ring: RingSpec, a: Element) -> int:
-    if ring.is_matrix:
-        m = ring.scalar_base.n
-        flat = [v for row in a.payload for v in row]
-    else:
-        m = ring.n
-        flat = [a.payload]
-    code = 0
-    for v in flat:
-        code = code * m + v
-    return code
-
-
-def _census_chunk(ring: RingSpec, start: int, stop: int):
+def _census_counts(ring: RingSpec):
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     first_hirano_not_sd: int | None = None
     first_not_hirano: int | None = None
-    for index in range(start, stop):
-        a = ring.element_at(index)
+    for index, a in enumerate(ring.elements()):
         counts["total"] += 1
         if is_nilpotent(a) is not None:
             counts["nilpotent"] += 1
@@ -179,18 +164,18 @@ def _cross_check_element(ring: RingSpec, scan: RingScan, index: int) -> None:
                 f"dual-path mismatch in {ring} at element {a}: "
                 f"{category} fast path says {fast}, equation scan says {brute}"
             )
-    if found["hirano"] and _element_index(ring, hirano(a).b) not in found["hirano"]:
+    if found["hirano"] and ring.index_of(hirano(a).b) not in found["hirano"]:
         raise CensusMismatchError(
             f"constructed Hirano inverse of {a} in {ring} is not in the scanned set"
         )
     if found["strongly_drazin"]:
         b = strongly_drazin(a).b
-        if _element_index(ring, b) not in found["strongly_drazin"]:
+        if ring.index_of(b) not in found["strongly_drazin"]:
             raise CensusMismatchError(
                 f"constructed strongly Drazin inverse of {a} in {ring} "
                 "is not in the scanned set"
             )
-    if _element_index(ring, drazin_finite(a).b) not in found["drazin"]:
+    if ring.index_of(drazin_finite(a).b) not in found["drazin"]:
         raise CensusMismatchError(
             f"power-formula Drazin inverse of {a} in {ring} is not in the scanned set"
         )
@@ -198,7 +183,6 @@ def _cross_check_element(ring: RingSpec, scan: RingScan, index: int) -> None:
 
 def run_census(
     ring: RingSpec,
-    workers: int = 1,
     max_ring_size: int = RING_SIZE_CAP,
     seed: int = 0,
     samples: int = 50,
@@ -210,26 +194,7 @@ def run_census(
         raise PreconditionError(
             f"{ring} has {size} elements, above the cap {max_ring_size}"
         )
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
-    chunk = -(size // -workers)
-    bounds = [(s, min(s + chunk, size)) for s in range(0, size, chunk)]
-    if workers == 1:
-        parts = [_census_chunk(ring, s, t) for s, t in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_census_chunk, ring, s, t) for s, t in bounds]
-            parts = [f.result() for f in futures]
-    counts = dict.fromkeys(_COUNT_KEYS, 0)
-    first_hirano_not_sd: int | None = None
-    first_not_hirano: int | None = None
-    for part_counts, sd_gap, hir_gap in parts:
-        for key in _COUNT_KEYS:
-            counts[key] += part_counts[key]
-        if first_hirano_not_sd is None:
-            first_hirano_not_sd = sd_gap
-        if first_not_hirano is None:
-            first_not_hirano = hir_gap
+    counts, first_hirano_not_sd, first_not_hirano = _census_counts(ring)
     if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
         raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
     witnesses = []
@@ -354,14 +319,14 @@ def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
 
 
 def _law_uniqueness(ctx: _LawContext, a: Element):
-    found = ctx.scan.inverse_scan(_element_index(ctx.ring, a))["hirano"]
+    found = ctx.scan.inverse_scan(ctx.ring.index_of(a))["hirano"]
     if len(found) > 1:
         return f"{len(found)} distinct candidates satisfy the Hirano equations"
     if found:
         index = found[0]
-        if _element_index(ctx.ring, hirano(a).b) != index:
+        if ctx.ring.index_of(hirano(a).b) != index:
             return "constructed inverse differs from the scanned one"
-        if _element_index(ctx.ring, drazin_finite(a).b) != index:
+        if ctx.ring.index_of(drazin_finite(a).b) != index:
             return "power-formula Drazin inverse differs from the Hirano inverse"
     elif has_hirano(a):
         return "criterion accepts but no candidate satisfies the equations"
@@ -385,10 +350,10 @@ def _law_square_route(ctx: _LawContext, a: Element):
 
 
 def _law_criterion(ctx: _LawContext, a: Element):
-    found = ctx.scan.inverse_scan(_element_index(ctx.ring, a))["hirano"]
+    found = ctx.scan.inverse_scan(ctx.ring.index_of(a))["hirano"]
     if has_hirano(a) != bool(found):
         return f"criterion says {has_hirano(a)}, equation scan found {len(found)}"
-    if found and _element_index(ctx.ring, hirano(a).b) not in found:
+    if found and ctx.ring.index_of(hirano(a).b) not in found:
         return "constructed inverse not among scanned candidates"
     return True
 
@@ -490,8 +455,8 @@ def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element):
     except VerificationError as err:
         return str(err)
     if ctx.oracle_ok:
-        found = ctx.scan.inverse_scan(_element_index(ctx.ring, b * a))["hirano"]
-        if _element_index(ctx.ring, cert.b) not in found:
+        found = ctx.scan.inverse_scan(ctx.ring.index_of(b * a))["hirano"]
+        if ctx.ring.index_of(cert.b) not in found:
             return "transferred inverse rejected by the equation scan"
     return True
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lifting import (
-    LiftedIdempotent,
     PolynomialCertificate,
     lift_idempotent,
     poly_compose,

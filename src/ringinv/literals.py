@@ -1,11 +1,12 @@
-"""Parsing and rendering of ring and element literals.
+"""Parsing of ring and element literals.
 
 Ring grammar:     Z   Z/9   M2(Z/3)   M3(Z)
 Element grammar:  an integer for scalar rings, a row-major nested list such
                   as [[-2,3,2],[-2,3,2],[1,-1,-1]] for matrix rings.
 
-Rendering uses the same grammar, so every emitted literal parses back to
-the element it came from.  A Unicode minus sign is accepted as input.
+``str`` of a ring or an element renders the same grammar, so every
+emitted literal parses back to what it came from.  A Unicode minus sign
+is accepted as input.
 """
 
 from __future__ import annotations
@@ -147,10 +148,3 @@ def parse_element(ring: RingSpec, text: str) -> Element:
         raise ParseError(f"expected a {k}x{k} matrix", cur.text, shape_at)
     return ring.element(rows)
 
-
-def render_ring(ring: RingSpec) -> str:
-    return str(ring)
-
-
-def render_element(x: Element) -> str:
-    return str(x)

@@ -148,6 +148,21 @@ class RingSpec:
         digits.reverse()
         return Element(self, tuple(tuple(digits[r * k:(r + 1) * k]) for r in range(k)))
 
+    def index_of(self, x: "Element") -> int:
+        """Position of ``x`` in the ``elements()`` order; inverts ``element_at``."""
+        if x.ring != self:
+            raise RingMismatchError(f"mixed rings: {x.ring} and {self}")
+        if not self.is_finite:
+            raise InfiniteRingError(f"cannot index elements of {self}")
+        if not self.is_matrix:
+            return x.payload
+        n = self.base.n
+        code = 0
+        for row in x.payload:
+            for v in row:
+                code = code * n + v
+        return code
+
     def __str__(self) -> str:
         if self.kind == _INTEGERS:
             return "Z"
@@ -295,19 +310,6 @@ def is_idempotent(x: Element) -> bool:
 
 def is_tripotent(x: Element) -> bool:
     return x * x * x == x
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(p) + 1, 2):
-        if p % d == 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -200,11 +200,3 @@ def test_10_tripotent_decomposition_suite() -> None:
         f"criterion 10: tripotent decompositions verified for {checked} elements, "
         "and the quadratic half-construction is confirmed against the failing cubic variant"
     )
-
-
-def test_11_census_is_worker_count_invariant() -> None:
-    ring = matrix(modular(3), 2)
-    solo = run_census(ring, workers=1).to_json()
-    multi = run_census(ring, workers=3).to_json()
-    assert solo == multi
-    _passed("criterion 11: the M2(Z/3) census JSON is byte-identical for 1 and 3 workers")

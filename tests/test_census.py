@@ -164,12 +164,6 @@ class TestCensusMechanics:
         assert payload["cross_check"]["seed"] is None
         assert payload["cross_check"]["checked"] == 3
 
-    def test_worker_determinism(self):
-        ring = matrix(modular(3), 2)
-        solo = run_census(ring, workers=1).to_json()
-        multi = run_census(ring, workers=3).to_json()
-        assert solo == multi
-
     def test_infinite_ring_rejected(self):
         with pytest.raises(InfiniteRingError):
             run_census(Z)

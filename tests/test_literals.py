@@ -10,8 +10,6 @@ from ringinv import (
     modular,
     parse_element,
     parse_ring,
-    render_element,
-    render_ring,
 )
 
 from conftest import ring_elements
@@ -47,7 +45,7 @@ class TestRingGrammar:
 
     def test_round_trip(self):
         for ring in (Z, modular(12), matrix(modular(7), 2), matrix(Z, 4)):
-            assert parse_ring(render_ring(ring)) == ring
+            assert parse_ring(str(ring)) == ring
 
 
 class TestElementGrammar:
@@ -83,9 +81,9 @@ class TestElementGrammar:
 
     @given(ring_elements())
     def test_round_trip(self, a):
-        assert parse_element(a.ring, render_element(a)) == a
+        assert parse_element(a.ring, str(a)) == a
 
     def test_round_trip_over_integers(self):
         m = matrix(Z, 2)
         a = m.element([[-3, 12], [0, -1]])
-        assert parse_element(m, render_element(a)) == a
+        assert parse_element(m, str(a)) == a

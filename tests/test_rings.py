@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +25,11 @@ from ringinv import (
     modular,
     nilpotency_bound,
 )
+from ringinv._scan import RingScan
 from ringinv.lifting import PolynomialCertificate
 from ringinv.rings import NilpotencyWitness, factorize
 
-from conftest import finite_rings, ring_elements, ring_element_pairs
+from conftest import SMALL_RINGS, finite_rings, ring_elements, ring_element_pairs
 
 
 class TestRingSpec:
@@ -69,12 +71,28 @@ class TestRingSpec:
                 listed = e
                 break
         assert listed == ring.element_at(index)
+        assert ring.index_of(listed) == index
 
     def test_element_at_bounds(self):
         with pytest.raises(IndexError):
             modular(5).element_at(5)
         with pytest.raises(IndexError):
             modular(5).element_at(-1)
+
+    def test_index_of_rejects_foreign_and_infinite(self):
+        with pytest.raises(RingMismatchError):
+            modular(5).index_of(modular(7).element(3))
+        with pytest.raises(InfiniteRingError):
+            Z.index_of(Z.element(3))
+
+    @pytest.mark.parametrize("ring", SMALL_RINGS, ids=str)
+    def test_scan_codec_matches_element_at(self, ring):
+        scan = RingScan(ring)
+        assert np.array_equal(scan.codes(scan.stack), np.arange(ring.size()))
+        for i in range(ring.size()):
+            a = ring.element_at(i)
+            rows = a.payload if ring.is_matrix else ((a.payload,),)
+            assert scan.stack[i].tolist() == [list(row) for row in rows]
 
 
 class TestElement:
