@@ -1,18 +1,71 @@
-"""Vectorized whole-ring scans used by the census cross-check.
+"""Vectorized whole-ring scans: census masks and the equation scan.
 
-Independent of the fast criteria in gen_inverse: everything here works
-from the defining equations alone, evaluated over numpy stacks of all
-ring elements.  Entries stay integers throughout (int64 holds every
-intermediate product for the supported ring sizes), so results are exact.
+Both work on numpy stacks of all ring elements and share no code with the
+per-element criteria in rings and gen_inverse.  census_masks evaluates the
+polynomial criteria (x - x^3 nilpotent, x - x^2 nilpotent, det a unit, ...)
+for every element at once; inverse_scan works from the defining equations
+alone.  Entries stay integers reduced mod m after every product, and
+check_scan_fits refuses a ring whose sums of d such products could overflow
+int64, so results are exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rings import InfiniteRingError, RingSpec, nilpotency_bound
+from .rings import InfiniteRingError, PreconditionError, RingSpec, nilpotency_bound
 
 _BLOCK = 1 << 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
+SCAN_MEMORY_BUDGET = 256 * 2**20
+# Whole-ring int64 arrays alive at once while the census masks are built:
+# the stack, x^2, x^3, matmul and nilpotency-power temporaries.
+_WORKING_COPIES = 8
+
+
+def _scan_shape(ring: RingSpec) -> tuple[int, int]:
+    if ring.is_matrix:
+        return ring.dim, ring.scalar_base.n
+    return 1, ring.n
+
+
+def check_scan_fits(ring: RingSpec) -> None:
+    """Refuse, before allocating, a ring whose stack overflows int64 or memory.
+
+    A matrix product sums d products of entries below m, so d*(m-1)^2 must
+    fit in int64; the stack and its working copies hold size*d*d int64
+    entries each and must fit in SCAN_MEMORY_BUDGET bytes.
+    """
+    if not ring.is_finite:
+        raise InfiniteRingError(f"cannot scan {ring}")
+    d, m = _scan_shape(ring)
+    if d * (m - 1) ** 2 > _INT64_MAX:
+        raise PreconditionError(
+            f"{ring} is too large for the scan: sums of products of its entries "
+            "overflow int64"
+        )
+    need = _WORKING_COPIES * ring.size() * d * d * 8
+    if need > SCAN_MEMORY_BUDGET:
+        raise PreconditionError(
+            f"{ring} is too large for the scan: about {need >> 20} MiB of working "
+            f"arrays, above the budget of {SCAN_MEMORY_BUDGET >> 20} MiB"
+        )
+
+
+def _det_mod(stack: np.ndarray, m: int) -> np.ndarray:
+    """Determinants of an (N, d, d) stack mod m by cofactor expansion.
+
+    Every product is reduced mod m, so no intermediate exceeds m^2.
+    """
+    d = stack.shape[1]
+    if d == 1:
+        return stack[:, 0, 0] % m
+    rest = stack[:, 1:, :]
+    total = np.zeros(stack.shape[0], dtype=np.int64)
+    for j in range(d):
+        term = stack[:, 0, j] * _det_mod(np.delete(rest, j, axis=2), m) % m
+        total = (total - term if j % 2 else total + term) % m
+    return total
 
 
 class RingScan:
@@ -24,12 +77,10 @@ class RingScan:
     """
 
     def __init__(self, ring: RingSpec):
-        if not ring.is_finite:
-            raise InfiniteRingError(f"cannot scan {ring}")
+        check_scan_fits(ring)
         self.size = ring.size()
-        self.dim = ring.dim if ring.is_matrix else 1
-        self.modulus = ring.scalar_base.n if ring.is_matrix else ring.n
-        d, m = self.dim, self.modulus
+        d, m = _scan_shape(ring)
+        self.dim, self.modulus = d, m
         k = d * d
         codes = np.arange(self.size, dtype=np.int64)
         entries = np.empty((self.size, k), dtype=np.int64)
@@ -43,7 +94,9 @@ class RingScan:
         self._nilpotent_mask: np.ndarray | None = None
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.matmul(x, y) % self.modulus
+        out = np.matmul(x, y)
+        out %= self.modulus
+        return out
 
     def codes(self, stack: np.ndarray) -> np.ndarray:
         flat = stack.reshape(stack.shape[0], -1)
@@ -62,6 +115,22 @@ class RingScan:
 
     def _nilpotent_codes(self, values: np.ndarray) -> np.ndarray:
         return self.nilpotent_mask()[self.codes(values)]
+
+    def census_masks(self) -> dict[str, np.ndarray]:
+        """Boolean masks over indexes for the six criterion-defined census classes."""
+        m = self.modulus
+        nilpotent = self.nilpotent_mask()
+        x = self.stack
+        x2 = self._mul(x, x)
+        x3 = self._mul(x2, x)
+        return {
+            "nilpotent": nilpotent,
+            "idempotent": (x2 == x).all(axis=(1, 2)),
+            "tripotent": (x3 == x).all(axis=(1, 2)),
+            "unit": np.gcd(_det_mod(x, m), m) == 1,
+            "strongly_drazin": self._nilpotent_codes((x - x2) % m),
+            "hirano": self._nilpotent_codes((x - x3) % m),
+        }
 
     def inverse_scan(self, index: int) -> dict:
         """Candidate inverses of one element against the whole ring.

@@ -1,11 +1,14 @@
 """Whole-ring classification and law verification.
 
 run_census counts nilpotents, idempotents, tripotents, units, and the
-three generalized-inverse classes across a finite ring, always through
-two independent paths: the fast polynomial criteria element by element,
-and a definitional equation scan (vectorized, in _scan).  Any
-disagreement is a hard error naming the element; the scan is exhaustive
-on rings of at most 10**4 elements and seeded-random above that.
+three generalized-inverse classes across a finite ring from whole-ring
+numpy masks (RingScan.census_masks: x - x^3 nilpotent for Hirano, x - x^2
+nilpotent for strongly Drazin, det coprime to n for units, ...).  Each
+checked element's mask verdicts are confirmed by two independent paths:
+the per-element criteria in rings and gen_inverse, and the definitional
+equation scan (RingScan.inverse_scan).  Any disagreement is a hard error
+naming the category and the element; the check is exhaustive on rings of
+at most 10**4 elements and covers a seeded sample above that.
 
 verify_theorem drives the law registry: each law id names a fixed
 checkable statement about one ring, run either exhaustively over the
@@ -22,6 +25,8 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ._scan import RingScan
 from .calculus import (
@@ -76,7 +81,7 @@ _COUNT_KEYS = (
 
 
 class CensusMismatchError(VerificationError):
-    """The fast criteria and the definitional scan disagreed."""
+    """The census masks, the per-element criteria and the equation scan disagreed."""
 
 
 @dataclass(frozen=True)
@@ -121,48 +126,35 @@ class CensusReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _census_counts(ring: RingSpec):
-    counts = dict.fromkeys(_COUNT_KEYS, 0)
-    first_hirano_not_sd: int | None = None
-    first_not_hirano: int | None = None
-    for index, a in enumerate(ring.elements()):
-        counts["total"] += 1
-        if is_nilpotent(a) is not None:
-            counts["nilpotent"] += 1
-        if is_idempotent(a):
-            counts["idempotent"] += 1
-        if is_tripotent(a):
-            counts["tripotent"] += 1
-        if is_unit(a):
-            counts["unit"] += 1
-        counts["drazin"] += 1
-        hir = has_hirano(a)
-        sd = has_strongly_drazin(a)
-        if hir:
-            counts["hirano"] += 1
-        if sd:
-            counts["strongly_drazin"] += 1
-        if hir and not sd and first_hirano_not_sd is None:
-            first_hirano_not_sd = index
-        if not hir and first_not_hirano is None:
-            first_not_hirano = index
-    return counts, first_hirano_not_sd, first_not_hirano
+def _cross_check_element(ring: RingSpec, scan: RingScan, masks: dict, index: int) -> None:
+    """Confirm one element's mask verdicts by its criteria and its equation scan.
 
-
-def _cross_check_element(ring: RingSpec, scan: RingScan, index: int) -> None:
+    The scan's Drazin inverse d is unique; it decides the classes that have
+    no inverse system of their own: a is nilpotent iff d = 0, tripotent iff
+    d = a, and idempotent iff a*d = a.
+    """
     a = ring.element_at(index)
     found = scan.inverse_scan(index)
-    checks = (
-        ("hirano", has_hirano(a), bool(found["hirano"])),
-        ("strongly_drazin", has_strongly_drazin(a), bool(found["strongly_drazin"])),
-        ("drazin", True, bool(found["drazin"])),
-        ("unit", is_unit(a), found["unit"]),
-    )
-    for category, fast, brute in checks:
-        if fast != brute:
+    if len(found["drazin"]) != 1:
+        raise CensusMismatchError(
+            f"equation scan in {ring} found {len(found['drazin'])} Drazin inverses "
+            f"of {a}, not exactly one"
+        )
+    d = ring.element_at(found["drazin"][0])
+    paths = {
+        "nilpotent": (is_nilpotent(a) is not None, d == ring.zero()),
+        "idempotent": (is_idempotent(a), a * d == a),
+        "tripotent": (is_tripotent(a), d == a),
+        "unit": (is_unit(a), found["unit"]),
+        "strongly_drazin": (has_strongly_drazin(a), bool(found["strongly_drazin"])),
+        "hirano": (has_hirano(a), bool(found["hirano"])),
+    }
+    for category, (criterion, brute) in paths.items():
+        mask = bool(masks[category][index])
+        if not mask == criterion == brute:
             raise CensusMismatchError(
-                f"dual-path mismatch in {ring} at element {a}: "
-                f"{category} fast path says {fast}, equation scan says {brute}"
+                f"three-path mismatch in {ring} at element {a}: {category} mask says "
+                f"{mask}, criterion says {criterion}, equation scan says {brute}"
             )
     if found["hirano"] and ring.index_of(hirano(a).b) not in found["hirano"]:
         raise CensusMismatchError(
@@ -175,9 +167,9 @@ def _cross_check_element(ring: RingSpec, scan: RingScan, index: int) -> None:
                 f"constructed strongly Drazin inverse of {a} in {ring} "
                 "is not in the scanned set"
             )
-    if ring.index_of(drazin_finite(a).b) not in found["drazin"]:
+    if drazin_finite(a).b != d:
         raise CensusMismatchError(
-            f"power-formula Drazin inverse of {a} in {ring} is not in the scanned set"
+            f"power-formula Drazin inverse of {a} in {ring} differs from the scanned one"
         )
 
 
@@ -187,6 +179,8 @@ def run_census(
     seed: int = 0,
     samples: int = 50,
 ) -> CensusReport:
+    if samples < 1:
+        raise PreconditionError(f"samples must be at least 1, got {samples}")
     if not ring.is_finite:
         raise InfiniteRingError(f"cannot run a census over {ring}")
     size = ring.size()
@@ -194,27 +188,12 @@ def run_census(
         raise PreconditionError(
             f"{ring} has {size} elements, above the cap {max_ring_size}"
         )
-    counts, first_hirano_not_sd, first_not_hirano = _census_counts(ring)
-    if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
-        raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
-    witnesses = []
-    if first_hirano_not_sd is not None:
-        witnesses.append(
-            InclusionWitness(
-                element=str(ring.element_at(first_hirano_not_sd)),
-                index=first_hirano_not_sd,
-                reason="has a Hirano inverse but no strongly Drazin inverse",
-            )
-        )
-    if first_not_hirano is not None:
-        witnesses.append(
-            InclusionWitness(
-                element=str(ring.element_at(first_not_hirano)),
-                index=first_not_hirano,
-                reason="has a Drazin inverse but no Hirano inverse",
-            )
-        )
     scan = RingScan(ring)
+    masks = scan.census_masks()
+    counts = {
+        key: size if key in ("total", "drazin") else int(masks[key].sum())
+        for key in _COUNT_KEYS
+    }
     if size <= EXHAUSTIVE_SCAN_CAP:
         indexes = range(size)
         info = CrossCheckInfo(strategy="exhaustive", seed=None, checked=size)
@@ -223,7 +202,23 @@ def run_census(
         indexes = sorted(rng.sample(range(size), min(samples, size)))
         info = CrossCheckInfo(strategy="sampled", seed=seed, checked=len(indexes))
     for index in indexes:
-        _cross_check_element(ring, scan, index)
+        _cross_check_element(ring, scan, masks, index)
+    if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
+        raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
+    hir, sd = masks["hirano"], masks["strongly_drazin"]
+    witnesses = []
+    for gap, reason in (
+        (hir & ~sd, "has a Hirano inverse but no strongly Drazin inverse"),
+        (~hir, "has a Drazin inverse but no Hirano inverse"),
+    ):
+        hits = np.flatnonzero(gap)
+        if hits.size:
+            index = int(hits[0])
+            witnesses.append(
+                InclusionWitness(
+                    element=str(ring.element_at(index)), index=index, reason=reason
+                )
+            )
     return CensusReport(
         ring=str(ring),
         counts=counts,
@@ -250,7 +245,7 @@ class TheoremReport:
     checked: int
     violations: tuple
     notes: tuple
-    elapsed_seconds: float
+    elapsed_seconds: float  # wall clock, left out of as_dict so the JSON is reproducible
 
     @property
     def ok(self) -> bool:
@@ -269,7 +264,6 @@ class TheoremReport:
                 for v in self.violations
             ],
             "notes": list(self.notes),
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
     def to_json(self) -> str:
@@ -591,6 +585,8 @@ def verify_theorem(
     samples: int = 10_000,
     max_instances: int = MAX_EXHAUSTIVE_INSTANCES,
 ) -> TheoremReport:
+    if samples < 1:
+        raise PreconditionError(f"samples must be at least 1, got {samples}")
     law = LAWS.get(theorem_id)
     if law is None:
         known = ", ".join(sorted(LAWS))

@@ -1,19 +1,32 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from ringinv import (
     LAWS,
+    CensusMismatchError,
     InfiniteRingError,
     PreconditionError,
     Z,
+    has_hirano,
+    has_strongly_drazin,
+    is_idempotent,
+    is_nilpotent,
+    is_tripotent,
+    is_unit,
     matrix,
     modular,
     run_census,
     verify_theorem,
 )
+from ringinv import _scan
+from ringinv._scan import RingScan, check_scan_fits
+from ringinv.census import _LawContext
+
+from conftest import SMALL_RINGS
 
 Z3_COUNTS = {
     "total": 3,
@@ -98,6 +111,43 @@ BATTERY = [
 
 RINGS = {"Z/9": modular(9), "M2(Z/2)": matrix(modular(2), 2)}
 
+COUNT_KEYS = tuple(Z3_COUNTS)
+MASK_KEYS = ("nilpotent", "idempotent", "tripotent", "unit", "strongly_drazin", "hirano")
+WALK_RINGS = SMALL_RINGS + [matrix(modular(5), 2), matrix(modular(6), 2), modular(360)]
+
+
+def walk_census(ring):
+    """Census counts and first witness indexes, one element at a time.
+
+    This is the count path run_census used before its whole-ring masks,
+    kept as an independent oracle for them.
+    """
+    counts = dict.fromkeys(COUNT_KEYS, 0)
+    first_hirano_not_sd = None
+    first_not_hirano = None
+    for index, a in enumerate(ring.elements()):
+        counts["total"] += 1
+        if is_nilpotent(a) is not None:
+            counts["nilpotent"] += 1
+        if is_idempotent(a):
+            counts["idempotent"] += 1
+        if is_tripotent(a):
+            counts["tripotent"] += 1
+        if is_unit(a):
+            counts["unit"] += 1
+        counts["drazin"] += 1
+        hir = has_hirano(a)
+        sd = has_strongly_drazin(a)
+        if hir:
+            counts["hirano"] += 1
+        if sd:
+            counts["strongly_drazin"] += 1
+        if hir and not sd and first_hirano_not_sd is None:
+            first_hirano_not_sd = index
+        if not hir and first_not_hirano is None:
+            first_not_hirano = index
+    return counts, first_hirano_not_sd, first_not_hirano
+
 
 class TestCensusCounts:
     def test_mod3(self):
@@ -126,6 +176,76 @@ class TestCensusCounts:
             assert counts["strongly_drazin"] <= counts["hirano"]
             assert counts["hirano"] <= counts["drazin"]
             assert counts["drazin"] == counts["total"]
+
+
+class TestCensusMasks:
+    @pytest.mark.parametrize("ring", WALK_RINGS, ids=str)
+    def test_counts_and_witnesses_match_the_walk(self, ring):
+        counts, first_hirano_not_sd, first_not_hirano = walk_census(ring)
+        report = run_census(ring)
+        assert report.counts == counts
+        expected = [i for i in (first_hirano_not_sd, first_not_hirano) if i is not None]
+        assert [w.index for w in report.witnesses] == expected
+        assert [w.element for w in report.witnesses] == [
+            str(ring.element_at(i)) for i in expected
+        ]
+
+    @pytest.mark.parametrize("ring", SMALL_RINGS, ids=str)
+    def test_unit_mask_matches_is_unit(self, ring):
+        mask = RingScan(ring).census_masks()["unit"]
+        assert mask.tolist() == [is_unit(a) for a in ring.elements()]
+
+    def test_unit_mask_matches_is_unit_in_dimension_four(self):
+        ring = matrix(modular(2), 4)
+        mask = RingScan(ring).census_masks()["unit"]
+        indexes = random.Random(0).sample(range(ring.size()), 500)
+        assert [bool(mask[i]) for i in indexes] == [
+            is_unit(ring.element_at(i)) for i in indexes
+        ]
+        assert 0 < mask[indexes].sum() < 500
+
+    @pytest.mark.parametrize("category", MASK_KEYS)
+    def test_corrupted_mask_entry_is_caught(self, category, monkeypatch):
+        ring = matrix(modular(2), 2)
+        index = 9
+        census_masks = RingScan.census_masks
+
+        def corrupted(scan):
+            masks = census_masks(scan)
+            masks[category] = masks[category].copy()
+            masks[category][index] ^= True
+            return masks
+
+        monkeypatch.setattr(RingScan, "census_masks", corrupted)
+        with pytest.raises(CensusMismatchError, match=category) as caught:
+            run_census(ring)
+        assert str(ring.element_at(index)) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "ring", [modular(999_983), modular(1_000_000), matrix(modular(31), 2),
+                 matrix(modular(4), 3), matrix(modular(2), 4)], ids=str
+    )
+    def test_scan_guard_admits_rings_under_the_default_cap(self, ring):
+        check_scan_fits(ring)
+
+    def test_scan_guard_refuses_oversized_stack(self):
+        with pytest.raises(PreconditionError, match="MiB"):
+            check_scan_fits(modular(10**8))
+        with pytest.raises(PreconditionError, match="MiB"):
+            check_scan_fits(matrix(modular(2), 5))
+
+    def test_scan_guard_refuses_int64_overflow(self):
+        with pytest.raises(PreconditionError, match="int64"):
+            check_scan_fits(modular(10**10))
+        with pytest.raises(PreconditionError, match="int64"):
+            check_scan_fits(matrix(modular(2**31 + 11), 2))
+
+    def test_scan_guard_runs_before_census_and_law_oracle(self, monkeypatch):
+        monkeypatch.setattr(_scan, "SCAN_MEMORY_BUDGET", 64)
+        with pytest.raises(PreconditionError, match="MiB"):
+            run_census(modular(9))
+        with pytest.raises(PreconditionError, match="MiB"):
+            _LawContext(modular(9)).scan
 
 
 class TestCensusWitnesses:
@@ -265,8 +385,10 @@ class TestVerifyTheorem:
             "checked",
             "violations",
             "notes",
-            "elapsed_seconds",
         }
         assert payload["theorem"] == "2.1"
         assert payload["ring"] == "Z/9"
         assert payload["violations"] == []
+        assert verify_theorem("2.1", modular(9)).to_json() == json.dumps(
+            payload, sort_keys=True, indent=2
+        )

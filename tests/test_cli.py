@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from ringinv import matrix, modular, parse_element, parse_ring
+from ringinv import _scan, matrix, modular, parse_element, parse_ring
 from ringinv.cli import main
+
+# `census --json` stdout and exit code per argv, recorded from the per-element
+# count path that preceded the whole-ring masks.
+CENSUS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "census_golden.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -118,6 +125,29 @@ class TestCensus:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "entry", CENSUS_GOLDEN, ids=lambda entry: " ".join(entry["argv"][1:])
+    )
+    def test_json_matches_golden_output(self, capsys, entry):
+        code, out, _ = run(capsys, *entry["argv"])
+        assert (code, out) == (entry["exit_code"], entry["stdout"])
+
+    def test_negative_samples_fail(self, capsys):
+        code, out, err = run(capsys, "census", "Z/20000", "--samples", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "samples" in err
+
+    def test_zero_samples_fail(self, capsys):
+        code, out, err = run(capsys, "census", "Z/20000", "--samples", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "samples" in err
+
+    def test_scan_over_budget_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(_scan, "SCAN_MEMORY_BUDGET", 64)
+        code, out, err = run(capsys, "census", "Z/9", "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "budget" in err
+
 
 class TestVerify:
     def test_law_passes(self, capsys):
@@ -133,6 +163,11 @@ class TestVerify:
         assert payload["theorem"] == "3.3"
         assert payload["instances"] == 9
         assert payload["violations"] == []
+
+    def test_zero_samples_fail(self, capsys):
+        code, out, err = run(capsys, "verify", "4.1", "M2(Z/7)", "--samples", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "samples" in err
 
     def test_unknown_law_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "9.9", "Z/9")
