@@ -11,8 +11,10 @@ Existence is decided by polynomial criteria: a has a Hirano inverse iff
 a - a^3 is nilpotent, and a strongly Drazin inverse iff a - a^2 is
 nilpotent.  Constructions go through idempotent lifting and unipotent
 inversion, and every certificate re-verifies its defining equations before
-it is returned.  Brute-force scans over whole rings are provided as
-independent oracles.
+it is returned.  In a finite ring the Drazin inverse is a power of a whose
+exponent comes from the ring alone (unit_exponent and nilpotency_bound),
+so no power orbit is walked.  Brute-force scans over whole rings and the
+orbit walk semigroup_profile are provided as independent oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .rings import (
     VerificationError,
     is_nilpotent,
     inverse_of_unipotent,
+    nilpotency_bound,
+    unit_exponent,
 )
 
 
@@ -180,7 +184,11 @@ def strongly_drazin(a: Element) -> SDrazinCertificate:
 
 
 def semigroup_profile(a: Element) -> SemigroupProfile:
-    """Minimal eventual period of the powers of a, by hashing the orbit."""
+    """Minimal eventual period of the powers of a, by hashing the orbit.
+
+    Costs O(index + period) multiplications and memory; drazin_finite does
+    not use it, so it serves as an independent oracle.
+    """
     if not a.ring.is_finite:
         raise InfiniteRingError(f"power orbits need a finite ring, not {a.ring}")
     seen: dict = {}
@@ -195,13 +203,23 @@ def semigroup_profile(a: Element) -> SemigroupProfile:
 
 
 def drazin_finite(a: Element) -> DrazinCertificate:
-    """Drazin inverse in a finite ring: b = a^(m-1) with m the first multiple
-    of the period at least index + 1."""
-    profile = semigroup_profile(a)
-    i, p = profile.index, profile.period
-    m = -((i + 1) // -p) * p
+    """Drazin inverse in a finite ring: b = a^(m-1), where m is the first
+    multiple of unit_exponent at least nilpotency_bound + 1.
+
+    Any m that is a multiple of the power period of a and at least its
+    index + 1 gives the Drazin inverse; unit_exponent is a multiple of every
+    period and nilpotency_bound bounds every index, so this m depends on the
+    ring alone and b costs O(log m) multiplications.  The index is the
+    nilpotency index of the Drazin defect a - a^2 b, because
+    (a - a^2 b)^k = a^k (1 - ab); it is the least i >= 1 with
+    a^i = a^(i+1) b, so units have index 1.
+    """
+    ring = a.ring
+    exponent = unit_exponent(ring)
+    m = -((nilpotency_bound(ring) + 1) // -exponent) * exponent
     b = a ** (m - 1)
-    cert = check_drazin(a, b, index=i)
+    witness = is_nilpotent(a - a * (a * b))
+    cert = None if witness is None else check_drazin(a, b, index=witness.index)
     if cert is None:
         raise VerificationError("power-formula Drazin inverse failed its equations")
     return cert

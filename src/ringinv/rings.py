@@ -379,6 +379,31 @@ def nilpotency_bound(ring: RingSpec) -> int:
     raise UnsupportedRingError("Z has no finite nilpotency bound; only 0 is nilpotent there")
 
 
+def unit_exponent(ring: RingSpec) -> int:
+    """A common multiple of the power periods of all elements of a finite ring.
+
+    For p^e exactly dividing n, Mk(Z/p^e) contributes
+    lcm(p^j - 1 : j <= k) * p^(e-1+t) with t least such that p^t >= k
+    (Z/n counts as k = 1); the contributions combine by lcm.  This is an
+    exponent of every unit group GL_r(Z/p^e) with r <= k, and the period of
+    a is the order of its unit part a*E in a corner ERE of that form
+    (Fitting's lemma), so the period divides it.
+    """
+    if not ring.is_finite:
+        raise InfiniteRingError(f"{ring} has elements of infinite period")
+    k = ring.dim if ring.is_matrix else 1
+    out = 1
+    for p, e in factorize(ring.modulus).pairs:
+        t = 0
+        while p ** t < k:
+            t += 1
+        part = p ** (e - 1 + t)
+        for j in range(1, k + 1):
+            part = math.lcm(part, p ** j - 1)
+        out = math.lcm(out, part)
+    return out
+
+
 def is_nilpotent(x: Element) -> NilpotencyWitness | None:
     """Return a witness holding the minimal vanishing exponent, or None."""
     ring = x.ring

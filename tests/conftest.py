@@ -14,6 +14,15 @@ SMALL_MATRIX = [
 ]
 SMALL_RINGS = SMALL_MODULAR + SMALL_MATRIX
 
+# Companion matrix of x^3 - x - 5 over Z/47: power period 103 822.
+COMPANION_M3_Z47 = "[[0,0,5],[1,0,1],[0,1,0]]"
+# A singular M8(Z/47) element with Drazin index 2.
+M8_Z47_ELEMENT = (
+    "[[14,23,24,8,12,45,2,5],[8,15,32,13,25,41,1,29],[31,29,24,31,36,12,25,5],"
+    "[31,14,1,44,17,33,26,30],[24,46,7,42,16,6,4,24],[39,24,6,42,3,21,15,44],"
+    "[0,0,0,0,0,0,0,1],[0,0,0,0,0,0,0,0]]"
+)
+
 finite_rings = st.sampled_from(SMALL_RINGS)
 
 

@@ -8,10 +8,17 @@ import pytest
 from ringinv import _scan, matrix, modular, parse_element, parse_ring
 from ringinv.cli import main
 
+from conftest import M8_Z47_ELEMENT
+
 # `census --json` stdout and exit code per argv, recorded from the per-element
 # count path that preceded the whole-ring masks.
 CENSUS_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "census_golden.json").read_text()
+)
+# `classify --json` stdout and exit code per argv, recorded from the power-orbit
+# Drazin inverse that preceded the unit-exponent power.
+CLASSIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "classify_golden.json").read_text()
 )
 
 
@@ -59,6 +66,20 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "M2(Z)", "[[2,0],[0,0]]")
         assert code == 0
         assert "drazin: undecided" in out
+
+    @pytest.mark.parametrize(
+        "entry", CLASSIFY_GOLDEN, ids=lambda entry: " ".join(entry["argv"][1:3])
+    )
+    def test_json_matches_golden_output(self, capsys, entry):
+        code, out, _ = run(capsys, *entry["argv"])
+        assert (code, out) == (entry["exit_code"], entry["stdout"])
+
+    def test_dimension_eight_matrix(self, capsys):
+        code, out, _ = run(capsys, "classify", "M8(Z/47)", M8_Z47_ELEMENT, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["has_drazin"] is True
+        assert payload["drazin_index"] == 2
 
 
 class TestDecompose:

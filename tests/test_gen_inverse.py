@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from ringinv import (
+    Element,
     InfiniteRingError,
     PreconditionError,
     VerificationError,
@@ -27,18 +30,55 @@ from ringinv import (
     is_unit,
     matrix,
     modular,
+    nilpotency_bound,
+    parse_element,
+    parse_ring,
     sd_difference_decomposition,
     semigroup_profile,
     strongly_drazin,
     tripotent_decomposition,
+    unit_exponent,
 )
+from ringinv import gen_inverse
 
-from conftest import all_elements, ring_elements
+from conftest import (
+    COMPANION_M3_Z47,
+    M8_Z47_ELEMENT,
+    SMALL_RINGS,
+    all_elements,
+    ring_elements,
+)
 
 # A 3x3 integer matrix satisfying a == a**3 whose defect a - a**2 is not
 # nilpotent: it separates the Hirano and strongly-Drazin classes over an
 # infinite ring.
 CUBE_FIXED = [[-2, 3, 2], [-2, 3, 2], [1, -1, -1]]
+
+ORBIT_RINGS = SMALL_RINGS + [
+    matrix(modular(6), 2),
+    matrix(modular(9), 2),
+    modular(360),
+    modular(997),
+]
+
+
+def orbit_drazin(a):
+    """Drazin inverse and index from the power orbit: b = a^(m-1) with m the
+    first multiple of the period at least index + 1."""
+    profile = semigroup_profile(a)
+    i, p = profile.index, profile.period
+    m = -((i + 1) // -p) * p
+    return a ** (m - 1), i
+
+
+def _assert_matches_orbit_walk(ring, indices):
+    exponent, bound = unit_exponent(ring), nilpotency_bound(ring)
+    for i in indices:
+        a = ring.element_at(i)
+        cert = drazin_finite(a)
+        assert (cert.b, cert.index) == orbit_drazin(a), a
+        assert exponent % semigroup_profile(a).period == 0, a
+        assert cert.index <= max(1, bound), a
 
 
 class TestHirano:
@@ -185,6 +225,54 @@ class TestDrazinFinite:
         a = z4.element(2)
         assert check_drazin(a, z4.element(0), 2)
         assert not check_drazin(a, z4.element(0), 1)
+
+
+class TestDrazinMatchesOrbitWalk:
+    @pytest.mark.parametrize("ring", ORBIT_RINGS, ids=str)
+    def test_every_element(self, ring):
+        _assert_matches_orbit_walk(ring, range(ring.size()))
+
+    def test_sampled_m4_z2(self):
+        ring = matrix(modular(2), 4)
+        _assert_matches_orbit_walk(ring, random.Random(0).sample(range(ring.size()), 500))
+
+    def test_short_exponent_fails_verification(self, monkeypatch):
+        ring = matrix(modular(5), 2)
+        short = unit_exponent(ring) // 2
+        monkeypatch.setattr(gen_inverse, "unit_exponent", lambda _ring: short)
+        caught = 0
+        for a in ring.elements():
+            if short % semigroup_profile(a).period:
+                with pytest.raises(VerificationError):
+                    drazin_finite(a)
+                caught += 1
+            else:
+                cert = drazin_finite(a)
+                assert (cert.b, cert.index) == orbit_drazin(a)
+        assert caught > 0
+
+
+class TestDrazinCost:
+    @pytest.mark.parametrize(
+        "ring_text, element_text",
+        [("Z/999983", "5"), ("M3(Z/47)", COMPANION_M3_Z47), ("M8(Z/47)", M8_Z47_ELEMENT)],
+        ids=["Z/999983", "M3(Z/47) companion", "M8(Z/47)"],
+    )
+    def test_multiplications_are_bounded(self, monkeypatch, ring_text, element_text):
+        ring = parse_ring(ring_text)
+        a = parse_element(ring, element_text)
+        calls = 0
+        mul = Element.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        drazin_finite(a)
+        monkeypatch.undo()
+        assert calls <= 4 * unit_exponent(ring).bit_length() + 4 * nilpotency_bound(ring) + 16
 
 
 class TestBruteForce:

@@ -24,6 +24,7 @@ from ringinv import (
     matrix,
     modular,
     nilpotency_bound,
+    unit_exponent,
 )
 from ringinv._scan import RingScan
 from ringinv.lifting import PolynomialCertificate
@@ -182,6 +183,16 @@ class TestPredicates:
         assert nilpotency_bound(matrix(modular(4), 2)) == 4
         with pytest.raises(UnsupportedRingError):
             nilpotency_bound(Z)
+
+    def test_unit_exponents(self):
+        assert unit_exponent(matrix(modular(2), 2)) == 6
+        assert unit_exponent(matrix(modular(2), 3)) == 84
+        assert unit_exponent(matrix(modular(7), 2)) == 336
+        assert unit_exponent(matrix(modular(2), 4)) == 420
+        assert unit_exponent(modular(997)) == 996
+        for ring in (Z, matrix(Z, 2)):
+            with pytest.raises(InfiniteRingError):
+                unit_exponent(ring)
 
     def test_nilpotent_witness_is_minimal(self):
         z9 = modular(9)
