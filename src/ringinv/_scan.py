@@ -132,6 +132,17 @@ class RingScan:
             "hirano": self._nilpotent_codes((x - x3) % m),
         }
 
+    def tripotent_split_mask(self, tripotents: list[int]) -> np.ndarray:
+        """Boolean mask over indexes: a = p + w, p among the given tripotent
+        indexes, w nilpotent with pw = wp (equivalently ap = pa)."""
+        nilpotents = self.stack[self.nilpotent_mask()]
+        split = np.zeros(self.size, dtype=bool)
+        for p in self.stack[tripotents]:
+            commuting = self._mul(p[None], nilpotents) == self._mul(nilpotents, p[None])
+            w = nilpotents[commuting.all(axis=(1, 2))]
+            split[self.codes((p + w) % self.modulus)] = True
+        return split
+
     def inverse_scan(self, index: int) -> dict:
         """Candidate inverses of one element against the whole ring.
 

@@ -16,6 +16,13 @@ instance space or on seeded samples, with violations surfaced as
 structured records.  A law callable returns None when an instance falls
 outside the hypothesis, True when the conclusion verified, and a detail
 string when the instance falsifies the law.
+
+Law 3.6 (every element Hirano iff every element is a tripotent plus a
+commuting nilpotent) compares two independent paths: the per-element
+criterion has_hirano walked over the ring, and the split mask
+RingScan.tripotent_split_mask, which enumerates every pair p + w with p
+tripotent and w a nilpotent commuting with p.  It needs the scan and so
+refuses rings above ORACLE_RING_CAP elements.
 """
 
 from __future__ import annotations
@@ -413,21 +420,14 @@ def _law_all_hirano_ring(ctx: _LawContext):
         raise PreconditionError(
             f"{ring} is too large for the whole-ring law (cap {ORACLE_RING_CAP})"
         )
-    all_hirano = True
-    all_split = True
-    first_unsplit = None
-    for a in ring.elements():
-        if not has_hirano(a):
-            all_hirano = False
-        split = any(
-            a * p == p * a and is_nilpotent(a - p) is not None for p in ctx.tripotents
-        )
-        if not split:
-            all_split = False
-            if first_unsplit is None:
-                first_unsplit = a
+    all_hirano = all(has_hirano(a) for a in ring.elements())
+    split = ctx.scan.tripotent_split_mask([ring.index_of(p) for p in ctx.tripotents])
+    unsplit = np.flatnonzero(~split)
+    all_split = unsplit.size == 0
     if all_hirano != all_split:
-        who = f"; first element without a split: {first_unsplit}" if first_unsplit else ""
+        who = "" if all_split else (
+            f"; first element without a split: {ring.element_at(int(unsplit[0]))}"
+        )
         return (
             f"every-element-Hirano is {all_hirano} but "
             f"every-element-splits is {all_split}{who}"

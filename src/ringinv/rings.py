@@ -9,6 +9,7 @@ entries over Z use Python's arbitrary precision integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -336,13 +337,30 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization; fine for the modulus sizes used here."""
+    """Prime factorization of an integer n >= 2, cached per n.
+
+    Trial division by 2 and the odd d below _TRIAL_LIMIT; the cofactor left over
+    has no prime factor below that limit, so it is prime when it is below
+    _TRIAL_LIMIT**2 or passes _is_prime, and is split by _rho otherwise.
+    """
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise ValueError("factorize needs an integer n >= 2")
+    return _factorize(n)
+
+
+_TRIAL_LIMIT = 1000
+# The first thirteen primes: as Miller-Rabin bases they decide primality
+# exactly for every n below 3.3 * 10**24 (Sorenson and Webster, 2015).  The
+# first twelve alone pass the composite 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@functools.lru_cache(maxsize=1024)
+def _factorize(n: int) -> Factorization:
     pairs = []
     rest = n
     d = 2
-    while d * d <= rest:
+    while d * d <= rest and d < _TRIAL_LIMIT:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
@@ -350,9 +368,66 @@ def factorize(n: int) -> Factorization:
                 e += 1
             pairs.append((d, e))
         d += 1 if d == 2 else 2
-    if rest > 1:
-        pairs.append((rest, 1))
-    return Factorization(tuple(pairs))
+    large: dict[int, int] = {}
+    pending = [rest] if rest > 1 else []
+    while pending:
+        q = pending.pop()
+        if q < _TRIAL_LIMIT**2 or _is_prime(q):
+            large[q] = large.get(q, 0) + 1
+        else:
+            f = _rho(q)
+            pending += [f, q // f]
+    return Factorization(tuple(pairs) + tuple(sorted(large.items())))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, for odd n > 41.
+
+    Exact below 3.3 * 10**24; above that bound it is a strong probable-prime
+    test, which a composite that is a strong pseudoprime to all thirteen
+    bases would pass.
+    """
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n by Pollard-Brent rho (f = x^2 + c)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)

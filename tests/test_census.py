@@ -8,6 +8,7 @@ import pytest
 from ringinv import (
     LAWS,
     CensusMismatchError,
+    Element,
     InfiniteRingError,
     PreconditionError,
     Z,
@@ -114,6 +115,16 @@ RINGS = {"Z/9": modular(9), "M2(Z/2)": matrix(modular(2), 2)}
 COUNT_KEYS = tuple(Z3_COUNTS)
 MASK_KEYS = ("nilpotent", "idempotent", "tripotent", "unit", "strongly_drazin", "hirano")
 WALK_RINGS = SMALL_RINGS + [matrix(modular(5), 2), matrix(modular(6), 2), modular(360)]
+SPLIT_RINGS = SMALL_RINGS + [
+    matrix(modular(5), 2),
+    matrix(modular(6), 2),
+    matrix(modular(7), 2),
+    modular(360),
+]
+Z12_UNSPLIT = (
+    "every-element-Hirano is True but every-element-splits is False; "
+    "first element without a split: 2"
+)
 
 
 def walk_census(ring):
@@ -147,6 +158,23 @@ def walk_census(ring):
         if not hir and first_not_hirano is None:
             first_not_hirano = index
     return counts, first_hirano_not_sd, first_not_hirano
+
+
+def walk_split(ring):
+    """Whether each element is p + w, p tripotent, w nilpotent, ap = pa.
+
+    This is the per-element search law 3.6 ran before its pair scan, kept as
+    an independent oracle for RingScan.tripotent_split_mask.  The old law
+    tried every tripotent p against a; here the inner loop runs over the
+    nilpotents w and looks p = a - w up among the tripotents, which asks the
+    same question (aw = wa iff ap = pa) in a fraction of the pairs.
+    """
+    tripotents = {p for p in ring.elements() if is_tripotent(p)}
+    nilpotents = [w for w in ring.elements() if is_nilpotent(w) is not None]
+    return [
+        any(a - w in tripotents and a * w == w * a for w in nilpotents)
+        for a in ring.elements()
+    ]
 
 
 class TestCensusCounts:
@@ -246,6 +274,52 @@ class TestCensusMasks:
             run_census(modular(9))
         with pytest.raises(PreconditionError, match="MiB"):
             _LawContext(modular(9)).scan
+
+
+class TestTripotentSplits:
+    @pytest.mark.parametrize("ring", SPLIT_RINGS, ids=str)
+    def test_split_mask_matches_the_walk_and_the_criterion(self, ring):
+        ctx = _LawContext(ring)
+        indexes = [ring.index_of(p) for p in ctx.tripotents]
+        split = ctx.scan.tripotent_split_mask(indexes).tolist()
+        assert split == walk_split(ring)
+        assert split == [has_hirano(a) for a in ring.elements()]
+
+    def test_idempotents_alone_leave_elements_unsplit(self, monkeypatch):
+        idempotents = property(
+            lambda ctx: [p for p in ctx.ring.elements() if is_idempotent(p)]
+        )
+        monkeypatch.setattr(_LawContext, "tripotents", idempotents)
+        report = verify_theorem("3.6", modular(12))
+        assert [(v.inputs, v.detail) for v in report.violations] == [((), Z12_UNSPLIT)]
+
+    def test_missing_nilpotent_is_caught(self, monkeypatch):
+        nilpotent_mask = RingScan.nilpotent_mask
+
+        def without_six(scan):
+            mask = nilpotent_mask(scan).copy()
+            mask[6] = False
+            return mask
+
+        monkeypatch.setattr(RingScan, "nilpotent_mask", without_six)
+        report = verify_theorem("3.6", modular(12))
+        assert [(v.inputs, v.detail) for v in report.violations] == [((), Z12_UNSPLIT)]
+
+    def test_multiplications_are_bounded(self, monkeypatch):
+        ring = matrix(modular(7), 2)
+        calls = 0
+        mul = Element.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        report = verify_theorem("3.6", ring)
+        monkeypatch.undo()
+        assert report.ok
+        assert calls <= 8 * ring.size()
 
 
 class TestCensusWitnesses:

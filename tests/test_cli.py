@@ -20,6 +20,11 @@ CENSUS_GOLDEN = json.loads(
 CLASSIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "classify_golden.json").read_text()
 )
+# `verify 3.6 --json` stdout and exit code per argv, recorded from the
+# per-element tripotent search that preceded the commuting-pair scan.
+VERIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "verify_golden.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -80,6 +85,11 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["has_drazin"] is True
         assert payload["drazin_index"] == 2
+
+    def test_large_prime_modulus(self, capsys):
+        code, out, _ = run(capsys, "classify", "Z/10000000000000061", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["has_hirano"] is False
 
 
 class TestDecompose:
@@ -184,6 +194,13 @@ class TestVerify:
         assert payload["theorem"] == "3.3"
         assert payload["instances"] == 9
         assert payload["violations"] == []
+
+    @pytest.mark.parametrize(
+        "entry", VERIFY_GOLDEN, ids=lambda entry: " ".join(entry["argv"][1:])
+    )
+    def test_json_matches_golden_output(self, capsys, entry):
+        code, out, _ = run(capsys, *entry["argv"])
+        assert (code, out) == (entry["exit_code"], entry["stdout"])
 
     def test_zero_samples_fail(self, capsys):
         code, out, err = run(capsys, "verify", "4.1", "M2(Z/7)", "--samples", "0")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,28 @@ class TestPredicates:
         assert f.max_exponent == 2
         f = factorize(97)
         assert f.pairs == ((97, 1),)
+
+    def test_factorize_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0)
+        moduli = list(range(2, 3000))
+        moduli += [rng.randrange(2, 10**18) for _ in range(60)]
+        moduli += [
+            sympy.prevprime(rng.randrange(10**5, 10**9))
+            * sympy.prevprime(rng.randrange(10**5, 10**9))
+            for _ in range(10)
+        ]
+        moduli += [10**16 + 61, 2**61 - 1, 1_000_003**2, 999_983**3 * 12, 2**64, 3**40]
+        # Strong pseudoprimes to the first eleven and to the first twelve prime
+        # bases, with no prime factor small enough for trial division.
+        moduli += [3825123056546413051, 318665857834031151167461]
+        for n in moduli:
+            assert dict(factorize(n).pairs) == sympy.factorint(n), n
+
+    def test_factorize_rejects_non_integers(self):
+        for bad in (1, 0, -5, True, 2.0, "12"):
+            with pytest.raises(ValueError):
+                factorize(bad)
 
     def test_nilpotency_bounds(self):
         assert nilpotency_bound(modular(9)) == 2
