@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from ringinv import LAWS, PreconditionError, matrix, modular, verify_theorem
+from ringinv.census import LAW_SAMPLES
 
 DEFAULT_RINGS = [
     modular(3),
@@ -29,7 +30,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled strategies")
     parser.add_argument(
-        "--samples", type=int, default=10_000, help="sample count for large searches"
+        "--samples", type=int, default=LAW_SAMPLES, help="sample count for large searches"
     )
     args = parser.parse_args()
 

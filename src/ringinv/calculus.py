@@ -23,9 +23,7 @@ from .rings import (
     Element,
     PreconditionError,
     RingMismatchError,
-    RingSpec,
     VerificationError,
-    modular,
 )
 
 
@@ -183,14 +181,3 @@ def square_zero_sum(a: Element, b: Element, sd: SDrazinCertificate) -> SquareZer
         proof_valid=proof_cert is not None,
     )
 
-
-def one_minus_counterexample() -> tuple[RingSpec, Element]:
-    """A ring and element showing Hirano invertibility of a says nothing
-    about 1 - a: in Z/5, a = 4 has 4 - 64 = -60 divisible by 5, while
-    1 - a = 2 has 2 - 8 = -6, a unit mod 5."""
-    ring = modular(5)
-    a = ring.element(4)
-    one = ring.one()
-    if not has_hirano(a) or has_hirano(one - a):
-        raise VerificationError("counterexample fixture failed its defining checks")
-    return ring, a

@@ -72,6 +72,8 @@ from .rings import (
 EXHAUSTIVE_SCAN_CAP = 10_000
 ORACLE_RING_CAP = 65_536
 RING_SIZE_CAP = 1_000_000
+CROSS_CHECK_SAMPLES = 50
+LAW_SAMPLES = 10_000
 MAX_VIOLATIONS = 25
 MAX_EXHAUSTIVE_INSTANCES = 2_000_000
 
@@ -184,7 +186,7 @@ def run_census(
     ring: RingSpec,
     max_ring_size: int = RING_SIZE_CAP,
     seed: int = 0,
-    samples: int = 50,
+    samples: int = CROSS_CHECK_SAMPLES,
 ) -> CensusReport:
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
@@ -282,7 +284,7 @@ class _LawContext:
     ring: RingSpec
     notes: list = field(default_factory=list)
     _scan: RingScan | None = None
-    _tripotents: list | None = None
+    _tripotents: list[int] | None = None
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -304,9 +306,11 @@ class _LawContext:
         return self.ring.size() <= ORACLE_RING_CAP
 
     @property
-    def tripotents(self) -> list:
+    def tripotents(self) -> list[int]:
+        """Indexes of the tripotents, in enumeration order."""
         if self._tripotents is None:
-            self._tripotents = [p for p in self.ring.elements() if is_tripotent(p)]
+            tripotent = self.scan.census_masks()["tripotent"]
+            self._tripotents = np.flatnonzero(tripotent).tolist()
         return self._tripotents
 
 
@@ -382,7 +386,7 @@ def _law_tripotent_split(ctx: _LawContext, a: Element):
     if ctx.ring.size() <= 100:
         matches = [
             p
-            for p in ctx.tripotents
+            for p in map(ctx.ring.element_at, ctx.tripotents)
             if is_nilpotent(a - p) is not None and p * a == a * p
         ]
         if d.tripotent not in matches:
@@ -421,7 +425,7 @@ def _law_all_hirano_ring(ctx: _LawContext):
             f"{ring} is too large for the whole-ring law (cap {ORACLE_RING_CAP})"
         )
     all_hirano = all(has_hirano(a) for a in ring.elements())
-    split = ctx.scan.tripotent_split_mask([ring.index_of(p) for p in ctx.tripotents])
+    split = ctx.scan.tripotent_split_mask(ctx.tripotents)
     unsplit = np.flatnonzero(~split)
     all_split = unsplit.size == 0
     if all_hirano != all_split:
@@ -582,7 +586,7 @@ def verify_theorem(
     ring: RingSpec,
     strategy: str | None = None,
     seed: int = 0,
-    samples: int = 10_000,
+    samples: int = LAW_SAMPLES,
     max_instances: int = MAX_EXHAUSTIVE_INSTANCES,
 ) -> TheoremReport:
     if samples < 1:

@@ -12,7 +12,15 @@ import argparse
 import json
 import sys
 
-from .census import LAWS, run_census, verify_theorem
+from .census import (
+    _COUNT_KEYS,
+    CROSS_CHECK_SAMPLES,
+    LAW_SAMPLES,
+    LAWS,
+    RING_SIZE_CAP,
+    run_census,
+    verify_theorem,
+)
 from .gen_inverse import classify, tripotent_decomposition
 from .lifting import PolynomialCertificate, format_polynomial
 from .literals import ParseError, parse_element, parse_ring
@@ -48,15 +56,20 @@ def _build_parser() -> _Parser:
     p.add_argument("ring")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled cross-check")
-    p.add_argument("--samples", type=int, default=50, help="cross-check samples above 10^4 elements")
-    p.add_argument("--max-ring-size", type=int, default=1_000_000, dest="max_ring_size")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=CROSS_CHECK_SAMPLES,
+        help="cross-check samples above 10^4 elements",
+    )
+    p.add_argument("--max-ring-size", type=int, default=RING_SIZE_CAP, dest="max_ring_size")
 
     p = sub.add_parser("verify", help="check one law id against a finite ring")
     p.add_argument("law", metavar="id", choices=sorted(LAWS), help="law id, e.g. 3.1 or 5.5")
     p.add_argument("ring")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=int, default=LAW_SAMPLES)
     return parser
 
 
@@ -157,7 +170,7 @@ def _cmd_census(args) -> int:
         return 0
     counts = report.counts
     print(f"census of {report.ring}: {counts['total']} elements")
-    for key in ("nilpotent", "idempotent", "tripotent", "unit", "drazin", "strongly_drazin", "hirano"):
+    for key in _COUNT_KEYS[1:]:
         print(f"  {key.replace('_', ' ')}: {counts[key]}")
     print(f"  strongly 2-nil-clean: {'yes' if report.is_strongly_2_nil_clean else 'no'}")
     for w in report.witnesses:
@@ -199,13 +212,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except RingError as err:
+    except (_UsageError, ParseError, RingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,7 @@ nilpotent.  Constructions go through idempotent lifting and unipotent
 inversion, and every certificate re-verifies its defining equations before
 it is returned.  In a finite ring the Drazin inverse is a power of a whose
 exponent comes from the ring alone (unit_exponent and nilpotency_bound),
-so no power orbit is walked.  Brute-force scans over whole rings and the
-orbit walk semigroup_profile are provided as independent oracles.
+so no power orbit is walked.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .lifting import (
 )
 from .rings import (
     Element,
-    InfiniteRingError,
     NilpotencyWitness,
     PreconditionError,
     RingMismatchError,
@@ -73,58 +71,33 @@ class DrazinCertificate:
     index: int
 
 
-@dataclass(frozen=True)
-class SemigroupProfile:
-    """Minimal i >= 1 and period p >= 1 with a^(i+p) = a^i."""
-
-    index: int
-    period: int
-
-
-def _axioms_shared(a: Element, b: Element) -> Element | None:
-    """Return ab when ab = ba and bab = b hold, else None."""
+def _nilpotent_defect(
+    a: Element, b: Element, defect_of
+) -> tuple[Element, NilpotencyWitness] | None:
+    """(defect, witness) when ab = ba, bab = b and defect_of(ab) is nilpotent."""
     if a.ring != b.ring:
         raise RingMismatchError(f"mixed rings: {a.ring} and {b.ring}")
     ab = a * b
-    if ab != b * a:
+    if ab != b * a or b * ab != b:
         return None
-    if b * ab != b:
-        return None
-    return ab
+    defect = defect_of(ab)
+    witness = is_nilpotent(defect)
+    return None if witness is None else (defect, witness)
 
 
 def check_hirano(a: Element, b: Element) -> HiranoCertificate | None:
     """Certificate when b satisfies the Hirano equations for a, else None."""
-    ab = _axioms_shared(a, b)
-    if ab is None:
-        return None
-    defect = a * a - ab
-    witness = is_nilpotent(defect)
-    if witness is None:
-        return None
-    return HiranoCertificate(a, b, defect, witness)
+    found = _nilpotent_defect(a, b, lambda ab: a * a - ab)
+    return None if found is None else HiranoCertificate(a, b, *found)
 
 
 def check_strongly_drazin(a: Element, b: Element) -> SDrazinCertificate | None:
-    ab = _axioms_shared(a, b)
-    if ab is None:
-        return None
-    defect = a - ab
-    witness = is_nilpotent(defect)
-    if witness is None:
-        return None
-    return SDrazinCertificate(a, b, defect, witness)
+    found = _nilpotent_defect(a, b, lambda ab: a - ab)
+    return None if found is None else SDrazinCertificate(a, b, *found)
 
 
 def _drazin_axioms(a: Element, b: Element) -> tuple[Element, NilpotencyWitness] | None:
-    ab = _axioms_shared(a, b)
-    if ab is None:
-        return None
-    defect = a - a * ab
-    witness = is_nilpotent(defect)
-    if witness is None:
-        return None
-    return defect, witness
+    return _nilpotent_defect(a, b, lambda ab: a - a * ab)
 
 
 def check_drazin(a: Element, b: Element, index: int) -> DrazinCertificate | None:
@@ -181,25 +154,6 @@ def strongly_drazin(a: Element) -> SDrazinCertificate:
     if cert is None:
         raise VerificationError("constructed strongly Drazin inverse failed its equations")
     return cert
-
-
-def semigroup_profile(a: Element) -> SemigroupProfile:
-    """Minimal eventual period of the powers of a, by hashing the orbit.
-
-    Costs O(index + period) multiplications and memory; drazin_finite does
-    not use it, so it serves as an independent oracle.
-    """
-    if not a.ring.is_finite:
-        raise InfiniteRingError(f"power orbits need a finite ring, not {a.ring}")
-    seen: dict = {}
-    power = a
-    exponent = 1
-    while power.payload not in seen:
-        seen[power.payload] = exponent
-        power = power * a
-        exponent += 1
-    first = seen[power.payload]
-    return SemigroupProfile(index=first, period=exponent - first)
 
 
 def drazin_finite(a: Element) -> DrazinCertificate:
@@ -436,24 +390,6 @@ def sd_difference_decomposition(a: Element) -> tuple[Element, Element]:
     return b, c
 
 
-def hirano_via_square(a: Element) -> HiranoCertificate:
-    """Hirano inverse through the square: b = a * sD(a^2).
-
-    Also recomputes the direct construction and insists the two agree,
-    which uniqueness guarantees.
-    """
-    if not has_strongly_drazin(a * a):
-        raise PreconditionError(
-            f"{a!r}: a^2 has no strongly Drazin inverse, so a has no Hirano inverse"
-        )
-    sd = strongly_drazin(a * a)
-    b = a * sd.b
-    cert = check_hirano(a, b)
-    if cert is None or cert.b != hirano(a).b:
-        raise VerificationError("square route disagreed with the direct Hirano inverse")
-    return cert
-
-
 def hirano_of_hirano(cert: HiranoCertificate) -> Element:
     """The Hirano inverse of the inverse: a^2 * b, cross-checked directly."""
     a, b = cert.a, cert.b
@@ -464,22 +400,3 @@ def hirano_of_hirano(cert: HiranoCertificate) -> Element:
         raise VerificationError("inverse-of-inverse formula disagreed with construction")
     return y
 
-
-def brute_force_hirano(a: Element) -> list[Element]:
-    """All b in the ring satisfying the Hirano equations verbatim, in
-    enumeration order.  Uniqueness says there is at most one."""
-    if not a.ring.is_finite:
-        raise InfiniteRingError(f"cannot scan {a.ring}")
-    return [b for b in a.ring.elements() if check_hirano(a, b) is not None]
-
-
-def brute_force_strongly_drazin(a: Element) -> list[Element]:
-    if not a.ring.is_finite:
-        raise InfiniteRingError(f"cannot scan {a.ring}")
-    return [b for b in a.ring.elements() if check_strongly_drazin(a, b) is not None]
-
-
-def brute_force_drazin(a: Element) -> list[Element]:
-    if not a.ring.is_finite:
-        raise InfiniteRingError(f"cannot scan {a.ring}")
-    return [b for b in a.ring.elements() if _drazin_axioms(a, b) is not None]

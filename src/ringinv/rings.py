@@ -342,6 +342,8 @@ def factorize(n: int) -> Factorization:
     Trial division by 2 and the odd d below _TRIAL_LIMIT; the cofactor left over
     has no prime factor below that limit, so it is prime when it is below
     _TRIAL_LIMIT**2 or passes _is_prime, and is split by _rho otherwise.
+    Raises PreconditionError when _rho finds no factor of a cofactor within
+    _RHO_STEPS steps, which bounds the cost of every call.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise ValueError("factorize needs an integer n >= 2")
@@ -349,6 +351,9 @@ def factorize(n: int) -> Factorization:
 
 
 _TRIAL_LIMIT = 1000
+# Evaluations of x^2 + c allowed to one _rho call, about a second of work.  Rho
+# splits off a prime p in about sqrt(p) steps, so this covers p below ~10**11.
+_RHO_STEPS = 1 << 20
 # The first thirteen primes: as Miller-Rabin bases they decide primality
 # exactly for every n below 3.3 * 10**24 (Sorenson and Webster, 2015).  The
 # first twelve alone pass the composite 318665857834031151167461.
@@ -376,6 +381,10 @@ def _factorize(n: int) -> Factorization:
             large[q] = large.get(q, 0) + 1
         else:
             f = _rho(q)
+            if f is None:
+                raise PreconditionError(
+                    f"cannot factor the modulus {n} within {_RHO_STEPS} Pollard rho steps"
+                )
             pending += [f, q // f]
     return Factorization(tuple(pairs) + tuple(sorted(large.items())))
 
@@ -404,11 +413,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _rho(n: int) -> int:
-    """A proper factor of an odd composite n by Pollard-Brent rho (f = x^2 + c)."""
+def _rho(n: int) -> int | None:
+    """A proper factor of an odd composite n by Pollard-Brent rho (f = x^2 + c),
+    or None when finding one would take more than _RHO_STEPS evaluations of f."""
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            # a round evaluates f at most 2r times
+            if steps + 2 * r > _RHO_STEPS:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -420,6 +434,7 @@ def _rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += 128
+            steps += r + min(k, r)
             r *= 2
         if g == n:
             g = 1

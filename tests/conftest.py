@@ -22,6 +22,9 @@ M8_Z47_ELEMENT = (
     "[31,14,1,44,17,33,26,30],[24,46,7,42,16,6,4,24],[39,24,6,42,3,21,15,44],"
     "[0,0,0,0,0,0,0,1],[0,0,0,0,0,0,0,0]]"
 )
+# nextprime(10**30) * nextprime(2 * 10**30): Pollard rho needs about 10**15
+# steps to split it, far past the factorization budget.
+UNFACTORABLE_MODULUS = 2000000000000000000000000000185000000000000000000000000004047
 
 finite_rings = st.sampled_from(SMALL_RINGS)
 

@@ -12,7 +12,6 @@ import time
 
 from ringinv import (
     Z,
-    brute_force_hirano,
     char_poly,
     classify,
     cline,
@@ -30,6 +29,8 @@ from ringinv import (
     strongly_drazin,
     tripotent_decomposition,
 )
+
+from oracles import brute_force_hirano
 
 
 def _passed(label: str) -> None:

@@ -8,7 +8,6 @@ from ringinv import (
     PreconditionError,
     RingMismatchError,
     Z,
-    brute_force_hirano,
     check_hirano,
     cline,
     commuting_product,
@@ -18,7 +17,6 @@ from ringinv import (
     jacobson_transfer,
     matrix,
     modular,
-    one_minus_counterexample,
     orthogonal_sum,
     power_formula,
     power_transfer,
@@ -27,6 +25,7 @@ from ringinv import (
 )
 
 from conftest import all_elements
+from oracles import brute_force_hirano
 
 M2Z = matrix(Z, 2)
 SHIFT_UP = M2Z.element([[0, 1], [0, 0]])
@@ -280,9 +279,9 @@ class TestSquareZeroSum:
 
 class TestOneMinus:
     def test_shipped_witness(self):
-        ring, a = one_minus_counterexample()
-        assert ring == modular(5)
-        assert a == ring.element(4)
+        # in Z/5, 4 - 4^3 = -60 is 0 while 1 - 4 = 2 gives 2 - 8 = -6, a unit
+        ring = modular(5)
+        a = ring.element(4)
         assert has_hirano(a)
         assert not has_hirano(ring.element(1) - a)
         assert brute_force_hirano(ring.element(1) - a) == []

@@ -8,7 +8,7 @@ import pytest
 from ringinv import _scan, matrix, modular, parse_element, parse_ring
 from ringinv.cli import main
 
-from conftest import M8_Z47_ELEMENT
+from conftest import M8_Z47_ELEMENT, UNFACTORABLE_MODULUS
 
 # `census --json` stdout and exit code per argv, recorded from the per-element
 # count path that preceded the whole-ring masks.
@@ -91,6 +91,11 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["has_hirano"] is False
 
+    def test_unfactorable_modulus_fails(self, capsys):
+        code, out, err = run(capsys, "classify", f"Z/{UNFACTORABLE_MODULUS}", "3", "--json")
+        assert code == 1 and out == ""
+        assert f"cannot factor the modulus {UNFACTORABLE_MODULUS}" in err
+
 
 class TestDecompose:
     def test_mod9(self, capsys):
@@ -150,6 +155,15 @@ class TestCensus:
         assert code == 0
         assert "M2(Z/2)" in out
         assert "16" in out
+        assert out.splitlines()[1:8] == [
+            "  nilpotent: 4",
+            "  idempotent: 8",
+            "  tripotent: 11",
+            "  unit: 6",
+            "  drazin: 16",
+            "  strongly drazin: 14",
+            "  hirano: 14",
+        ]
 
     def test_infinite_ring_fails(self, capsys):
         code, _, err = run(capsys, "census", "Z")

@@ -28,11 +28,18 @@ from ringinv import (
     nilpotency_bound,
     unit_exponent,
 )
+from ringinv import rings
 from ringinv._scan import RingScan
 from ringinv.lifting import PolynomialCertificate
 from ringinv.rings import NilpotencyWitness, factorize
 
-from conftest import SMALL_RINGS, finite_rings, ring_elements, ring_element_pairs
+from conftest import (
+    SMALL_RINGS,
+    UNFACTORABLE_MODULUS,
+    finite_rings,
+    ring_element_pairs,
+    ring_elements,
+)
 
 
 class TestRingSpec:
@@ -193,6 +200,18 @@ class TestPredicates:
         moduli += [3825123056546413051, 318665857834031151167461]
         for n in moduli:
             assert dict(factorize(n).pairs) == sympy.factorint(n), n
+
+    def test_factorize_refuses_past_the_rho_budget(self, monkeypatch):
+        with pytest.raises(PreconditionError, match=str(UNFACTORABLE_MODULUS)):
+            factorize(UNFACTORABLE_MODULUS)
+        # the hardest modulus of test_factorize_matches_sympy needs a budget of 2**19 - 2
+        hardest = 318665857834031151167461
+        monkeypatch.setattr(rings, "_factorize", rings._factorize.__wrapped__)
+        monkeypatch.setattr(rings, "_RHO_STEPS", 2**19 - 3)
+        with pytest.raises(PreconditionError, match=str(hardest)):
+            factorize(hardest)
+        monkeypatch.setattr(rings, "_RHO_STEPS", 2**19)
+        assert factorize(hardest).pairs == ((399165290221, 1), (798330580441, 1))
 
     def test_factorize_rejects_non_integers(self):
         for bad in (1, 0, -5, True, 2.0, "12"):
