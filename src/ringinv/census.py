@@ -15,7 +15,8 @@ checkable statement about one ring, run either exhaustively over the
 instance space or on seeded samples, with violations surfaced as
 structured records.  A law callable returns None when an instance falls
 outside the hypothesis, True when the conclusion verified, and a detail
-string when the instance falsifies the law.
+string when the instance falsifies the law; a VerificationError it raises
+(a construction failing its own check) is recorded as a violation too.
 
 Law 3.6 (every element Hirano iff every element is a tripotent plus a
 commuting nilpotent) compares two independent paths: the per-element
@@ -31,7 +32,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -116,20 +117,7 @@ class CensusReport:
     cross_check: CrossCheckInfo
 
     def as_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "counts": dict(self.counts),
-            "witnesses": [
-                {"element": w.element, "index": w.index, "reason": w.reason}
-                for w in self.witnesses
-            ],
-            "is_strongly_2_nil_clean": self.is_strongly_2_nil_clean,
-            "cross_check": {
-                "strategy": self.cross_check.strategy,
-                "seed": self.cross_check.seed,
-                "checked": self.cross_check.checked,
-            },
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
@@ -261,19 +249,9 @@ class TheoremReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "ring": self.ring,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "instances": self.instances,
-            "checked": self.checked,
-            "violations": [
-                {"law": v.law, "inputs": list(v.inputs), "detail": v.detail}
-                for v in self.violations
-            ],
-            "notes": list(self.notes),
-        }
+        out = asdict(self)
+        del out["elapsed_seconds"]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
@@ -367,11 +345,7 @@ def _law_inverse_of_inverse(ctx: _LawContext, a: Element):
     if not has_hirano(a):
         return None
     cert = hirano(a)
-    try:
-        y = hirano_of_hirano(cert)
-    except VerificationError as err:
-        return str(err)
-    if y != a * a * cert.b:
+    if hirano_of_hirano(cert) != a * a * cert.b:
         return "inverse of the inverse is not a^2 b"
     return True
 
@@ -379,10 +353,7 @@ def _law_inverse_of_inverse(ctx: _LawContext, a: Element):
 def _law_tripotent_split(ctx: _LawContext, a: Element):
     if not has_hirano(a):
         return None
-    try:
-        d = tripotent_decomposition(a)
-    except (PreconditionError, VerificationError) as err:
-        return str(err)
+    d = tripotent_decomposition(a)
     if ctx.ring.size() <= 100:
         matches = [
             p
@@ -397,10 +368,7 @@ def _law_tripotent_split(ctx: _LawContext, a: Element):
 def _law_sd_difference_forward(ctx: _LawContext, a: Element):
     if not has_hirano(a):
         return None
-    try:
-        b, c = sd_difference_decomposition(a)
-    except (PreconditionError, VerificationError) as err:
-        return str(err)
+    b, c = sd_difference_decomposition(a)
     if a != b - c or b * c != c * b:
         return "difference decomposition identities fail"
     if not (has_strongly_drazin(b) and has_strongly_drazin(c)):
@@ -448,10 +416,7 @@ def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element):
         return f"existence biconditional fails: ac {left}, ba {right}"
     if not left:
         return True
-    try:
-        cert = cline(a, b, c, hirano(a * c))
-    except VerificationError as err:
-        return str(err)
+    cert = cline(a, b, c, hirano(a * c))
     if ctx.oracle_ok:
         found = ctx.scan.inverse_scan(ctx.ring.index_of(b * a))["hirano"]
         if ctx.ring.index_of(cert.b) not in found:
@@ -465,10 +430,7 @@ def _law_cline_pair(ctx: _LawContext, a: Element, b: Element):
 
 def _law_power_transfer(ctx: _LawContext, a: Element, b: Element):
     for k in (1, 2, 3):
-        try:
-            power_transfer(a, b, k)
-        except VerificationError as err:
-            return str(err)
+        power_transfer(a, b, k)
     return True
 
 
@@ -476,10 +438,7 @@ def _law_commuting_product(ctx: _LawContext, a: Element, b: Element):
     if a * b != b * a or not (has_hirano(a) and has_hirano(b)):
         return None
     ha, hb = hirano(a), hirano(b)
-    try:
-        cert = commuting_product(ha, hb)
-    except VerificationError as err:
-        return str(err)
+    cert = commuting_product(ha, hb)
     if ha.b * hb.b != hb.b * ha.b:
         return "the two inverses do not commute"
     if cert.b != hb.b * ha.b:
@@ -492,20 +451,14 @@ def _law_power_formula(ctx: _LawContext, a: Element):
         return None
     ha = hirano(a)
     for n in (1, 2, 3, 4):
-        try:
-            power_formula(ha, n)
-        except VerificationError as err:
-            return f"n = {n}: {err}"
+        power_formula(ha, n)
     return True
 
 
 def _law_jacobson(ctx: _LawContext, a: Element, b: Element, c: Element):
     if a * b * a != a * c * a:
         return None
-    try:
-        jacobson_transfer(a, b, c)
-    except VerificationError as err:
-        return str(err)
+    jacobson_transfer(a, b, c)
     return True
 
 
@@ -519,10 +472,7 @@ def _law_orthogonal_sum(ctx: _LawContext, a: Element, b: Element):
         return None
     if not (has_hirano(a) and has_hirano(b)):
         return None
-    try:
-        orthogonal_sum(hirano(a), hirano(b))
-    except VerificationError as err:
-        return str(err)
+    orthogonal_sum(hirano(a), hirano(b))
     return True
 
 
@@ -532,11 +482,7 @@ def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element):
         return None
     if not has_strongly_drazin(a * b):
         return None
-    sd = strongly_drazin(a * b)
-    try:
-        result = square_zero_sum(a, b, sd)
-    except VerificationError as err:
-        return str(err)
+    result = square_zero_sum(a, b, strongly_drazin(a * b))
     if not result.statement_valid:
         return "statement form fails the Hirano equations"
     if not result.proof_valid:
@@ -634,7 +580,10 @@ def verify_theorem(
             )
         for elems in space:
             instances += 1
-            verdict = check(ctx, *elems)
+            try:
+                verdict = check(ctx, *elems)
+            except VerificationError as err:
+                verdict = str(err)
             if verdict is None:
                 continue
             checked += 1

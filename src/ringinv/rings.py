@@ -325,13 +325,6 @@ class Factorization:
             raise ValueError("factorization pairs must be ascending with positive exponents")
 
     @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p ** e
-        return out
-
-    @property
     def max_exponent(self) -> int:
         return max(e for _, e in self.pairs)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from ringinv import RingSpec, matrix, modular
+from ringinv import RingSpec, VerificationError, census, matrix, modular
 
 SMALL_MODULAR = [modular(n) for n in range(2, 17)]
 SMALL_MATRIX = [
@@ -45,6 +45,22 @@ def ring_element_pairs(draw, rings=finite_rings):
     i = draw(st.integers(0, size - 1))
     j = draw(st.integers(0, size - 1))
     return ring.element_at(i), ring.element_at(j)
+
+
+HIRANO_FAILURE = "constructed Hirano inverse failed its equations"
+
+
+@pytest.fixture
+def hirano_fails_at_two(monkeypatch):
+    """The law registry's hirano raises VerificationError on 2 in Z/9."""
+    real_hirano = census.hirano
+
+    def failing_at_two(a):
+        if a == modular(9).element(2):
+            raise VerificationError(HIRANO_FAILURE)
+        return real_hirano(a)
+
+    monkeypatch.setattr(census, "hirano", failing_at_two)
 
 
 @pytest.fixture(scope="session")

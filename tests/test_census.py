@@ -11,6 +11,8 @@ from ringinv import (
     Element,
     InfiniteRingError,
     PreconditionError,
+    VerificationError,
+    ViolationRecord,
     Z,
     has_hirano,
     has_strongly_drazin,
@@ -23,11 +25,11 @@ from ringinv import (
     run_census,
     verify_theorem,
 )
-from ringinv import _scan
+from ringinv import _scan, census
 from ringinv._scan import RingScan, check_scan_fits
 from ringinv.census import _LawContext
 
-from conftest import SMALL_RINGS
+from conftest import HIRANO_FAILURE, SMALL_RINGS
 
 Z3_COUNTS = {
     "total": 3,
@@ -438,8 +440,29 @@ class TestVerifyTheorem:
         ring = matrix(modular(3), 2)
         first = verify_theorem("4.1", ring, strategy="sampled", seed=7, samples=500)
         third = verify_theorem("4.1", ring, strategy="sampled", seed=8, samples=500)
-        assert (first.checked != third.checked) or True  # both runs must simply complete
-        assert third.ok
+        assert first.checked == 87 and third.checked == 85
+        assert first.ok and third.ok
+
+    def test_failed_construction_becomes_a_violation(self, hirano_fails_at_two):
+        report = verify_theorem("2.1", modular(9))
+        assert report.violations == (
+            ViolationRecord(law="2.1", inputs=("2",), detail=HIRANO_FAILURE),
+        )
+        assert report.checked == 9
+
+    def test_failed_inverse_of_inverse_keeps_its_detail(self, monkeypatch):
+        real = census.hirano_of_hirano
+
+        def failing_at_two(cert):
+            if cert.a == modular(9).element(2):
+                raise VerificationError("inverse-of-inverse formula disagreed with construction")
+            return real(cert)
+
+        monkeypatch.setattr(census, "hirano_of_hirano", failing_at_two)
+        report = verify_theorem("3.2", modular(9))
+        assert [(v.inputs, v.detail) for v in report.violations] == [
+            (("2",), "inverse-of-inverse formula disagreed with construction")
+        ]
 
     def test_auto_strategy_picks_exhaustive_for_small_rings(self):
         report = verify_theorem("4.1", modular(5))

@@ -8,7 +8,7 @@ import pytest
 from ringinv import _scan, matrix, modular, parse_element, parse_ring
 from ringinv.cli import main
 
-from conftest import M8_Z47_ELEMENT, UNFACTORABLE_MODULUS
+from conftest import HIRANO_FAILURE, M8_Z47_ELEMENT, UNFACTORABLE_MODULUS
 
 # `census --json` stdout and exit code per argv, recorded from the per-element
 # count path that preceded the whole-ring masks.
@@ -20,8 +20,11 @@ CENSUS_GOLDEN = json.loads(
 CLASSIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "classify_golden.json").read_text()
 )
-# `verify 3.6 --json` stdout and exit code per argv, recorded from the
-# per-element tripotent search that preceded the commuting-pair scan.
+# `verify --json` stdout and exit code per argv.  The law 3.6 battery was
+# recorded from the per-element tripotent search that preceded the
+# commuting-pair scan; every law on Z/27 and M2(Z/2), every law sampled on
+# M2(Z/7), and the refused 3.3/3.4 on Z/12 were recorded from the laws that
+# caught their own VerificationErrors.
 VERIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "verify_golden.json").read_text()
 )
@@ -215,6 +218,12 @@ class TestVerify:
     def test_json_matches_golden_output(self, capsys, entry):
         code, out, _ = run(capsys, *entry["argv"])
         assert (code, out) == (entry["exit_code"], entry["stdout"])
+
+    def test_failed_construction_exits_2_with_its_inputs(self, capsys, hirano_fails_at_two):
+        code, out, err = run(capsys, "verify", "2.1", "Z/9")
+        assert (code, err) == (2, "")
+        assert "1 violations" in out
+        assert f"  violation at (2): {HIRANO_FAILURE}\n" in out
 
     def test_zero_samples_fail(self, capsys):
         code, out, err = run(capsys, "verify", "4.1", "M2(Z/7)", "--samples", "0")
