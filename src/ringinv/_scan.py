@@ -24,9 +24,7 @@ _WORKING_COPIES = 8
 
 
 def _scan_shape(ring: RingSpec) -> tuple[int, int]:
-    if ring.is_matrix:
-        return ring.dim, ring.scalar_base.n
-    return 1, ring.n
+    return max(1, ring.dim), ring.modulus
 
 
 def check_scan_fits(ring: RingSpec) -> None:

@@ -533,7 +533,6 @@ def verify_theorem(
     strategy: str | None = None,
     seed: int = 0,
     samples: int = LAW_SAMPLES,
-    max_instances: int = MAX_EXHAUSTIVE_INSTANCES,
 ) -> TheoremReport:
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
@@ -554,13 +553,13 @@ def verify_theorem(
         )
     max_arity = max(arity for arity, _ in law.passes)
     if strategy is None:
-        strategy = "exhaustive" if size ** max_arity <= max_instances else "sampled"
+        strategy = "exhaustive" if size ** max_arity <= MAX_EXHAUSTIVE_INSTANCES else "sampled"
     if strategy not in ("exhaustive", "sampled"):
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    if strategy == "exhaustive" and size ** max_arity > max_instances:
+    if strategy == "exhaustive" and size ** max_arity > MAX_EXHAUSTIVE_INSTANCES:
         raise PreconditionError(
             f"{ring} yields {size ** max_arity} instances at arity {max_arity}, "
-            f"above the cap {max_instances}"
+            f"above the cap {MAX_EXHAUSTIVE_INSTANCES}"
         )
     started = time.monotonic()
     ctx = _LawContext(ring)

@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
 
 def _parse_ring_arg(text: str):
     ring = parse_ring(text)
-    if ring.is_matrix and ring.dim > MAX_CLI_DIM:
+    if ring.dim > MAX_CLI_DIM:
         raise PreconditionError(f"matrix dimension {ring.dim} above the CLI cap {MAX_CLI_DIM}")
     return ring
 

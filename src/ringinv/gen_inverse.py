@@ -182,7 +182,7 @@ def drazin_finite(a: Element) -> DrazinCertificate:
 def _drazin_from_hirano(cert: HiranoCertificate) -> DrazinCertificate:
     """Over Z, a Hirano inverse is the Drazin inverse; find its index by search."""
     a, b = cert.a, cert.b
-    bound = a.ring.dim if a.ring.is_matrix else 1
+    bound = max(1, a.ring.dim)
     for k in range(bound + 2):
         out = check_drazin(a, b, index=k)
         if out is not None:

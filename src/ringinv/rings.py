@@ -29,7 +29,7 @@ class InfiniteRingError(RingError):
 
 
 class UnsupportedRingError(RingError):
-    """The requested quantity is not defined for this ring kind."""
+    """The requested quantity is not defined for this ring."""
 
 
 class PreconditionError(RingError):
@@ -40,57 +40,28 @@ class VerificationError(RingError):
     """A runtime self-check failed after a construction; indicates a defect."""
 
 
-_INTEGERS = "integers"
-_MODULAR = "modular"
-_MATRIX = "matrix"
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """Descriptor of a supported ring: Z, Z/n, or k-by-k matrices over one of those.
 
-    Matrix rings nest exactly one level deep; entries are always plain
-    integers or residues.  The trivial ring (modulus 1) is rejected.
+    A ring is two numbers: ``modulus`` is n for entries in Z/n and None for
+    entries in Z, and ``dim`` is the matrix size k, or 0 for the scalar rings
+    Z and Z/n (so M1(Z/n) and Z/n are distinct rings).  The trivial ring
+    (modulus 1) is rejected.
     """
 
-    kind: str
-    n: int = 0
-    base: "RingSpec | None" = None
+    modulus: int | None = None
     dim: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind == _INTEGERS:
-            if self.n or self.base is not None or self.dim:
-                raise ValueError("the integer ring takes no parameters")
-        elif self.kind == _MODULAR:
-            if self.base is not None or self.dim:
-                raise ValueError("a modular ring takes only a modulus")
-            if self.n < 2:
-                raise ValueError("modulus must be at least 2; the trivial ring is not supported")
-        elif self.kind == _MATRIX:
-            if self.n:
-                raise ValueError("a matrix ring takes a base ring and a dimension")
-            if self.base is None or self.base.kind == _MATRIX:
-                raise ValueError("matrix entries must come from Z or Z/n")
-            if self.dim < 1:
-                raise ValueError("matrix dimension must be at least 1")
-        else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError("modulus must be at least 2; the trivial ring is not supported")
+        if self.dim < 0:
+            raise ValueError("matrix dimension must be non-negative")
 
     @property
     def is_matrix(self) -> bool:
-        return self.kind == _MATRIX
-
-    @property
-    def scalar_base(self) -> "RingSpec":
-        """The ring the entries live in (self for scalar rings)."""
-        return self.base if self.kind == _MATRIX else self
-
-    @property
-    def modulus(self) -> int | None:
-        """The scalar modulus, or None over the integers."""
-        sb = self.scalar_base
-        return sb.n if sb.kind == _MODULAR else None
+        return self.dim > 0
 
     @property
     def is_finite(self) -> bool:
@@ -99,9 +70,7 @@ class RingSpec:
     def size(self) -> int:
         if not self.is_finite:
             raise InfiniteRingError(f"{self} is infinite")
-        if self.kind == _MODULAR:
-            return self.n
-        return self.base.n ** (self.dim * self.dim)
+        return self.modulus ** (self.dim * self.dim or 1)
 
     def element(self, payload) -> "Element":
         """Build an element from an integer or a row-major array of integers."""
@@ -139,7 +108,7 @@ class RingSpec:
             raise IndexError(f"index {index} out of range for {self} of size {size}")
         if not self.is_matrix:
             return Element(self, index)
-        n = self.base.n
+        n = self.modulus
         k = self.dim
         digits = []
         v = index
@@ -157,7 +126,7 @@ class RingSpec:
             raise InfiniteRingError(f"cannot index elements of {self}")
         if not self.is_matrix:
             return x.payload
-        n = self.base.n
+        n = self.modulus
         code = 0
         for row in x.payload:
             for v in row:
@@ -165,22 +134,23 @@ class RingSpec:
         return code
 
     def __str__(self) -> str:
-        if self.kind == _INTEGERS:
-            return "Z"
-        if self.kind == _MODULAR:
-            return f"Z/{self.n}"
-        return f"M{self.dim}({self.base})"
+        scalar = "Z" if self.modulus is None else f"Z/{self.modulus}"
+        return f"M{self.dim}({scalar})" if self.dim else scalar
 
 
-Z = RingSpec(_INTEGERS)
+Z = RingSpec()
 
 
 def modular(n: int) -> RingSpec:
-    return RingSpec(_MODULAR, n=n)
+    return RingSpec(n)
 
 
 def matrix(base: RingSpec, dim: int) -> RingSpec:
-    return RingSpec(_MATRIX, base=base, dim=dim)
+    if base.is_matrix:
+        raise ValueError("matrix entries must come from Z or Z/n")
+    if dim < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    return RingSpec(base.modulus, dim)
 
 
 def _entry(v) -> int:
@@ -218,8 +188,8 @@ class Element:
             v = self.payload
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"{ring} elements need an integer payload, got {v!r}")
-            if ring.kind == _MODULAR:
-                v %= ring.n
+            if ring.modulus is not None:
+                v %= ring.modulus
             object.__setattr__(self, "payload", v)
 
     def _require_same_ring(self, other: "Element") -> None:
@@ -453,12 +423,10 @@ def nilpotency_bound(ring: RingSpec) -> int:
     by Cayley-Hamilton.  Matrices over Z/n: k*e, because x^k vanishes mod
     rad(n) and stacking e such products clears every prime power of n.
     """
-    if ring.kind == _MODULAR:
-        return factorize(ring.n).max_exponent
-    if ring.kind == _MATRIX:
-        if ring.base.kind == _INTEGERS:
-            return ring.dim
-        return ring.dim * factorize(ring.base.n).max_exponent
+    if ring.modulus is not None:
+        return max(1, ring.dim) * factorize(ring.modulus).max_exponent
+    if ring.is_matrix:
+        return ring.dim
     raise UnsupportedRingError("Z has no finite nilpotency bound; only 0 is nilpotent there")
 
 
@@ -474,7 +442,7 @@ def unit_exponent(ring: RingSpec) -> int:
     """
     if not ring.is_finite:
         raise InfiniteRingError(f"{ring} has elements of infinite period")
-    k = ring.dim if ring.is_matrix else 1
+    k = max(1, ring.dim)
     out = 1
     for p, e in factorize(ring.modulus).pairs:
         t = 0
@@ -491,7 +459,7 @@ def is_nilpotent(x: Element) -> NilpotencyWitness | None:
     """Return a witness holding the minimal vanishing exponent, or None."""
     ring = x.ring
     zero = ring.zero()
-    if ring.kind == _INTEGERS:
+    if ring == Z:
         return NilpotencyWitness(1) if x == zero else None
     bound = nilpotency_bound(ring)
     power = x
@@ -566,11 +534,5 @@ def det(x: Element) -> int:
 
 def is_unit(x: Element) -> bool:
     """Two-sided invertibility: gcd with the modulus, or det = +-1 over Z."""
-    ring = x.ring
-    if ring.kind == _MODULAR:
-        return math.gcd(x.payload, ring.n) == 1
-    if ring.kind == _INTEGERS:
-        return x.payload in (1, -1)
-    if ring.base.kind == _INTEGERS:
-        return det(x) in (1, -1)
-    return math.gcd(det(x), ring.base.n) == 1
+    d = det(x) if x.ring.is_matrix else x.payload
+    return d in (1, -1) if x.ring.modulus is None else math.gcd(d, x.ring.modulus) == 1

@@ -25,6 +25,7 @@ class TestRingGrammar:
             ("M2(Z/3)", matrix(modular(3), 2)),
             ("M3(Z)", matrix(Z, 3)),
             (" M2( Z/5 ) ", matrix(modular(5), 2)),
+            ("M1(Z/5)", matrix(modular(5), 1)),
         ],
     )
     def test_accepts(self, text, expected):
@@ -44,7 +45,9 @@ class TestRingGrammar:
         assert "position" in str(err.value)
 
     def test_round_trip(self):
-        for ring in (Z, modular(12), matrix(modular(7), 2), matrix(Z, 4)):
+        for ring in (
+            Z, modular(12), matrix(modular(7), 2), matrix(Z, 4), matrix(modular(5), 1), matrix(Z, 1)
+        ):
             assert parse_ring(str(ring)) == ring
 
 

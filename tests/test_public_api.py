@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import ringinv
@@ -93,3 +95,7 @@ def test_all_is_pinned_and_resolves():
 def test_removed_names_are_gone(module):
     for name in REMOVED_NAMES:
         assert not hasattr(module, name), name
+
+
+def test_ring_spec_is_modulus_and_dim():
+    assert [f.name for f in dataclasses.fields(ringinv.RingSpec)] == ["modulus", "dim"]

@@ -26,6 +26,7 @@ from ringinv import (
     matrix,
     modular,
     nilpotency_bound,
+    parse_ring,
     unit_exponent,
 )
 from ringinv import rings
@@ -56,6 +57,20 @@ class TestRingSpec:
     def test_matrix_dim_positive(self):
         with pytest.raises(ValueError):
             matrix(Z, 0)
+
+    def test_dim_and_modulus_both_distinguish_rings(self):
+        assert matrix(modular(5), 1) != modular(5)
+        assert matrix(Z, 2) != matrix(modular(2), 2)
+        for text, built in [
+            ("Z", Z),
+            ("Z/5", modular(5)),
+            ("M1(Z/5)", matrix(modular(5), 1)),
+            ("M1(Z)", matrix(Z, 1)),
+            ("M2(Z/2)", matrix(modular(2), 2)),
+        ]:
+            parsed = parse_ring(text)
+            assert parsed == built
+            assert hash(parsed) == hash(built)
 
     def test_sizes(self):
         assert modular(7).size() == 7
@@ -333,5 +348,5 @@ class TestCharPoly:
     @given(ring_element_pairs(rings=st.sampled_from([matrix(modular(n), 2) for n in (3, 4, 7)])))
     def test_det_is_multiplicative(self, pair):
         a, b = pair
-        n = a.ring.scalar_base.n
+        n = a.ring.modulus
         assert det(a * b) % n == (det(a) * det(b)) % n
