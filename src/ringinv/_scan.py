@@ -2,24 +2,25 @@
 
 Both work on numpy stacks of all ring elements and share no code with the
 per-element criteria in rings and gen_inverse.  census_masks evaluates the
-polynomial criteria (x - x^3 nilpotent, x - x^2 nilpotent, det a unit, ...)
-for every element at once; inverse_scan works from the defining equations
-alone.  Entries stay integers reduced mod m after every product, and
-check_scan_fits refuses a ring whose sums of d such products could overflow
-int64, so results are exact.
+criteria (x^B = 0, x^unit_exponent = 1, x - x^3 nilpotent, ...) for every
+element at once; inverse_scan solves the three defining equation systems
+and nothing else.  Entries stay integers reduced mod m after every product,
+and check_scan_fits refuses a ring whose sums of d such products could
+overflow int64, so results are exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rings import InfiniteRingError, PreconditionError, RingSpec, nilpotency_bound
+from .rings import InfiniteRingError, PreconditionError, RingSpec
+from .rings import nilpotency_bound, unit_exponent
 
 _BLOCK = 1 << 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 SCAN_MEMORY_BUDGET = 256 * 2**20
 # Whole-ring int64 arrays alive at once while the census masks are built:
-# the stack, x^2, x^3, matmul and nilpotency-power temporaries.
+# the stack, x^2, x^3, power operands and matmul temporaries.
 _WORKING_COPIES = 8
 
 
@@ -50,22 +51,6 @@ def check_scan_fits(ring: RingSpec) -> None:
         )
 
 
-def _det_mod(stack: np.ndarray, m: int) -> np.ndarray:
-    """Determinants of an (N, d, d) stack mod m by cofactor expansion.
-
-    Every product is reduced mod m, so no intermediate exceeds m^2.
-    """
-    d = stack.shape[1]
-    if d == 1:
-        return stack[:, 0, 0] % m
-    rest = stack[:, 1:, :]
-    total = np.zeros(stack.shape[0], dtype=np.int64)
-    for j in range(d):
-        term = stack[:, 0, j] * _det_mod(np.delete(rest, j, axis=2), m) % m
-        total = (total - term if j % 2 else total + term) % m
-    return total
-
-
 class RingScan:
     """All elements of a finite ring as an (N, d, d) integer stack.
 
@@ -89,6 +74,7 @@ class RingScan:
         self.stack = entries.reshape(self.size, d, d)
         self._radix = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self._bound = nilpotency_bound(ring)
+        self._unit_exponent = unit_exponent(ring)
         self._nilpotent_mask: np.ndarray | None = None
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,36 +82,45 @@ class RingScan:
         out %= self.modulus
         return out
 
+    def _power(self, x: np.ndarray, e: int) -> np.ndarray:
+        """x^e for every matrix of the stack x (e >= 1), by square-and-multiply."""
+        out = None
+        while True:
+            if e & 1:
+                out = x if out is None else self._mul(out, x)
+            e >>= 1
+            if not e:
+                return out
+            x = self._mul(x, x)
+
     def codes(self, stack: np.ndarray) -> np.ndarray:
         flat = stack.reshape(stack.shape[0], -1)
         return flat @ self._radix
 
     def nilpotent_mask(self) -> np.ndarray:
-        """Boolean mask over indexes: x^t = 0 for the power-of-two t >= bound."""
+        """Boolean mask over indexes: x^B = 0 with B = nilpotency_bound."""
         if self._nilpotent_mask is None:
-            x = self.stack.copy()
-            t = 1
-            while t < self._bound:
-                x = self._mul(x, x)
-                t *= 2
-            self._nilpotent_mask = ~x.any(axis=(1, 2))
+            self._nilpotent_mask = ~self._power(self.stack, self._bound).any(axis=(1, 2))
         return self._nilpotent_mask
 
     def _nilpotent_codes(self, values: np.ndarray) -> np.ndarray:
         return self.nilpotent_mask()[self.codes(values)]
 
     def census_masks(self) -> dict[str, np.ndarray]:
-        """Boolean masks over indexes for the six criterion-defined census classes."""
+        """Boolean masks over indexes for the six criterion-defined census classes.
+
+        A unit's order divides unit_exponent, so x is a unit iff x^unit_exponent = 1.
+        """
         m = self.modulus
-        nilpotent = self.nilpotent_mask()
         x = self.stack
         x2 = self._mul(x, x)
         x3 = self._mul(x2, x)
+        identity = np.eye(self.dim, dtype=np.int64)
         return {
-            "nilpotent": nilpotent,
+            "nilpotent": self.nilpotent_mask(),
             "idempotent": (x2 == x).all(axis=(1, 2)),
             "tripotent": (x3 == x).all(axis=(1, 2)),
-            "unit": np.gcd(_det_mod(x, m), m) == 1,
+            "unit": (self._power(x, self._unit_exponent) == identity).all(axis=(1, 2)),
             "strongly_drazin": self._nilpotent_codes((x - x2) % m),
             "hirano": self._nilpotent_codes((x - x3) % m),
         }
@@ -144,28 +139,21 @@ class RingScan:
     def inverse_scan(self, index: int) -> dict:
         """Candidate inverses of one element against the whole ring.
 
-        Returns index lists for the three defining equation systems (the
-        shared pair ab = ba, bab = b plus the respective nilpotent defect)
-        and a unit flag (some b with ab = ba = 1).
+        Returns index lists for the three defining equation systems: the
+        shared pair ab = ba, bab = b plus the respective nilpotent defect.
         """
-        d, m, n = self.dim, self.modulus, self.size
+        m, n = self.modulus, self.size
         a = self.stack[index]
         a2 = self._mul(a, a)
-        identity = np.eye(d, dtype=np.int64)
         hirano: list[int] = []
         sdrazin: list[int] = []
         drazin: list[int] = []
-        unit = False
         for start in range(0, n, _BLOCK):
             block = self.stack[start : start + _BLOCK]
             ab = self._mul(a[None], block)
             ba = self._mul(block, a[None])
             shared = (ab == ba).all(axis=(1, 2))
             shared &= (self._mul(block, ab) == block).all(axis=(1, 2))
-            if not unit:
-                ident = (ab == identity).all(axis=(1, 2))
-                ident &= (ba == identity).all(axis=(1, 2))
-                unit = bool(ident.any())
             base = np.flatnonzero(shared)
             if base.size == 0:
                 continue
@@ -175,4 +163,4 @@ class RingScan:
             mask_d = self._nilpotent_codes((a[None] - self._mul(a[None], ab)) % m)
             for flag, out in ((mask_h, hirano), (mask_s, sdrazin), (mask_d, drazin)):
                 out.extend((start + base[flag]).tolist())
-        return {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin, "unit": unit}
+        return {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin}

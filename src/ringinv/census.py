@@ -3,12 +3,13 @@
 run_census counts nilpotents, idempotents, tripotents, units, and the
 three generalized-inverse classes across a finite ring from whole-ring
 numpy masks (RingScan.census_masks: x - x^3 nilpotent for Hirano, x - x^2
-nilpotent for strongly Drazin, det coprime to n for units, ...).  Each
+nilpotent for strongly Drazin, x^unit_exponent = 1 for units, ...).  Each
 checked element's mask verdicts are confirmed by two independent paths:
-the per-element criteria in rings and gen_inverse, and the definitional
-equation scan (RingScan.inverse_scan).  Any disagreement is a hard error
-naming the category and the element; the check is exhaustive on rings of
-at most 10**4 elements and covers a seeded sample above that.
+classify with the per-element criteria, and the definitional equation
+scan (RingScan.inverse_scan), whose unique Drazin inverse also decides
+nilpotent, idempotent, tripotent and unit.  Any disagreement is a hard
+error naming the category and the element; the check is exhaustive on
+rings of at most 10**4 elements and covers a seeded sample above that.
 
 verify_theorem drives the law registry: each law id names a fixed
 checkable statement about one ring, run either exhaustively over the
@@ -48,6 +49,7 @@ from .calculus import (
 )
 from .gen_inverse import (
     _drazin_axioms,
+    classify,
     drazin_finite,
     has_hirano,
     has_strongly_drazin,
@@ -124,11 +126,11 @@ class CensusReport:
 
 
 def _cross_check_element(ring: RingSpec, scan: RingScan, masks: dict, index: int) -> None:
-    """Confirm one element's mask verdicts by its criteria and its equation scan.
+    """Confirm one element's mask verdicts by its criteria, classify and equation scan.
 
     The scan's Drazin inverse d is unique; it decides the classes that have
     no inverse system of their own: a is nilpotent iff d = 0, tripotent iff
-    d = a, and idempotent iff a*d = a.
+    d = a, idempotent iff a*d = a, and a unit iff a*d = 1.
     """
     a = ring.element_at(index)
     found = scan.inverse_scan(index)
@@ -138,13 +140,14 @@ def _cross_check_element(ring: RingSpec, scan: RingScan, masks: dict, index: int
             f"of {a}, not exactly one"
         )
     d = ring.element_at(found["drazin"][0])
+    report = classify(a)
     paths = {
         "nilpotent": (is_nilpotent(a) is not None, d == ring.zero()),
         "idempotent": (is_idempotent(a), a * d == a),
         "tripotent": (is_tripotent(a), d == a),
-        "unit": (is_unit(a), found["unit"]),
-        "strongly_drazin": (has_strongly_drazin(a), bool(found["strongly_drazin"])),
-        "hirano": (has_hirano(a), bool(found["hirano"])),
+        "unit": (is_unit(a), a * d == ring.one()),
+        "strongly_drazin": (report.has_strongly_drazin, bool(found["strongly_drazin"])),
+        "hirano": (report.has_hirano, bool(found["hirano"])),
     }
     for category, (criterion, brute) in paths.items():
         mask = bool(masks[category][index])
@@ -153,18 +156,15 @@ def _cross_check_element(ring: RingSpec, scan: RingScan, masks: dict, index: int
                 f"three-path mismatch in {ring} at element {a}: {category} mask says "
                 f"{mask}, criterion says {criterion}, equation scan says {brute}"
             )
-    if found["hirano"] and ring.index_of(hirano(a).b) not in found["hirano"]:
-        raise CensusMismatchError(
-            f"constructed Hirano inverse of {a} in {ring} is not in the scanned set"
-        )
-    if found["strongly_drazin"]:
-        b = strongly_drazin(a).b
-        if ring.index_of(b) not in found["strongly_drazin"]:
+    for name, cert, scanned in (
+        ("Hirano", report.hirano, found["hirano"]),
+        ("strongly Drazin", report.strongly_drazin, found["strongly_drazin"]),
+    ):
+        if cert is not None and ring.index_of(cert.b) not in scanned:
             raise CensusMismatchError(
-                f"constructed strongly Drazin inverse of {a} in {ring} "
-                "is not in the scanned set"
+                f"constructed {name} inverse of {a} in {ring} is not in the scanned set"
             )
-    if drazin_finite(a).b != d:
+    if report.drazin.b != d:
         raise CensusMismatchError(
             f"power-formula Drazin inverse of {a} in {ring} differs from the scanned one"
         )
@@ -303,6 +303,8 @@ def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
 
 def _law_uniqueness(ctx: _LawContext, a: Element):
     found = ctx.scan.inverse_scan(ctx.ring.index_of(a))["hirano"]
+    if has_hirano(a) != bool(found):
+        return f"criterion says {has_hirano(a)}, equation scan found {len(found)}"
     if len(found) > 1:
         return f"{len(found)} distinct candidates satisfy the Hirano equations"
     if found:
@@ -311,8 +313,6 @@ def _law_uniqueness(ctx: _LawContext, a: Element):
             return "constructed inverse differs from the scanned one"
         if ctx.ring.index_of(drazin_finite(a).b) != index:
             return "power-formula Drazin inverse differs from the Hirano inverse"
-    elif has_hirano(a):
-        return "criterion accepts but no candidate satisfies the equations"
     return True
 
 

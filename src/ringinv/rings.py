@@ -89,17 +89,10 @@ class RingSpec:
         return Element(self, 1)
 
     def elements(self) -> Iterator["Element"]:
-        """Yield every element exactly once, in a fixed lexicographic order."""
+        """Every element exactly once, in the fixed lexicographic element_at order."""
         if not self.is_finite:
             raise InfiniteRingError(f"cannot enumerate {self}")
-        n = self.modulus
-        if not self.is_matrix:
-            for v in range(n):
-                yield Element(self, v)
-            return
-        k = self.dim
-        for flat in itertools.product(range(n), repeat=k * k):
-            yield Element(self, tuple(flat[r * k:(r + 1) * k] for r in range(k)))
+        return map(self.element_at, range(self.size()))
 
     def element_at(self, index: int) -> "Element":
         """Random access into the ``elements()`` order (mixed-radix decode)."""
@@ -471,18 +464,17 @@ def is_nilpotent(x: Element) -> NilpotencyWitness | None:
     return None
 
 
-def inverse_of_unipotent(u: Element, witness: NilpotencyWitness | None = None) -> Element:
+def inverse_of_unipotent(u: Element) -> Element:
     """Invert u = 1 + w with w nilpotent via the finite alternating series.
 
     With w^m = 0 the inverse is 1 - w + w^2 - ... +- w^(m-1).  The product
-    is re-checked; a failure means the supplied witness was wrong.
+    is re-checked; a failure means the nilpotency witness was wrong.
     """
     one = u.ring.one()
     w = u - one
+    witness = is_nilpotent(w)
     if witness is None:
-        witness = is_nilpotent(w)
-        if witness is None:
-            raise PreconditionError(f"{u} is not unipotent: u - 1 is not nilpotent")
+        raise PreconditionError(f"{u} is not unipotent: u - 1 is not nilpotent")
     acc = one
     power = one
     for j in range(1, witness.index):

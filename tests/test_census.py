@@ -234,6 +234,23 @@ class TestCensusMasks:
         ]
         assert 0 < mask[indexes].sum() < 500
 
+    @pytest.mark.parametrize(
+        "ring, first", [(matrix(modular(5), 2), "[[0,1],[2,0]]"), (modular(9), "2")],
+        ids=["M2(Z/5)", "Z/9"],
+    )
+    def test_halved_unit_exponent_is_caught(self, ring, first, monkeypatch):
+        # x^(exponent/2) = 1 misses the units of full order; the scan's
+        # Drazin inverse (a*d = 1) and is_unit both still see them
+        unit_exponent = _scan.unit_exponent
+        monkeypatch.setattr(_scan, "unit_exponent", lambda r: unit_exponent(r) // 2)
+        with pytest.raises(CensusMismatchError, match="unit") as caught:
+            run_census(ring)
+        assert f"at element {first}:" in str(caught.value)
+
+    def test_inverse_scan_solves_only_the_three_systems(self):
+        found = RingScan(matrix(modular(2), 2)).inverse_scan(9)
+        assert sorted(found) == ["drazin", "hirano", "strongly_drazin"]
+
     @pytest.mark.parametrize("category", MASK_KEYS)
     def test_corrupted_mask_entry_is_caught(self, category, monkeypatch):
         ring = matrix(modular(2), 2)
@@ -449,6 +466,21 @@ class TestVerifyTheorem:
             ViolationRecord(law="2.1", inputs=("2",), detail=HIRANO_FAILURE),
         )
         assert report.checked == 9
+
+    def test_scan_criterion_disagreement_in_uniqueness_is_a_violation(self, monkeypatch):
+        inverse_scan = RingScan.inverse_scan
+
+        def extra_candidate_at_two(scan, index):
+            found = inverse_scan(scan, index)
+            if index == 2:
+                found["hirano"] = found["hirano"] + [3]
+            return found
+
+        monkeypatch.setattr(RingScan, "inverse_scan", extra_candidate_at_two)
+        report = verify_theorem("2.2", modular(5))
+        assert [(v.inputs, v.detail) for v in report.violations] == [
+            (("2",), "criterion says False, equation scan found 1")
+        ]
 
     def test_failed_inverse_of_inverse_keeps_its_detail(self, monkeypatch):
         real = census.hirano_of_hirano
