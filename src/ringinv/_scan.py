@@ -54,9 +54,10 @@ def check_scan_fits(ring: RingSpec) -> None:
 class RingScan:
     """All elements of a finite ring as an (N, d, d) integer stack.
 
-    A scalar ring Z/n is handled as 1x1 matrices.  The stack and ``codes``
-    are the vectorized form of RingSpec.element_at and RingSpec.index_of:
-    the stack row at an index is exactly the entries of that element.
+    A scalar ring Z/n is handled as 1x1 matrices, multiplied elementwise.
+    The stack and ``codes`` are the vectorized form of RingSpec.element_at
+    and RingSpec.index_of: the stack row at an index is exactly the entries
+    of that element.
     """
 
     def __init__(self, ring: RingSpec):
@@ -78,7 +79,7 @@ class RingScan:
         self._nilpotent_mask: np.ndarray | None = None
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.matmul(x, y)
+        out = x * y if self.dim == 1 else np.matmul(x, y)
         out %= self.modulus
         return out
 

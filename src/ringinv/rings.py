@@ -2,9 +2,13 @@
 
 Rings are described by immutable ``RingSpec`` values and populated by
 immutable ``Element`` values.  Every operation returns a fresh element, so
-everything in this module is safe to share across threads.  All arithmetic
-is integer arithmetic: residues are kept canonical in ``[0, n)`` and matrix
-entries over Z use Python's arbitrary precision integers.
+everything in this module is safe to share across threads.  An element of
+Z, Z/n and Mk(.) alike is a flat row-major tuple of integer entries (one for
+Z and Z/n), and one arithmetic path serves all of them.  All arithmetic is
+integer arithmetic: residues are kept canonical in ``[0, n)`` and entries
+over Z use Python's arbitrary precision integers.  Payloads from outside are
+validated once, by ``RingSpec.element``; arithmetic results are reduced by
+the operation that makes them and are not checked again.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -73,20 +78,37 @@ class RingSpec:
         return self.modulus ** (self.dim * self.dim or 1)
 
     def element(self, payload) -> "Element":
-        """Build an element from an integer or a row-major array of integers."""
-        return Element(self, payload)
+        """Build an element from an integer or a row-major array of integers.
+
+        The one place a payload from outside is checked: an integer (not a
+        bool) for Z and Z/n, a k-by-k array of integers for Mk(.), raising
+        ValueError otherwise.  Entries are then reduced mod n.
+        """
+        if not self.is_matrix:
+            if isinstance(payload, bool) or not isinstance(payload, int):
+                raise ValueError(f"{self} elements need an integer payload, got {payload!r}")
+            return self._reduce((payload,))
+        k = self.dim
+        try:
+            rows = [[_entry(v) for v in row] for row in payload]
+        except TypeError:
+            raise ValueError(f"{self} elements need a {k}x{k} array payload") from None
+        if len(rows) != k or any(len(row) != k for row in rows):
+            raise ValueError(f"{self} elements need a {k}x{k} array payload")
+        return self._reduce(v for row in rows for v in row)
+
+    def _reduce(self, values) -> "Element":
+        """The element with these row-major integer entries, reduced mod n."""
+        m = self.modulus
+        return Element(self, tuple(values) if m is None else tuple([v % m for v in values]))
 
     def zero(self) -> "Element":
-        if self.is_matrix:
-            k = self.dim
-            return Element(self, tuple((0,) * k for _ in range(k)))
-        return Element(self, 0)
+        return Element(self, (0,) * max(1, self.dim) ** 2)
 
     def one(self) -> "Element":
-        if self.is_matrix:
-            k = self.dim
-            return Element(self, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
-        return Element(self, 1)
+        k = max(1, self.dim)
+        # the diagonal of a row-major k-by-k array sits at the multiples of k + 1
+        return Element(self, tuple(int(i % (k + 1) == 0) for i in range(k * k)))
 
     def elements(self) -> Iterator["Element"]:
         """Every element exactly once, in the fixed lexicographic element_at order."""
@@ -99,17 +121,11 @@ class RingSpec:
         size = self.size()
         if not 0 <= index < size:
             raise IndexError(f"index {index} out of range for {self} of size {size}")
-        if not self.is_matrix:
-            return Element(self, index)
-        n = self.modulus
-        k = self.dim
         digits = []
-        v = index
-        for _ in range(k * k):
-            v, d = divmod(v, n)
+        for _ in range(max(1, self.dim) ** 2):
+            index, d = divmod(index, self.modulus)
             digits.append(d)
-        digits.reverse()
-        return Element(self, tuple(tuple(digits[r * k:(r + 1) * k]) for r in range(k)))
+        return Element(self, tuple(reversed(digits)))
 
     def index_of(self, x: "Element") -> int:
         """Position of ``x`` in the ``elements()`` order; inverts ``element_at``."""
@@ -117,13 +133,9 @@ class RingSpec:
             raise RingMismatchError(f"mixed rings: {x.ring} and {self}")
         if not self.is_finite:
             raise InfiniteRingError(f"cannot index elements of {self}")
-        if not self.is_matrix:
-            return x.payload
-        n = self.modulus
         code = 0
-        for row in x.payload:
-            for v in row:
-                code = code * n + v
+        for v in x.entries:
+            code = code * self.modulus + v
         return code
 
     def __str__(self) -> str:
@@ -154,72 +166,47 @@ def _entry(v) -> int:
 
 @dataclass(frozen=True)
 class Element:
-    """An immutable ring element; payload is an int or a tuple of row tuples.
+    """An immutable ring element: its ring and the row-major tuple of its
+    d*d entries, d = max(1, ring.dim), so Z and Z/n elements have one entry.
 
-    Payloads are reduced to canonical form on construction, so equality and
-    hashing are plain structural comparisons.
+    Build elements with ``ring.element``, which validates a payload from
+    outside and reduces it, or with ``ring.element_at``.  Arithmetic reduces
+    its own results mod n, so every element is canonical by construction and
+    equality and hashing are plain structural comparisons.  ``payload`` is a
+    view of the entries: an int for Z and Z/n, a tuple of row tuples for Mk(.).
     """
 
     ring: RingSpec
-    payload: "int | tuple[tuple[int, ...], ...]"
+    entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ring = self.ring
-        if ring.is_matrix:
-            k = ring.dim
-            try:
-                rows = tuple(tuple(_entry(v) for v in row) for row in self.payload)
-            except TypeError:
-                raise ValueError(f"{ring} elements need a {k}x{k} array payload") from None
-            if len(rows) != k or any(len(row) != k for row in rows):
-                raise ValueError(f"{ring} elements need a {k}x{k} array payload")
-            m = ring.modulus
-            if m is not None:
-                rows = tuple(tuple(v % m for v in row) for row in rows)
-            object.__setattr__(self, "payload", rows)
-        else:
-            v = self.payload
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"{ring} elements need an integer payload, got {v!r}")
-            if ring.modulus is not None:
-                v %= ring.modulus
-            object.__setattr__(self, "payload", v)
+    @property
+    def payload(self) -> "int | tuple[tuple[int, ...], ...]":
+        if not self.ring.is_matrix:
+            return self.entries[0]
+        k = self.ring.dim
+        return tuple(self.entries[i:i + k] for i in range(0, k * k, k))
 
     def _require_same_ring(self, other: "Element") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"mixed rings: {self.ring} and {other.ring}")
 
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_ring(other)
-        if self.ring.is_matrix:
-            rows = tuple(
-                tuple(x + y for x, y in zip(r, s))
-                for r, s in zip(self.payload, other.payload)
-            )
-            return Element(self.ring, rows)
-        return Element(self.ring, self.payload + other.payload)
+        return self.ring._reduce(map(operator.add, self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_ring(other)
-        if self.ring.is_matrix:
-            rows = tuple(
-                tuple(x - y for x, y in zip(r, s))
-                for r, s in zip(self.payload, other.payload)
-            )
-            return Element(self.ring, rows)
-        return Element(self.ring, self.payload - other.payload)
+        return self.ring._reduce(map(operator.sub, self.entries, other.entries))
 
     def __neg__(self):
         return self * -1
 
     def _scale(self, c: int) -> "Element":
-        if self.ring.is_matrix:
-            return Element(self.ring, tuple(tuple(c * v for v in row) for row in self.payload))
-        return Element(self.ring, c * self.payload)
+        return self.ring._reduce(c * v for v in self.entries)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -227,15 +214,14 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_ring(other)
-        if self.ring.is_matrix:
-            k = self.ring.dim
-            a, b = self.payload, other.payload
-            rows = tuple(
-                tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k))
-                for i in range(k)
-            )
-            return Element(self.ring, rows)
-        return Element(self.ring, self.payload * other.payload)
+        a, b = self.entries, other.entries
+        if len(a) == 1:
+            return self.ring._reduce((a[0] * b[0],))
+        k = self.ring.dim
+        cols = [b[j::k] for j in range(k)]
+        return self.ring._reduce(
+            sum(map(operator.mul, a[i:i + k], col)) for i in range(0, k * k, k) for col in cols
+        )
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -526,5 +512,5 @@ def det(x: Element) -> int:
 
 def is_unit(x: Element) -> bool:
     """Two-sided invertibility: gcd with the modulus, or det = +-1 over Z."""
-    d = det(x) if x.ring.is_matrix else x.payload
+    d = det(x) if x.ring.is_matrix else x.entries[0]
     return d in (1, -1) if x.ring.modulus is None else math.gcd(d, x.ring.modulus) == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -488,6 +489,17 @@ class TestClassify:
             assert report.hirano.b == report.drazin.b
         if report.has_strongly_drazin:
             assert report.strongly_drazin.b == report.drazin.b
+
+    def test_strongly_drazin_disagreeing_with_drazin_fails(self, monkeypatch):
+        real = gen_inverse.strongly_drazin
+
+        def off_by_one(a):
+            cert = real(a)
+            return dataclasses.replace(cert, b=cert.b + a.ring.one())
+
+        monkeypatch.setattr(gen_inverse, "strongly_drazin", off_by_one)
+        with pytest.raises(VerificationError, match="strongly Drazin and Drazin"):
+            classify(modular(9).element(1))
 
 
 class TestValidators:

@@ -99,3 +99,7 @@ def test_removed_names_are_gone(module):
 
 def test_ring_spec_is_modulus_and_dim():
     assert [f.name for f in dataclasses.fields(ringinv.RingSpec)] == ["modulus", "dim"]
+
+
+def test_element_is_ring_and_entries():
+    assert [f.name for f in dataclasses.fields(ringinv.Element)] == ["ring", "entries"]

@@ -120,6 +120,25 @@ class TestRingSpec:
             assert scan.stack[i].tolist() == [list(row) for row in rows]
 
 
+ARITHMETIC_RINGS = SMALL_RINGS + [Z, matrix(Z, 2), matrix(Z, 3)]
+
+
+@st.composite
+def built_operands(draw):
+    """Two elements of one ring built by ring.element from entries in [-9, 9],
+    and an exponent n <= 4."""
+    ring = draw(st.sampled_from(ARITHMETIC_RINGS))
+    d = max(1, ring.dim)
+
+    def payload():
+        values = draw(st.lists(st.integers(-9, 9), min_size=d * d, max_size=d * d))
+        if not ring.is_matrix:
+            return values[0]
+        return [values[i:i + d] for i in range(0, d * d, d)]
+
+    return ring.element(payload()), ring.element(payload()), draw(st.integers(0, 4))
+
+
 class TestElement:
     def test_residues_are_normalized(self):
         z9 = modular(9)
@@ -182,6 +201,20 @@ class TestElement:
         m = matrix(Z, 2)
         assert m.one().payload == ((1, 0), (0, 1))
         assert m.zero().payload == ((0, 0), (0, 0))
+
+    @given(built_operands())
+    def test_arithmetic_results_equal_their_validated_rebuild(self, operands):
+        a, b, n = operands
+        ring = a.ring
+        d = max(1, ring.dim)
+        for x in (a + b, a - b, a * b, 3 * a, -a, a ** n):
+            assert len(x.entries) == d * d
+            assert all(type(v) is int for v in x.entries)
+            if ring.is_finite:
+                assert all(0 <= v < ring.modulus for v in x.entries)
+            rebuilt = ring.element(x.payload)
+            assert rebuilt == x
+            assert hash(rebuilt) == hash(x)
 
 
 class TestPredicates:
