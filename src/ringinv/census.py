@@ -7,9 +7,12 @@ nilpotent for strongly Drazin, x^unit_exponent = 1 for units, ...).  Each
 checked element's mask verdicts are confirmed by two independent paths:
 classify with the per-element criteria, and the definitional equation
 scan (RingScan.inverse_scan), whose unique Drazin inverse also decides
-nilpotent, idempotent, tripotent and unit.  Any disagreement is a hard
-error naming the category and the element; the check is exhaustive on
-rings of at most 10**4 elements and covers a seeded sample above that.
+nilpotent, idempotent, tripotent and unit.  The scan solves ab = ba by
+generating the centraliser of a and tests the other equations on its
+rows only, so a checked element costs in proportion to its centraliser,
+not to the ring.  Any disagreement is a hard error naming the category
+and the element; the check is exhaustive on rings of at most 10**4
+elements and covers a seeded sample above that.
 
 verify_theorem drives the law registry: each law id names a fixed
 checkable statement about one ring, run either exhaustively over the
@@ -23,8 +26,8 @@ Law 3.6 (every element Hirano iff every element is a tripotent plus a
 commuting nilpotent) compares two independent paths: the per-element
 criterion has_hirano walked over the ring, and the split mask
 RingScan.tripotent_split_mask, which enumerates every pair p + w with p
-tripotent and w a nilpotent commuting with p.  It needs the scan and so
-refuses rings above ORACLE_RING_CAP elements.
+tripotent and w a nilpotent in the generated centraliser of p.  It needs
+the scan and so refuses rings above ORACLE_RING_CAP elements.
 """
 
 from __future__ import annotations
@@ -287,8 +290,7 @@ class _LawContext:
     def tripotents(self) -> list[int]:
         """Indexes of the tripotents, in enumeration order."""
         if self._tripotents is None:
-            tripotent = self.scan.census_masks()["tripotent"]
-            self._tripotents = np.flatnonzero(tripotent).tolist()
+            self._tripotents = np.flatnonzero(self.scan.tripotent_mask()).tolist()
         return self._tripotents
 
 

@@ -1,16 +1,20 @@
 """Reference implementations the tests compare the package against.
 
 The brute-force scans try every element of a finite ring against the
-defining equations, one Python check at a time; RingScan.inverse_scan is
-their vectorized counterpart inside the package.  semigroup_profile walks
-the power orbit of an element, the O(index + period) route that
-drazin_finite and unit_exponent avoid.
+defining equations, one Python check at a time.  filtered_inverse_scan is
+the whole-ring numpy filter that RingScan.inverse_scan replaced: it tests
+ab = ba on every element instead of generating the centraliser.
+semigroup_profile walks the power orbit of an element, the O(index +
+period) route that drazin_finite and unit_exponent avoid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ringinv._scan import _BLOCK, RingScan
 from ringinv.gen_inverse import _drazin_axioms, check_hirano, check_strongly_drazin
 from ringinv.rings import Element, InfiniteRingError
 
@@ -60,3 +64,36 @@ def brute_force_drazin(a: Element) -> list[Element]:
     if not a.ring.is_finite:
         raise InfiniteRingError(f"cannot scan {a.ring}")
     return [b for b in a.ring.elements() if _drazin_axioms(a, b) is not None]
+
+
+def filtered_inverse_scan(scan: RingScan, index: int) -> tuple[list[int], dict]:
+    """RingScan.inverse_scan by filtering the whole ring for ab = ba, bab = b
+    and each nilpotent defect, in blocks of _BLOCK elements.
+
+    Returns the indexes of the elements commuting with element index, and
+    the three index lists of inverse_scan.
+    """
+    m, n = scan.modulus, scan.size
+    a = scan.stack[index]
+    a2 = scan._mul(a, a)
+    commuting: list[int] = []
+    hirano: list[int] = []
+    sdrazin: list[int] = []
+    drazin: list[int] = []
+    for start in range(0, n, _BLOCK):
+        block = scan.stack[start : start + _BLOCK]
+        ab = scan._mul(a[None], block)
+        ba = scan._mul(block, a[None])
+        shared = (ab == ba).all(axis=(1, 2))
+        commuting.extend((start + np.flatnonzero(shared)).tolist())
+        shared &= (scan._mul(block, ab) == block).all(axis=(1, 2))
+        base = np.flatnonzero(shared)
+        if base.size == 0:
+            continue
+        ab = ab[base]
+        mask_h = scan._nilpotent_codes((a2[None] - ab) % m)
+        mask_s = scan._nilpotent_codes((a[None] - ab) % m)
+        mask_d = scan._nilpotent_codes((a[None] - scan._mul(a[None], ab)) % m)
+        for flag, out in ((mask_h, hirano), (mask_s, sdrazin), (mask_d, drazin)):
+            out.extend((start + base[flag]).tolist())
+    return commuting, {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin}
