@@ -102,7 +102,10 @@ def check_drazin(a: Element, b: Element, index: int) -> DrazinCertificate | None
     if found is None:
         return None
     defect, witness = found
-    if index < 0 or a ** index != a ** (index + 1) * b:
+    if index < 0:
+        return None
+    power = a ** index
+    if power != power * a * b:
         return None
     return DrazinCertificate(a, b, defect, witness, index)
 

@@ -9,6 +9,15 @@ integer arithmetic: residues are kept canonical in ``[0, n)`` and entries
 over Z use Python's arbitrary precision integers.  Payloads from outside are
 validated once, by ``RingSpec.element``; arithmetic results are reduced by
 the operation that makes them and are not checked again.
+
+A product runs a kernel compiled for its matrix size k (k = 1 for Z and
+Z/n): straight-line Python that unpacks both entry tuples and writes out the
+k*k dot products, reduced mod n over Z/n.  It is built on a ring's first
+product and shared by every ring with the same k and kind of entry.  The
+source of a kernel grows as k**3, so sizes above ``_UNROLL_MAX_DIM`` = 8
+keep a generic loop: 8 is the CLI's own dimension cap, and an 8x8 kernel
+(512 products) compiles in about 2 ms, but rings built through the library
+may be any size.
 """
 
 from __future__ import annotations
@@ -103,12 +112,33 @@ class RingSpec:
         return Element(self, tuple(values) if m is None else tuple([v % m for v in values]))
 
     def zero(self) -> "Element":
-        return Element(self, (0,) * max(1, self.dim) ** 2)
+        return self._zero
 
     def one(self) -> "Element":
+        return self._one
+
+    # Per-ring constants, built on first use and stored on the instance, so
+    # they live exactly as long as the ring does.
+    @functools.cached_property
+    def _zero(self) -> "Element":
+        return Element(self, (0,) * max(1, self.dim) ** 2)
+
+    @functools.cached_property
+    def _one(self) -> "Element":
         k = max(1, self.dim)
         # the diagonal of a row-major k-by-k array sits at the multiples of k + 1
         return Element(self, tuple(int(i % (k + 1) == 0) for i in range(k * k)))
+
+    @functools.cached_property
+    def _product(self):
+        """The product on entry tuples, called as ``_product(a, b, modulus)``."""
+        k = max(1, self.dim)
+        return _product_kernel(k, self.is_finite) if k <= _UNROLL_MAX_DIM else _generic_product
+
+    def __reduce__(self):
+        # pickle and copy rebuild the ring from its fields, without the cached
+        # constants and the compiled product above
+        return RingSpec, (self.modulus, self.dim)
 
     def elements(self) -> Iterator["Element"]:
         """Every element exactly once, in the fixed lexicographic element_at order."""
@@ -164,6 +194,51 @@ def _entry(v) -> int:
     return v
 
 
+# Products in Mk(.) for k up to this cap, which covers every ring the CLI
+# accepts, run straight-line code compiled for k.  The source grows as k**3
+# (16x16: 4 096 products, about 14 ms to compile), so library rings above the
+# cap keep the generic loop.
+_UNROLL_MAX_DIM = 8
+
+
+@functools.lru_cache(maxsize=2 * _UNROLL_MAX_DIM)
+def _product_kernel(k: int, finite: bool):
+    """Compile ``(a, b, m) -> entries of a*b`` for row-major k-by-k entry
+    tuples, each entry reduced mod m when ``finite`` (m is ignored otherwise).
+
+    The source unpacks both tuples into locals and spells out the k*k dot
+    products, the way dataclasses writes ``__init__``, so a product costs its
+    multiplications and additions and no slicing, ``map`` or ``sum`` calls.
+    """
+    n = k * k
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    dots = [
+        " + ".join(f"{a[i * k + t]} * {b[t * k + j]}" for t in range(k))
+        for i in range(k) for j in range(k)
+    ]
+    if finite:
+        dots = [f"({dot}) % m" for dot in dots]
+    source = (
+        "def product(a, b, m):\n"
+        f"    {', '.join(a)}, = a\n"
+        f"    {', '.join(b)}, = b\n"
+        f"    return ({', '.join(dots)},)\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<ringinv product kernel {k}x{k}>", "exec"), namespace)
+    return namespace["product"]
+
+
+def _generic_product(a: tuple, b: tuple, m: int | None) -> tuple:
+    """The product of row-major square entry tuples of any size, reduced mod m
+    unless m is None: the fallback above _UNROLL_MAX_DIM."""
+    k = math.isqrt(len(a))
+    cols = [b[j::k] for j in range(k)]
+    sums = [sum(map(operator.mul, a[i:i + k], col)) for i in range(0, k * k, k) for col in cols]
+    return tuple(sums) if m is None else tuple([v % m for v in sums])
+
+
 @dataclass(frozen=True)
 class Element:
     """An immutable ring element: its ring and the row-major tuple of its
@@ -214,14 +289,8 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_ring(other)
-        a, b = self.entries, other.entries
-        if len(a) == 1:
-            return self.ring._reduce((a[0] * b[0],))
-        k = self.ring.dim
-        cols = [b[j::k] for j in range(k)]
-        return self.ring._reduce(
-            sum(map(operator.mul, a[i:i + k], col)) for i in range(0, k * k, k) for col in cols
-        )
+        ring = self.ring
+        return Element(ring, ring._product(self.entries, other.entries, ring.modulus))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -232,15 +301,15 @@ class Element:
         """Square-and-multiply; exponent 0 gives the identity."""
         if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        if exponent == 0:
+            return self.ring.one()
+        # left to right over the bits after the leading one: a square per bit,
+        # and a product by self per set bit
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __str__(self) -> str:
@@ -402,11 +471,16 @@ def nilpotency_bound(ring: RingSpec) -> int:
     by Cayley-Hamilton.  Matrices over Z/n: k*e, because x^k vanishes mod
     rad(n) and stacking e such products clears every prime power of n.
     """
-    if ring.modulus is not None:
-        return max(1, ring.dim) * factorize(ring.modulus).max_exponent
-    if ring.is_matrix:
-        return ring.dim
-    raise UnsupportedRingError("Z has no finite nilpotency bound; only 0 is nilpotent there")
+    if ring.modulus is None and not ring.is_matrix:
+        raise UnsupportedRingError("Z has no finite nilpotency bound; only 0 is nilpotent there")
+    return _nilpotency_bound(ring.modulus, ring.dim)
+
+
+@functools.lru_cache(maxsize=1024)
+def _nilpotency_bound(modulus: int | None, dim: int) -> int:
+    if modulus is None:
+        return dim
+    return max(1, dim) * factorize(modulus).max_exponent
 
 
 def unit_exponent(ring: RingSpec) -> int:

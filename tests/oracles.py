@@ -5,7 +5,8 @@ defining equations, one Python check at a time.  filtered_inverse_scan is
 the whole-ring numpy filter that RingScan.inverse_scan replaced: it tests
 ab = ba on every element instead of generating the centraliser.
 semigroup_profile walks the power orbit of an element, the O(index +
-period) route that drazin_finite and unit_exponent avoid.
+period) route that drazin_finite and unit_exponent avoid.  naive_product is
+the textbook triple loop that Element.__mul__'s compiled kernels replace.
 """
 
 from __future__ import annotations
@@ -44,6 +45,21 @@ def semigroup_profile(a: Element) -> SemigroupProfile:
         exponent += 1
     first = seen[power.payload]
     return SemigroupProfile(index=first, period=exponent - first)
+
+
+def naive_product(a: Element, b: Element) -> Element:
+    """a * b by a triple loop over the payload rows, reduced by ring.element."""
+    ring = a.ring
+    if not ring.is_matrix:
+        return ring.element(a.payload * b.payload)
+    k = ring.dim
+    x, y = a.payload, b.payload
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            for t in range(k):
+                rows[i][j] += x[i][t] * y[t][j]
+    return ring.element(rows)
 
 
 def brute_force_hirano(a: Element) -> list[Element]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -41,6 +42,7 @@ from conftest import (
     ring_element_pairs,
     ring_elements,
 )
+from oracles import naive_product
 
 
 class TestRingSpec:
@@ -215,6 +217,84 @@ class TestElement:
             rebuilt = ring.element(x.payload)
             assert rebuilt == x
             assert hash(rebuilt) == hash(x)
+
+
+# Z, a small and a composite modulus, and moduli past 2**64 and 10**40.
+PRODUCT_MODULI = [None, 2, 12, 2**64 + 13, 10**40 + 121]
+
+
+@st.composite
+def product_operands(draw, dim):
+    """Two elements of RingSpec(modulus, dim) from entries with up to 40 digits,
+    negative ones included; ring.element reduces them for the finite rings."""
+    ring = RingSpec(draw(st.sampled_from(PRODUCT_MODULI)), dim)
+    d = max(1, dim)
+    entries = st.integers(-(10**40), 10**40)
+
+    def payload():
+        values = draw(st.lists(entries, min_size=d * d, max_size=d * d))
+        return values[0] if dim == 0 else [values[i:i + d] for i in range(0, d * d, d)]
+
+    return ring.element(payload()), ring.element(payload())
+
+
+class TestProductKernel:
+    # dims 0 and 1 both take the k = 1 kernel; the last dim is above the cap
+    @pytest.mark.parametrize("dim", range(rings._UNROLL_MAX_DIM + 2))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_triple_loop(self, dim, data):
+        a, b = data.draw(product_operands(dim))
+        assert a * b == naive_product(a, b)
+        assert b * a == naive_product(b, a)
+
+    def test_one_kernel_per_dimension_and_entry_kind(self):
+        assert matrix(modular(5), 3)._product is matrix(modular(7), 3)._product
+        assert modular(5)._product is matrix(modular(7), 1)._product
+        assert matrix(Z, 3)._product is not matrix(modular(7), 3)._product
+
+    def test_no_kernel_above_the_cap(self):
+        ring = matrix(modular(5), rings._UNROLL_MAX_DIM + 1)
+        x = ring.element([[i * j for j in range(ring.dim)] for i in range(ring.dim)])
+        before = rings._product_kernel.cache_info()
+        assert x * x == naive_product(x, x)
+        assert rings._product_kernel.cache_info() == before
+        assert ring._product is rings._generic_product
+
+    def test_power_costs_its_squarings_and_multiplications(self, monkeypatch):
+        a = matrix(modular(7), 2).element([[1, 2], [3, 4]])
+        calls = 0
+        mul = Element.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        powers = {}
+        for n in range(1, 65):
+            calls = 0
+            powers[n] = a ** n
+            assert calls == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
+        monkeypatch.undo()
+        acc = a.ring.one()
+        for n in range(1, 65):
+            acc = acc * a
+            assert powers[n] == acc
+
+    def test_ring_constants_are_built_once(self):
+        ring = matrix(modular(9), 2)
+        assert ring.one() is ring.one()
+        assert ring.zero() is ring.zero()
+        assert RingSpec(9, 2).one() == ring.one()
+
+    def test_rings_and_elements_pickle_after_a_product(self):
+        ring = matrix(modular(9), 2)
+        x = ring.element([[1, 2], [3, 4]])
+        y = pickle.loads(pickle.dumps(x * x))
+        assert y == x * x
+        assert y * x == x * x * x
 
 
 class TestPredicates:

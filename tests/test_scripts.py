@@ -32,3 +32,10 @@ def test_verify_all_help():
     result = _run_script("verify_all.py", "--help")
     assert result.returncode == 0, result.stderr
     assert "--seed" in result.stdout
+
+
+def test_bench_pairs_help():
+    result = _run_script("bench_pairs.py", "--help")
+    assert result.returncode == 0, result.stderr
+    for option in ("--workload", "--seed", "--pairs", "--seconds", "--out"):
+        assert option in result.stdout
