@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -245,16 +244,13 @@ class TheoremReport:
     checked: int
     violations: tuple
     notes: tuple
-    elapsed_seconds: float  # wall clock, left out of as_dict so the JSON is reproducible
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def as_dict(self) -> dict:
-        out = asdict(self)
-        del out["elapsed_seconds"]
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
@@ -563,7 +559,6 @@ def verify_theorem(
             f"{ring} yields {size ** max_arity} instances at arity {max_arity}, "
             f"above the cap {MAX_EXHAUSTIVE_INSTANCES}"
         )
-    started = time.monotonic()
     ctx = _LawContext(ring)
     violations: list[ViolationRecord] = []
     instances = 0
@@ -601,7 +596,6 @@ def verify_theorem(
                     break
         if len(violations) >= MAX_VIOLATIONS:
             break
-    elapsed = time.monotonic() - started
     return TheoremReport(
         theorem=theorem_id,
         ring=str(ring),
@@ -611,5 +605,4 @@ def verify_theorem(
         checked=checked,
         violations=tuple(violations),
         notes=tuple(ctx.notes),
-        elapsed_seconds=round(elapsed, 3),
     )

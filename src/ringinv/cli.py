@@ -190,7 +190,7 @@ def _cmd_verify(args) -> int:
         print(
             f"law {report.theorem} on {report.ring}: {report.strategy}, "
             f"{report.instances} instances, {report.checked} checked, "
-            f"{len(report.violations)} violations ({report.elapsed_seconds}s)"
+            f"{len(report.violations)} violations"
         )
         for v in report.violations:
             print(f"  violation at ({', '.join(v.inputs)}): {v.detail}")

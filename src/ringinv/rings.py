@@ -6,18 +6,25 @@ everything in this module is safe to share across threads.  An element of
 Z, Z/n and Mk(.) alike is a flat row-major tuple of integer entries (one for
 Z and Z/n), and one arithmetic path serves all of them.  All arithmetic is
 integer arithmetic: residues are kept canonical in ``[0, n)`` and entries
-over Z use Python's arbitrary precision integers.  Payloads from outside are
-validated once, by ``RingSpec.element``; arithmetic results are reduced by
-the operation that makes them and are not checked again.
+over Z use Python's arbitrary precision integers.
 
-A product runs a kernel compiled for its matrix size k (k = 1 for Z and
-Z/n): straight-line Python that unpacks both entry tuples and writes out the
-k*k dot products, reduced mod n over Z/n.  It is built on a ring's first
-product and shared by every ring with the same k and kind of entry.  The
-source of a kernel grows as k**3, so sizes above ``_UNROLL_MAX_DIM`` = 8
-keep a generic loop: 8 is the CLI's own dimension cap, and an 8x8 kernel
-(512 products) compiles in about 2 ms, but rings built through the library
-may be any size.
+Payloads from outside are validated once, by ``RingSpec.element``.  Every
+other element (arithmetic results, ``element_at``, ``zero`` and ``one``) is
+made by ``_element``, a trusted constructor that fills the two slots of the
+frozen ``Element`` directly: its entries are canonical by construction, so
+they are neither checked again nor passed through the dataclass ``__init__``.
+
+Arithmetic runs kernels compiled per ring shape, for k*k entries with
+k = max(1, dim): a product, an entrywise sum and an entrywise difference.
+Each is straight-line Python that unpacks both entry tuples into locals and
+writes out every result entry, reduced mod n over Z/n, so an operation
+costs its integer arithmetic and no slicing, ``map`` or ``sum`` calls.  A
+ring fetches its kernels on its first operation of each kind, and rings
+with the same k and kind of entry share them.  The source of a product
+kernel grows as k**3, so sizes above ``_UNROLL_MAX_DIM`` = 8 keep generic
+loops: 8 is the CLI's own dimension cap, and an 8x8 product kernel (512
+products) compiles in about 2 ms, but rings built through the library may
+be any size.
 """
 
 from __future__ import annotations
@@ -109,7 +116,7 @@ class RingSpec:
     def _reduce(self, values) -> "Element":
         """The element with these row-major integer entries, reduced mod n."""
         m = self.modulus
-        return Element(self, tuple(values) if m is None else tuple([v % m for v in values]))
+        return _element(self, tuple(values) if m is None else tuple([v % m for v in values]))
 
     def zero(self) -> "Element":
         return self._zero
@@ -121,23 +128,43 @@ class RingSpec:
     # they live exactly as long as the ring does.
     @functools.cached_property
     def _zero(self) -> "Element":
-        return Element(self, (0,) * max(1, self.dim) ** 2)
+        return _element(self, (0,) * max(1, self.dim) ** 2)
 
     @functools.cached_property
     def _one(self) -> "Element":
         k = max(1, self.dim)
         # the diagonal of a row-major k-by-k array sits at the multiples of k + 1
-        return Element(self, tuple(int(i % (k + 1) == 0) for i in range(k * k)))
+        return _element(self, tuple(int(i % (k + 1) == 0) for i in range(k * k)))
 
+    # The kernels on entry tuples, each called as ``kernel(a, b, modulus)``.
     @functools.cached_property
     def _product(self):
-        """The product on entry tuples, called as ``_product(a, b, modulus)``."""
         k = max(1, self.dim)
         return _product_kernel(k, self.is_finite) if k <= _UNROLL_MAX_DIM else _generic_product
 
+    @functools.cached_property
+    def _add(self):
+        return self._entrywise("+")
+
+    @functools.cached_property
+    def _sub(self):
+        return self._entrywise("-")
+
+    def _entrywise(self, op: str):
+        k = max(1, self.dim)
+        if k <= _UNROLL_MAX_DIM:
+            return _entrywise_kernel(op, k, self.is_finite)
+        return functools.partial(_generic_entrywise, _OPERATORS[op])
+
+    @functools.cached_property
+    def _nilpotency_bound(self) -> int:
+        """``nilpotency_bound(self)``, and 1 for Z, where only x^1 = 0 is nilpotent."""
+        k = max(1, self.dim)
+        return k if self.modulus is None else k * factorize(self.modulus).max_exponent
+
     def __reduce__(self):
         # pickle and copy rebuild the ring from its fields, without the cached
-        # constants and the compiled product above
+        # constants and the compiled kernels above
         return RingSpec, (self.modulus, self.dim)
 
     def elements(self) -> Iterator["Element"]:
@@ -155,7 +182,7 @@ class RingSpec:
         for _ in range(max(1, self.dim) ** 2):
             index, d = divmod(index, self.modulus)
             digits.append(d)
-        return Element(self, tuple(reversed(digits)))
+        return _element(self, tuple(reversed(digits)))
 
     def index_of(self, x: "Element") -> int:
         """Position of ``x`` in the ``elements()`` order; inverts ``element_at``."""
@@ -194,40 +221,49 @@ def _entry(v) -> int:
     return v
 
 
-# Products in Mk(.) for k up to this cap, which covers every ring the CLI
-# accepts, run straight-line code compiled for k.  The source grows as k**3
-# (16x16: 4 096 products, about 14 ms to compile), so library rings above the
-# cap keep the generic loop.
+# Arithmetic in Mk(.) for k up to this cap, which covers every ring the CLI
+# accepts, runs straight-line code compiled for k.  A product's source grows
+# as k**3 (16x16: 4 096 products, about 14 ms to compile), so library rings
+# above the cap keep generic loops.
 _UNROLL_MAX_DIM = 8
+
+
+def _compile_kernel(label: str, k: int, finite: bool, entries: list[str]):
+    """Compile ``kernel(a, b, m)`` for row-major k-by-k entry tuples a and b:
+    the source unpacks them into locals a0.. and b0.. and returns the tuple of
+    the given entry expressions, each reduced mod m when ``finite`` (m is
+    ignored otherwise), the way dataclasses writes ``__init__``."""
+    if finite:
+        entries = [f"({e}) % m" for e in entries]
+    n = k * k
+    source = (
+        "def kernel(a, b, m):\n"
+        f"    {', '.join(f'a{i}' for i in range(n))}, = a\n"
+        f"    {', '.join(f'b{i}' for i in range(n))}, = b\n"
+        f"    return ({', '.join(entries)},)\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<ringinv {label} kernel {k}x{k}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 @functools.lru_cache(maxsize=2 * _UNROLL_MAX_DIM)
 def _product_kernel(k: int, finite: bool):
-    """Compile ``(a, b, m) -> entries of a*b`` for row-major k-by-k entry
-    tuples, each entry reduced mod m when ``finite`` (m is ignored otherwise).
-
-    The source unpacks both tuples into locals and spells out the k*k dot
-    products, the way dataclasses writes ``__init__``, so a product costs its
-    multiplications and additions and no slicing, ``map`` or ``sum`` calls.
-    """
-    n = k * k
-    a = [f"a{i}" for i in range(n)]
-    b = [f"b{i}" for i in range(n)]
+    """The product of k-by-k entry tuples: the k*k dot products written out."""
     dots = [
-        " + ".join(f"{a[i * k + t]} * {b[t * k + j]}" for t in range(k))
+        " + ".join(f"a{i * k + t} * b{t * k + j}" for t in range(k))
         for i in range(k) for j in range(k)
     ]
-    if finite:
-        dots = [f"({dot}) % m" for dot in dots]
-    source = (
-        "def product(a, b, m):\n"
-        f"    {', '.join(a)}, = a\n"
-        f"    {', '.join(b)}, = b\n"
-        f"    return ({', '.join(dots)},)\n"
-    )
-    namespace: dict = {}
-    exec(compile(source, f"<ringinv product kernel {k}x{k}>", "exec"), namespace)
-    return namespace["product"]
+    return _compile_kernel("product", k, finite, dots)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub}
+
+
+@functools.lru_cache(maxsize=2 * len(_OPERATORS) * _UNROLL_MAX_DIM)
+def _entrywise_kernel(op: str, k: int, finite: bool):
+    """The entrywise sum (op "+") or difference (op "-") of k-by-k entry tuples."""
+    return _compile_kernel(f"entrywise {op}", k, finite, [f"a{i} {op} b{i}" for i in range(k * k)])
 
 
 def _generic_product(a: tuple, b: tuple, m: int | None) -> tuple:
@@ -239,7 +275,14 @@ def _generic_product(a: tuple, b: tuple, m: int | None) -> tuple:
     return tuple(sums) if m is None else tuple([v % m for v in sums])
 
 
-@dataclass(frozen=True)
+def _generic_entrywise(op, a: tuple, b: tuple, m: int | None) -> tuple:
+    """op applied entry by entry, reduced mod m unless m is None: the sum and
+    difference above _UNROLL_MAX_DIM."""
+    values = map(op, a, b)
+    return tuple(values) if m is None else tuple([v % m for v in values])
+
+
+@dataclass(frozen=True, slots=True)
 class Element:
     """An immutable ring element: its ring and the row-major tuple of its
     d*d entries, d = max(1, ring.dim), so Z and Z/n elements have one entry.
@@ -249,6 +292,9 @@ class Element:
     its own results mod n, so every element is canonical by construction and
     equality and hashing are plain structural comparisons.  ``payload`` is a
     view of the entries: an int for Z and Z/n, a tuple of row tuples for Mk(.).
+
+    Operands of one ring object pass the ring check by identity; elements of
+    equal but distinct ``RingSpec`` objects still mix, after an equality test.
     """
 
     ring: RingSpec
@@ -262,35 +308,42 @@ class Element:
         return tuple(self.entries[i:i + k] for i in range(0, k * k, k))
 
     def _require_same_ring(self, other: "Element") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring != other.ring:
             raise RingMismatchError(f"mixed rings: {self.ring} and {other.ring}")
 
     def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_ring(other)
-        return self.ring._reduce(map(operator.add, self.entries, other.entries))
+        ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            if not isinstance(other, Element):
+                return NotImplemented
+            self._require_same_ring(other)
+        return _element(ring, ring._add(self.entries, other.entries, ring.modulus))
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_ring(other)
-        return self.ring._reduce(map(operator.sub, self.entries, other.entries))
+        ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            if not isinstance(other, Element):
+                return NotImplemented
+            self._require_same_ring(other)
+        return _element(ring, ring._sub(self.entries, other.entries, ring.modulus))
 
     def __neg__(self):
         return self * -1
 
     def _scale(self, c: int) -> "Element":
-        return self.ring._reduce(c * v for v in self.entries)
+        ring = self.ring
+        m = ring.modulus
+        return _element(ring, tuple([c * v if m is None else c * v % m for v in self.entries]))
 
     def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self._scale(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_ring(other)
         ring = self.ring
-        return Element(ring, ring._product(self.entries, other.entries, ring.modulus))
+        if other.__class__ is not Element or other.ring is not ring:
+            if isinstance(other, int) and not isinstance(other, bool):
+                return self._scale(other)
+            if not isinstance(other, Element):
+                return NotImplemented
+            self._require_same_ring(other)
+        return _element(ring, ring._product(self.entries, other.entries, ring.modulus))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -321,6 +374,25 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.ring}, {self})"
+
+
+_new_object = object.__new__
+_set_ring = Element.ring.__set__
+_set_entries = Element.entries.__set__
+
+
+def _element(ring: RingSpec, entries: tuple) -> Element:
+    """The element of ``ring`` with these canonical entries, unchecked.
+
+    The trusted constructor behind every element that is not built from a
+    payload: it writes the two slots directly, skipping the frozen
+    dataclass's ``__init__`` and its per-field ``object.__setattr__``.  The
+    entries must already be a tuple of max(1, dim)**2 ints, reduced mod n.
+    """
+    x = _new_object(Element)
+    _set_ring(x, ring)
+    _set_entries(x, entries)
+    return x
 
 
 def is_idempotent(x: Element) -> bool:
@@ -473,14 +545,7 @@ def nilpotency_bound(ring: RingSpec) -> int:
     """
     if ring.modulus is None and not ring.is_matrix:
         raise UnsupportedRingError("Z has no finite nilpotency bound; only 0 is nilpotent there")
-    return _nilpotency_bound(ring.modulus, ring.dim)
-
-
-@functools.lru_cache(maxsize=1024)
-def _nilpotency_bound(modulus: int | None, dim: int) -> int:
-    if modulus is None:
-        return dim
-    return max(1, dim) * factorize(modulus).max_exponent
+    return ring._nilpotency_bound
 
 
 def unit_exponent(ring: RingSpec) -> int:
@@ -512,9 +577,7 @@ def is_nilpotent(x: Element) -> NilpotencyWitness | None:
     """Return a witness holding the minimal vanishing exponent, or None."""
     ring = x.ring
     zero = ring.zero()
-    if ring == Z:
-        return NilpotencyWitness(1) if x == zero else None
-    bound = nilpotency_bound(ring)
+    bound = ring._nilpotency_bound
     power = x
     for m in range(1, bound + 1):
         if power == zero:

@@ -6,7 +6,9 @@ the whole-ring numpy filter that RingScan.inverse_scan replaced: it tests
 ab = ba on every element instead of generating the centraliser.
 semigroup_profile walks the power orbit of an element, the O(index +
 period) route that drazin_finite and unit_exponent avoid.  naive_product is
-the textbook triple loop that Element.__mul__'s compiled kernels replace.
+the textbook triple loop that Element.__mul__'s compiled kernels replace, and
+naive_entrywise and naive_scale do the same for sums, differences and integer
+multiples.
 """
 
 from __future__ import annotations
@@ -60,6 +62,22 @@ def naive_product(a: Element, b: Element) -> Element:
             for t in range(k):
                 rows[i][j] += x[i][t] * y[t][j]
     return ring.element(rows)
+
+
+def naive_entrywise(op, a: Element, b: Element) -> Element:
+    """op applied entry by entry over the payload rows, reduced by ring.element."""
+    ring = a.ring
+    if not ring.is_matrix:
+        return ring.element(op(a.payload, b.payload))
+    return ring.element([[op(x, y) for x, y in zip(r, s)] for r, s in zip(a.payload, b.payload)])
+
+
+def naive_scale(c: int, a: Element) -> Element:
+    """c * a entry by entry over the payload rows, reduced by ring.element."""
+    ring = a.ring
+    if not ring.is_matrix:
+        return ring.element(c * a.payload)
+    return ring.element([[c * x for x in row] for row in a.payload])
 
 
 def brute_force_hirano(a: Element) -> list[Element]:

@@ -204,6 +204,19 @@ class TestVerify:
         assert "4096 instances" in out
         assert "0 violations" in out
 
+    def test_human_line_has_no_timing(self, capsys):
+        code, out, _ = run(capsys, "verify", "3.3", "Z/9")
+        assert (code, out) == (0, "law 3.3 on Z/9: exhaustive, 9 instances, 9 checked, 0 violations\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "5.1", "M2(Z/2)"), ("verify", "4.1", "M2(Z/7)", "--samples", "200", "--seed", "3")],
+        ids=["exhaustive", "sampled"],
+    )
+    def test_identical_runs_print_identical_stdout(self, capsys, argv):
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "3.3", "Z/9", "--json")
         assert code == 0

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import operator
 import pickle
 import random
 
@@ -42,7 +45,7 @@ from conftest import (
     ring_element_pairs,
     ring_elements,
 )
-from oracles import naive_product
+from oracles import naive_entrywise, naive_product, naive_scale
 
 
 class TestRingSpec:
@@ -295,6 +298,84 @@ class TestProductKernel:
         y = pickle.loads(pickle.dumps(x * x))
         assert y == x * x
         assert y * x == x * x * x
+
+
+
+class TestEntrywiseKernels:
+    # dims 0 and 1 both take the k = 1 kernels; the last dim is above the cap
+    @pytest.mark.parametrize("dim", range(rings._UNROLL_MAX_DIM + 2))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_entrywise_loop(self, dim, data):
+        a, b = data.draw(product_operands(dim))
+        c = data.draw(st.integers(-(10**40), 10**40))
+        assert a + b == naive_entrywise(operator.add, a, b)
+        assert a - b == naive_entrywise(operator.sub, a, b)
+        assert -a == naive_entrywise(operator.sub, a.ring.zero(), a)
+        assert c * a == a * c == naive_scale(c, a)
+
+    def test_one_kernel_per_dimension_entry_kind_and_operator(self):
+        assert matrix(modular(5), 3)._add is matrix(modular(7), 3)._add
+        assert modular(5)._sub is matrix(modular(7), 1)._sub
+        assert matrix(Z, 3)._add is not matrix(modular(7), 3)._add
+        assert modular(5)._add is not modular(5)._sub
+
+    def test_no_kernel_above_the_cap(self):
+        ring = matrix(modular(5), rings._UNROLL_MAX_DIM + 1)
+        x = ring.element([[i * j for j in range(ring.dim)] for i in range(ring.dim)])
+        before = rings._entrywise_kernel.cache_info()
+        assert x + x == naive_entrywise(operator.add, x, x)
+        assert x - x == ring.zero()
+        assert rings._entrywise_kernel.cache_info() == before
+
+
+class TestTrustedConstruction:
+    """Elements made by arithmetic keep the contract of validated ones."""
+
+    def results(self):
+        ring = matrix(modular(9), 2)
+        a, b = ring.element([[1, 2], [3, 4]]), ring.element([[5, 6], [7, 8]])
+        return [a, a * b, a + b, a - b, -a, 3 * a, a ** 5, ring.element_at(17), ring.one()]
+
+    def test_fields_are_frozen(self):
+        for x in self.results():
+            for name in ("ring", "entries"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, name, getattr(x, name))
+            assert not hasattr(x, "__dict__")
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        for x in self.results():
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+                assert y == x
+                assert hash(y) == hash(x)
+                assert y.ring.element(y.payload) == x
+
+    def test_equal_but_distinct_rings_mix(self):
+        first, second = parse_ring("M2(Z/9)"), parse_ring("M2(Z/9)")
+        assert first is not second
+        a, b = first.element([[1, 2], [3, 4]]), second.element([[5, 6], [7, 8]])
+        assert a * b == first.element([[19, 22], [43, 50]])
+        assert a + b == second.element([[6, 8], [10, 12]])
+        assert b - a == first.element([[4, 4], [4, 4]])
+        assert a == second.element([[1, 2], [3, 4]])
+        assert hash(a) == hash(second.element([[1, 2], [3, 4]]))
+
+    @pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub], ids=str)
+    @pytest.mark.parametrize(
+        "left, right",
+        [(modular(3), modular(5)), (modular(3), matrix(modular(3), 1)), (Z, modular(7))],
+        ids=str,
+    )
+    def test_different_rings_raise(self, op, left, right):
+        with pytest.raises(RingMismatchError):
+            op(left.one(), right.one())
+
+    def test_bools_and_int_sums_are_type_errors(self):
+        a = matrix(modular(9), 2).element([[1, 2], [3, 4]])
+        for bad in (lambda: a * True, lambda: True * a, lambda: a + 1, lambda: 1 - a):
+            with pytest.raises(TypeError):
+                bad()
 
 
 class TestPredicates:

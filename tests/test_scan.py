@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from ringinv import CensusMismatchError, VerificationError, matrix, modular, run_census
+from ringinv import CensusMismatchError, Element, VerificationError, matrix, modular, run_census
 from ringinv import _scan
 from ringinv._scan import RingScan
 from ringinv.census import _LawContext
@@ -29,6 +29,11 @@ EXHAUSTIVE_RINGS = (
 SAMPLED_RINGS = [matrix(modular(16), 2), matrix(modular(3), 3), matrix(modular(2), 4)]
 SAMPLES = 200
 M4Z2 = matrix(modular(2), 4)
+M3Z2 = matrix(modular(2), 3)
+# Element products per cross-checked element of a census: the criteria,
+# classify and the scan's verdict tests (about 60 on M3(Z/2)), whatever
+# the size of the ring.
+PRODUCTS_PER_CHECKED = 100
 
 
 @functools.cache
@@ -48,6 +53,22 @@ def sample(ring) -> list[int]:
 
 def generated(scan: RingScan, index: int) -> list[int]:
     return scan.codes(scan.centraliser(scan.stack[index])).tolist()
+
+
+def centraliser_size_mod2(p: np.ndarray) -> int:
+    """The number of x over F_2 with px = xp: 2 ** (k*k - rank) of the map
+    x -> px - xp, its rank found by XOR elimination of the images of the
+    k*k matrix units, each packed into the bits of an int."""
+    k = len(p)
+    units = np.eye(k * k, dtype=np.int64).reshape(k * k, k, k)
+    images = ((p @ units - units @ p) % 2).reshape(k * k, k * k)
+    basis: list[int] = []  # distinct leading bits, each absent from the later ones
+    for v in (images @ (1 << np.arange(k * k, dtype=np.int64))).tolist():
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return 2 ** (k * k - len(basis))
 
 
 def shifted(gens, orders, q):
@@ -150,6 +171,55 @@ class TestScanCost:
         monkeypatch.undo()
         assert touched == sum(len(oracle(M4Z2, i)[0]) for i in indexes)
         assert touched < 0.05 * SAMPLES * M4Z2.size()
+
+    def test_law_3_6_split_rows_are_the_tripotent_centralisers(self, monkeypatch):
+        ctx = _LawContext(M4Z2)
+        scan = ctx.scan
+        scan.nilpotent_mask()  # whole-ring set-up, built once per scan object
+        centraliser = RingScan.centraliser
+        touched = 0
+
+        def counting_centraliser(self, a):
+            nonlocal touched
+            rows = centraliser(self, a)
+            touched += len(rows)
+            return rows
+
+        monkeypatch.setattr(RingScan, "centraliser", counting_centraliser)
+        scan.tripotent_split_mask(ctx.tripotents)
+        monkeypatch.undo()
+        assert touched == sum(centraliser_size_mod2(p) for p in scan.stack[ctx.tripotents])
+        assert touched < 0.05 * len(ctx.tripotents) * M4Z2.size()
+
+    def test_census_cross_check_rows_and_products(self, monkeypatch):
+        centraliser, inverse_scan, mul = RingScan.centraliser, RingScan.inverse_scan, Element.__mul__
+        scanned: list[int] = []
+        touched = products = 0
+
+        def counting_centraliser(self, a):
+            nonlocal touched
+            rows = centraliser(self, a)
+            touched += len(rows)
+            return rows
+
+        def recording_scan(self, index):
+            scanned.append(index)
+            return inverse_scan(self, index)
+
+        def counting_mul(self, other):
+            nonlocal products
+            products += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(RingScan, "centraliser", counting_centraliser)
+        monkeypatch.setattr(RingScan, "inverse_scan", recording_scan)
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        checked = run_census(M3Z2).cross_check.checked
+        monkeypatch.undo()
+        assert scanned == list(range(M3Z2.size())) and checked == len(scanned)
+        scan = scan_of(M3Z2)
+        assert touched == sum(len(filtered_inverse_scan(scan, i)[0]) for i in scanned)
+        assert products <= PRODUCTS_PER_CHECKED * checked
 
 
 class TestSharedTripotentMask:
