@@ -3,12 +3,18 @@
 Both work on numpy stacks of ring elements and share no code with the
 per-element criteria in rings and gen_inverse.  census_masks evaluates the
 criteria (x^B = 0, x^unit_exponent = 1, x - x^3 nilpotent, ...) for every
-element at once.  inverse_scan solves the three defining equation systems
-and nothing else: it generates the centraliser of a (the solutions of
-ab = ba, usually a small fraction of the ring) and tests bab = b and the
-nilpotent defects on its rows only.  Entries stay integers reduced mod m
-after every product, and check_scan_fits refuses a ring whose sums of d
-such products could overflow int64, so results are exact.
+element at once.  inverse_scans solves the three defining equation
+systems, and nothing else, for a batch of elements: it generates the
+centraliser of each a (the solutions of ab = ba, usually a small fraction
+of the ring) and tests bab = b and the nilpotent defects on those rows
+only.  Each stage runs once per batch, not once per element: one
+elimination over the stacked commutator matrices per prime power of m, one
+product per group of centralisers with the same generator orders, and one
+pass of the tests over the rows of all the centralisers, in blocks of at
+most _BLOCK matrix entries.  inverse_scan is a batch of one.  Entries stay
+integers reduced mod m after every product, and check_scan_fits refuses a
+ring whose sums of d such products could overflow int64, so results are
+exact.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ import numpy as np
 from .rings import InfiniteRingError, PreconditionError, RingSpec, VerificationError
 from .rings import factorize, nilpotency_bound, unit_exponent
 
-_BLOCK = 1 << 18
+# matrix entries per batch of scan work: elimination, enumeration, row tests
+_BLOCK = 1 << 14
 _INT64_MAX = int(np.iinfo(np.int64).max)
 SCAN_MEMORY_BUDGET = 256 * 2**20
 # Whole-ring int64 arrays alive at once while the census masks are built:
@@ -32,38 +39,57 @@ def _scan_shape(ring: RingSpec) -> tuple[int, int]:
     return max(1, ring.dim), ring.modulus
 
 
-def _kernel_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generators (as rows) and their orders of the kernel of a square
-    integer matrix mod a prime power q.
+def _inverse_table(q: int) -> np.ndarray:
+    """inverse[x] = x^-1 mod q for every unit x mod q, and 0 elsewhere."""
+    return np.array(
+        [pow(x, -1, q) if math.gcd(x, q) == 1 else 0 for x in range(q)], dtype=np.int64
+    )
 
-    Diagonalizes the matrix by unimodular operations mod q, keeping the
-    column transform V.  Each pivot is an entry of least p-adic valuation
-    in the remaining block, so its gcd g with q divides every entry there:
-    column operations clear its row, and row operations, which leave the
-    kernel alone, clear its column.  The pivot is then recorded and zeroed,
-    so a finished row or column reads as zeros (gcd q) to the pivot search.
-    With y = V^-1 x the system becomes pivot * y_c = 0 for each pivot
-    column c, so V[:, c] * (q / g) generates a cyclic summand of order g,
-    and a column without a pivot generates one of order q.
+
+def _kernels_mod(
+    mats: np.ndarray, q: int, inverse: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generators (as rows) and their orders of the kernels of a stack of
+    square integer matrices mod a prime power q: shapes (B, k, k) and (B, k).
+
+    Diagonalizes each matrix by unimodular operations mod q, keeping the
+    column transform V.  Each pivot is the first entry of least p-adic
+    valuation in the remaining block, so its gcd g with q divides every
+    entry there: column operations clear its row, and row operations, which
+    leave the kernel alone, clear its column.  The pivot is then recorded
+    and zeroed, so a finished row or column reads as zeros (gcd q) to the
+    pivot search.  With y = V^-1 x the system becomes pivot * y_c = 0 for
+    each pivot column c, so V[:, c] * (q / g) generates a cyclic summand of
+    order g, and a column without a pivot generates one of order q.  The
+    matrices step together: one with no pivot left is zero, so its
+    coefficient row is zero and the step leaves it as it is.  inverse[x] is
+    the inverse of x mod q for every unit x.
     """
-    k = mat.shape[0]
-    mat = mat % q
-    v = np.eye(k, dtype=np.int64)
-    orders = np.full(k, q, dtype=np.int64)
+    n, k = mats.shape[:2]
+    items = np.arange(n)
+    gcds = np.gcd(np.arange(q), q)
+    mats = mats % q
+    v = np.zeros((n, k, k), dtype=np.int64)
+    v[:, range(k), range(k)] = 1
+    orders = np.full((n, k), q, dtype=np.int64)
     while True:
-        g = np.gcd(mat, q)
-        r, c = divmod(int(g.argmin()), k)
-        gcd = int(g[r, c])
-        if gcd == q:
+        g = gcds[mats].reshape(n, k * k)
+        pivot = g.argmin(axis=1)
+        gcd = g[items, pivot]
+        if gcd.min() == q:
             break
-        unit = q // gcd
-        coef = mat[r] // gcd * pow(int(mat[r, c]) // gcd, -1, unit) % unit
-        coef[c] = 0
-        mat = (mat - mat[:, c, None] * coef) % q
-        mat[:, c] = 0
-        v = (v - v[:, c, None] * coef) % q
-        orders[c] = gcd
-    return (v * (q // orders)).T % q, orders
+        r, c = np.divmod(pivot, k)
+        row = mats[items, r]
+        coef = row // gcd[:, None] * inverse[row[items, c] // gcd, None] % (q // gcd)[:, None]
+        coef[items, c] = 0
+        mats -= mats[items, :, c, None] * coef[:, None]
+        mats %= q
+        mats[items, :, c] = 0
+        v -= v[items, :, c, None] * coef[:, None]
+        v %= q
+        # a live pivot's column still has order q; a finished matrix keeps its own
+        orders[items, c] = np.minimum(orders[items, c], gcd)
+    return (v * (q // orders)[:, None]).transpose(0, 2, 1) % q, orders
 
 
 def check_scan_fits(ring: RingSpec) -> None:
@@ -123,10 +149,12 @@ class RingScan:
         self._commutator = np.stack(
             [np.kron(u, eye) - np.kron(eye, u.T) for u in units], axis=-1
         ).reshape(k * k, k)
-        # (q, e) per prime power q of m: e = 1 mod q and e = 0 mod m/q
+        # (q, e, inverses mod q) per prime power q of m: e = 1 mod q and
+        # e = 0 mod m/q; Z/n needs none, its centralisers are the whole ring
         self._crt = [
-            (q, m // q * pow(m // q, -1, q) % m)
+            (q, m // q * pow(m // q, -1, q) % m, _inverse_table(q))
             for q in (p**e for p, e in factorize(m).pairs)
+            if d > 1
         ]
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -186,86 +214,186 @@ class RingScan:
             "hirano": self._nilpotent_codes((x - x3) % m),
         }
 
-    def centraliser(self, a: np.ndarray) -> np.ndarray:
-        """The elements b with ab = ba, as stack rows in index order.
+    def _generators(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Generators over Z/m (as rows) and their orders of the centralisers
+        of a stack a of matrices, shapes (B, n, d*d) and (B, n).
 
-        Generated, not filtered: per prime power q of m, _kernel_mod solves
-        ax - xa = 0 mod q, and the CRT idempotent of q lifts its generators
-        to Z/m.  The kernel is the direct sum of their cyclic groups, so one
-        2-D product of the mixed-radix coefficient grid with the generators
-        enumerates it, each element once.  For Z/n, which is commutative,
-        and when every generator has full order (a scalar a), the stack is
-        returned as it is.  Raises VerificationError unless every generator
-        (for the whole ring) or every generated row commutes with a and the
-        codes are distinct.
+        Per prime power q of m, _kernels_mod solves ax - xa = 0 mod q for
+        the whole stack, and the CRT idempotent of q lifts the generators to
+        Z/m.  A generator of order 1 is zero.
         """
-        d, m = self.dim, self.modulus
-        if d == 1:
-            return self.stack
-        commutator = (self._commutator @ a.ravel()).reshape(d * d, d * d)
+        n, k, m = len(a), self.dim**2, self.modulus
+        commutators = (a.reshape(n, k) @ self._commutator.T).reshape(n, k, k)
         gens, orders = [], []
-        for q, unit in self._crt:
-            g, o = _kernel_mod(commutator, q)
-            keep = o > 1
-            gens.append(g[keep] * unit % m)
-            orders += o[keep].tolist()
-        gens = np.concatenate(gens)
-        if math.prod(orders) == self.size:
-            rows, checked = self.stack, gens.reshape(-1, d, d)
-        else:
-            digits = np.indices(orders).reshape(len(orders), -1)
-            flat = digits.T @ gens % m
-            codes = flat @ self._radix
-            order = np.argsort(codes)
-            if (np.diff(codes[order]) == 0).any():
-                raise VerificationError(
-                    f"generated centraliser of {a.tolist()} repeats an element"
-                )
-            rows = checked = flat[order].reshape(-1, d, d)
-        if not (self._mul(a[None], checked) == self._mul(checked, a[None])).all():
+        for q, unit, inverse in self._crt:
+            g, o = _kernels_mod(commutators, q, inverse)
+            gens.append(g * unit % m)
+            orders.append(o)
+        return np.concatenate(gens, axis=1), np.concatenate(orders, axis=1)
+
+    def _check_commuting(self, a: np.ndarray, rows: np.ndarray) -> None:
+        """Raise unless every row of rows[i] commutes with a[i]."""
+        a = a[:, None]
+        bad = ~(self._mul(a, rows) == self._mul(rows, a)).all(axis=(1, 2, 3))
+        if bad.any():
             raise VerificationError(
-                f"generated centraliser of {a.tolist()} holds a non-commuting element"
+                f"generated centraliser of {a[bad.argmax(), 0].tolist()} holds a "
+                "non-commuting element"
             )
-        return rows
+
+    def _centralisers(self, a: np.ndarray):
+        """Yield the centralisers of a stack a of matrices as (members, rows, codes).
+
+        members are positions in a.  rows is None when each member's
+        centraliser is the whole ring (every a of Z/n, which is commutative,
+        and every a whose generators all have full order, a scalar); else
+        rows[i] holds the centraliser of a[members[i]] in index order, with
+        codes[i] its indexes.  The kernel is the direct sum of the cyclic
+        groups of the generators, so one product of the mixed-radix
+        coefficient grid with the generators enumerates it, each element
+        once.  Generators are sorted by descending order, and the
+        centralisers whose orders agree are enumerated by one batched
+        product, at most _BLOCK matrix entries at a time unless one
+        centraliser is larger.  Raises VerificationError unless every
+        generator (for the whole ring) or every generated row commutes with
+        its a and, per a, the codes are distinct.
+        """
+        n, d, m = len(a), self.dim, self.modulus
+        if d == 1:
+            yield np.arange(n), None, None
+            return
+        k = d * d
+        step = max(1, _BLOCK // (k * k))
+        for start in range(0, n, step):
+            part = a[start : start + step]
+            gens, orders = self._generators(part)
+            by_order = np.argsort(-orders, axis=1, kind="stable")
+            items = np.arange(len(part))[:, None]
+            orders, gens = orders[items, by_order], gens[items, by_order]
+            groups: dict[tuple, list[int]] = {}
+            for i, shape in enumerate(map(tuple, orders.tolist())):
+                groups.setdefault(shape, []).append(i)
+            for shape, members in groups.items():
+                members = np.array(members)
+                kept = [o for o in shape if o > 1]
+                g = gens[members, : len(kept)]
+                if math.prod(kept) == self.size:
+                    self._check_commuting(part[members], g.reshape(len(members), -1, d, d))
+                    yield start + members, None, None
+                    continue
+                digits = np.indices(kept).reshape(len(kept), -1).T
+                per = max(1, _BLOCK // (len(digits) * k))
+                for lo in range(0, len(members), per):
+                    sub = members[lo : lo + per]
+                    flat = np.matmul(digits, g[lo : lo + per]) % m
+                    codes = flat @ self._radix
+                    order = (np.arange(len(sub))[:, None], np.argsort(codes, axis=1))
+                    flat, codes = flat[order], codes[order]
+                    repeats = (codes[:, 1:] == codes[:, :-1]).any(axis=1)
+                    if repeats.any():
+                        raise VerificationError(
+                            f"generated centraliser of {part[sub[repeats.argmax()]].tolist()} "
+                            "repeats an element"
+                        )
+                    rows = flat.reshape(len(sub), -1, d, d)
+                    self._check_commuting(part[sub], rows)
+                    yield start + sub, rows, codes
+
+    def centraliser(self, a: np.ndarray) -> np.ndarray:
+        """The elements b with ab = ba, as stack rows in index order: the
+        stack itself when that is the whole ring.  A batch of one of
+        _centralisers, with its checks."""
+        [(_, rows, _)] = self._centralisers(a[None])
+        return self.stack if rows is None else rows[0]
 
     def tripotent_split_mask(self, tripotents: list[int]) -> np.ndarray:
         """Boolean mask over indexes: a = p + w, p among the given tripotent
         indexes, w nilpotent with pw = wp (equivalently ap = pa).  The w are
         the nilpotent rows of the centraliser of p."""
+        m = self.modulus
         nilpotent = self.nilpotent_mask()
         split = np.zeros(self.size, dtype=bool)
-        for p in self.stack[tripotents]:
-            commuting = self.centraliser(p)
-            w = commuting[nilpotent[self.codes(commuting)]]
-            split[self.codes((p + w) % self.modulus)] = True
+        p = self.stack[tripotents]
+        nilpotents = self.stack[nilpotent]
+        for members, rows, codes in self._centralisers(p):
+            if rows is None:
+                for i in members:
+                    split[self.codes((p[i] + nilpotents) % m)] = True
+            else:
+                sums = (p[members, None] + rows) % m
+                split[self.codes(sums[nilpotent[codes]])] = True
         return split
 
-    def inverse_scan(self, index: int) -> dict:
-        """Candidate inverses of one element: the three defining equation systems.
+    def inverse_scans(self, indexes) -> list[dict]:
+        """Candidate inverses of a batch of elements: the three defining
+        equation systems.
 
-        ab = ba is solved by generating the centraliser of a; bab = b and the
-        respective nilpotent defect are tested on its rows, in blocks of
-        _BLOCK rows.  Returns ascending index lists for the Hirano, strongly
-        Drazin and Drazin systems.
+        ab = ba is solved by generating the centraliser of each a
+        (_centralisers); bab = b and the respective nilpotent defects are
+        tested on the concatenated rows of all the centralisers, each row
+        beside its own a, in blocks of at most _BLOCK matrix entries.
+        Returns, per index in order, ascending index lists for the Hirano,
+        strongly Drazin and Drazin systems.
         """
+        a = self.stack[np.asarray(indexes, dtype=np.int64)]
+        found = [{"hirano": [], "strongly_drazin": [], "drazin": []} for _ in a]
+        limit = max(1, _BLOCK // self.dim**2)
+        block: list[tuple] = []
+        held = 0
+        for piece in self._pieces(a):
+            for lo in range(0, len(piece[0]), limit):
+                part = tuple(column[lo : lo + limit] for column in piece)
+                if held + len(part[0]) > limit:
+                    self._test_rows(block, found)
+                    block, held = [], 0
+                block.append(part)
+                held += len(part[0])
+        if block:
+            self._test_rows(block, found)
+        return found
+
+    def _pieces(self, a: np.ndarray):
+        """Yield each centraliser of the stack a as (owners, own, rows, codes):
+        per row, the position of its a in the stack, that a, the row and its
+        index.  A whole-ring centraliser repeats its a as a broadcast view."""
+        d, n = self.dim, self.size
+        whole = np.arange(n)
+        for members, rows, codes in self._centralisers(a):
+            if rows is None:
+                for i in members:
+                    yield np.broadcast_to(i, n), np.broadcast_to(a[i], (n, d, d)), self.stack, whole
+            else:
+                count = codes.shape[1]
+                yield (
+                    np.repeat(members, count),
+                    np.repeat(a[members], count, axis=0),
+                    rows.reshape(-1, d, d),
+                    codes.ravel(),
+                )
+
+    def _test_rows(self, block: list[tuple], found: list[dict]) -> None:
+        """Test bab = b and the three nilpotent defects on a block of
+        (owners, own, rows, codes) parts, appending the index of each
+        solution b to the lists of its a."""
         m = self.modulus
-        a = self.stack[index]
-        a2 = self._mul(a, a)
-        centraliser = self.centraliser(a)
-        codes = self.codes(centraliser)
-        hirano: list[int] = []
-        sdrazin: list[int] = []
-        drazin: list[int] = []
-        for start in range(0, len(centraliser), _BLOCK):
-            block = centraliser[start : start + _BLOCK]
-            ab = self._mul(a[None], block)
-            base = np.flatnonzero((self._mul(block, ab) == block).all(axis=(1, 2)))
-            if base.size == 0:
-                continue
-            ab = ab[base]
-            mask_h = self._nilpotent_codes((a2[None] - ab) % m)
-            mask_s = self._nilpotent_codes((a[None] - ab) % m)
-            mask_d = self._nilpotent_codes((a[None] - self._mul(a[None], ab)) % m)
-            for flag, out in ((mask_h, hirano), (mask_s, sdrazin), (mask_d, drazin)):
-                out.extend(codes[start + base[flag]].tolist())
-        return {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin}
+        owners, own, rows, codes = (
+            column[0] if len(block) == 1 else np.concatenate(column) for column in zip(*block)
+        )
+        ab = self._mul(own, rows)
+        base = np.flatnonzero((self._mul(rows, ab) == rows).all(axis=(1, 2)))
+        if base.size == 0:
+            return
+        own, ab = own[base], ab[base]
+        defects = (
+            ("hirano", self._mul(own, own) - ab),
+            ("strongly_drazin", own - ab),
+            ("drazin", own - self._mul(own, ab)),
+        )
+        for key, defect in defects:
+            hits = base[self._nilpotent_codes(defect % m)]
+            for owner, code in zip(owners[hits].tolist(), codes[hits].tolist()):
+                found[owner][key].append(code)
+
+    def inverse_scan(self, index: int) -> dict:
+        """Candidate inverses of one element: inverse_scans of a batch of one."""
+        return self.inverse_scans([index])[0]

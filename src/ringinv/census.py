@@ -6,11 +6,15 @@ numpy masks (RingScan.census_masks: x - x^3 nilpotent for Hirano, x - x^2
 nilpotent for strongly Drazin, x^unit_exponent = 1 for units, ...).  Each
 checked element's mask verdicts are confirmed by two independent paths:
 classify with the per-element criteria, and the definitional equation
-scan (RingScan.inverse_scan), whose unique Drazin inverse also decides
+scan (RingScan.inverse_scans), whose unique Drazin inverse also decides
 nilpotent, idempotent, tripotent and unit.  The scan solves ab = ba by
 generating the centraliser of a and tests the other equations on its
 rows only, so a checked element costs in proportion to its centraliser,
-not to the ring.  Any disagreement is a hard error naming the category
+not to the ring.  The checked elements are scanned SCAN_CHUNK at a time,
+one batched call per chunk, and each chunk's results are checked and
+dropped before the next; a chunk whose scan raises is scanned again one
+element at a time, so the first element in index order to fail any check
+fails the census.  Any disagreement is a hard error naming the category
 and the element; the check is exhaustive on rings of at most 10**4
 elements and covers a seeded sample above that.
 
@@ -21,6 +25,9 @@ structured records.  A law callable returns None when an instance falls
 outside the hypothesis, True when the conclusion verified, and a detail
 string when the instance falsifies the law; a VerificationError it raises
 (a construction failing its own check) is recorded as a violation too.
+The laws that consult the equation scan read it through _LawContext,
+which scans each index once; laws 2.2 and 3.1 scan every instance, so
+their instances are scanned a chunk at a time, in one batched call each.
 
 Law 3.6 (every element Hirano iff every element is a tripotent plus a
 commuting nilpotent) compares two independent paths: the per-element
@@ -81,6 +88,9 @@ CROSS_CHECK_SAMPLES = 50
 LAW_SAMPLES = 10_000
 MAX_VIOLATIONS = 25
 MAX_EXHAUSTIVE_INSTANCES = 2_000_000
+# elements per batched equation scan: the census cross-check and the
+# arity-1 laws hold one chunk's scan results at a time
+SCAN_CHUNK = 256
 
 _COUNT_KEYS = (
     "total",
@@ -127,15 +137,15 @@ class CensusReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _cross_check_element(ring: RingSpec, scan: RingScan, masks: dict, index: int) -> None:
-    """Confirm one element's mask verdicts by its criteria, classify and equation scan.
+def _cross_check_element(ring: RingSpec, masks: dict, index: int, found: dict) -> None:
+    """Confirm one element's mask verdicts by its criteria, classify and its
+    equation scan found.
 
     The scan's Drazin inverse d is unique; it decides the classes that have
     no inverse system of their own: a is nilpotent iff d = 0, tripotent iff
     d = a, idempotent iff a*d = a, and a unit iff a*d = 1.
     """
     a = ring.element_at(index)
-    found = scan.inverse_scan(index)
     if len(found["drazin"]) != 1:
         raise CensusMismatchError(
             f"equation scan in {ring} found {len(found['drazin'])} Drazin inverses "
@@ -200,8 +210,14 @@ def run_census(
         rng = random.Random(seed)
         indexes = sorted(rng.sample(range(size), min(samples, size)))
         info = CrossCheckInfo(strategy="sampled", seed=seed, checked=len(indexes))
-    for index in indexes:
-        _cross_check_element(ring, scan, masks, index)
+    for start in range(0, len(indexes), SCAN_CHUNK):
+        chunk = indexes[start : start + SCAN_CHUNK]
+        try:
+            scanned = scan.inverse_scans(chunk)
+        except VerificationError:
+            scanned = map(scan.inverse_scan, chunk)  # lazily, in index order
+        for index, found in zip(chunk, scanned):
+            _cross_check_element(ring, masks, index, found)
     if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
         raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
     hir, sd = masks["hirano"], masks["strongly_drazin"]
@@ -262,6 +278,7 @@ class _LawContext:
     notes: list = field(default_factory=list)
     _scan: RingScan | None = None
     _tripotents: list[int] | None = None
+    _scanned: dict = field(default_factory=dict)
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -277,6 +294,25 @@ class _LawContext:
                 )
             self._scan = RingScan(self.ring)
         return self._scan
+
+    def scanned_hirano(self, index: int) -> list[int]:
+        """The Hirano inverses the equation scan finds for one element,
+        scanned once per index."""
+        if index not in self._scanned:
+            self._scanned[index] = self.scan.inverse_scan(index)["hirano"]
+        return self._scanned[index]
+
+    def prefetch(self, elements) -> None:
+        """Scan the elements not scanned yet in one batch.  A batch that
+        raises is dropped: each element is then scanned alone when a law asks
+        for it, so the error is recorded against its own instance."""
+        indexes = dict.fromkeys(map(self.ring.index_of, elements))
+        missing = [i for i in indexes if i not in self._scanned]
+        try:
+            found = self.scan.inverse_scans(missing)
+        except VerificationError:
+            return
+        self._scanned.update(zip(missing, (one["hirano"] for one in found)))
 
     @property
     def oracle_ok(self) -> bool:
@@ -300,7 +336,7 @@ def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
 
 
 def _law_uniqueness(ctx: _LawContext, a: Element):
-    found = ctx.scan.inverse_scan(ctx.ring.index_of(a))["hirano"]
+    found = ctx.scanned_hirano(ctx.ring.index_of(a))
     if has_hirano(a) != bool(found):
         return f"criterion says {has_hirano(a)}, equation scan found {len(found)}"
     if len(found) > 1:
@@ -331,7 +367,7 @@ def _law_square_route(ctx: _LawContext, a: Element):
 
 
 def _law_criterion(ctx: _LawContext, a: Element):
-    found = ctx.scan.inverse_scan(ctx.ring.index_of(a))["hirano"]
+    found = ctx.scanned_hirano(ctx.ring.index_of(a))
     if has_hirano(a) != bool(found):
         return f"criterion says {has_hirano(a)}, equation scan found {len(found)}"
     if found and ctx.ring.index_of(hirano(a).b) not in found:
@@ -416,7 +452,7 @@ def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element):
         return True
     cert = cline(a, b, c, hirano(a * c))
     if ctx.oracle_ok:
-        found = ctx.scan.inverse_scan(ctx.ring.index_of(b * a))["hirano"]
+        found = ctx.scanned_hirano(ctx.ring.index_of(b * a))
         if ctx.ring.index_of(cert.b) not in found:
             return "transferred inverse rejected by the equation scan"
     return True
@@ -495,15 +531,17 @@ class _Law:
     law_id: str
     passes: tuple
     requires_half: bool = False
+    # every instance of its single arity-1 pass runs the equation scan
+    scans: bool = False
 
 
 LAWS: dict[str, _Law] = {
     law.law_id: law
     for law in (
         _Law("2.1", ((1, _law_hirano_implies_drazin),)),
-        _Law("2.2", ((1, _law_uniqueness),)),
+        _Law("2.2", ((1, _law_uniqueness),), scans=True),
         _Law("2.4", ((1, _law_square_route),)),
-        _Law("3.1", ((1, _law_criterion),)),
+        _Law("3.1", ((1, _law_criterion),), scans=True),
         _Law("3.2", ((1, _law_inverse_of_inverse),)),
         _Law("3.3", ((1, _law_tripotent_split),), requires_half=True),
         _Law(
@@ -523,6 +561,14 @@ LAWS: dict[str, _Law] = {
         _Law("5.5", ((2, _law_square_zero_sum),)),
     )
 }
+
+
+def _prefetching(ctx: _LawContext, space):
+    """The instances of space, each chunk's elements scanned in one batch first."""
+    space = iter(space)
+    while chunk := list(itertools.islice(space, SCAN_CHUNK)):
+        ctx.prefetch(a for (a,) in chunk)
+        yield from chunk
 
 
 def verify_theorem(
@@ -574,6 +620,8 @@ def verify_theorem(
                 tuple(ring.element_at(rng.randrange(size)) for _ in range(arity))
                 for _ in range(samples)
             )
+        if law.scans:
+            space = _prefetching(ctx, space)
         for elems in space:
             instances += 1
             try:

@@ -2,8 +2,10 @@
 
 The brute-force scans try every element of a finite ring against the
 defining equations, one Python check at a time.  filtered_inverse_scan is
-the whole-ring numpy filter that RingScan.inverse_scan replaced: it tests
+the whole-ring numpy filter that RingScan.inverse_scans replaced: it tests
 ab = ba on every element instead of generating the centraliser.
+kernel_mod is the one-matrix elimination that the batched _kernels_mod
+replaced.
 semigroup_profile walks the power orbit of an element, the O(index +
 period) route that drazin_finite and unit_exponent avoid.  naive_product is
 the textbook triple loop that Element.__mul__'s compiled kernels replace, and
@@ -100,8 +102,32 @@ def brute_force_drazin(a: Element) -> list[Element]:
     return [b for b in a.ring.elements() if _drazin_axioms(a, b) is not None]
 
 
+def kernel_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generators (as rows) and their orders of the kernel of one square
+    integer matrix mod a prime power q, with the pivot rule of _kernels_mod
+    (first entry of least p-adic valuation), one pivot at a time."""
+    k = mat.shape[0]
+    mat = mat % q
+    v = np.eye(k, dtype=np.int64)
+    orders = np.full(k, q, dtype=np.int64)
+    while True:
+        g = np.gcd(mat, q)
+        r, c = divmod(int(g.argmin()), k)
+        gcd = int(g[r, c])
+        if gcd == q:
+            break
+        unit = q // gcd
+        coef = mat[r] // gcd * pow(int(mat[r, c]) // gcd, -1, unit) % unit
+        coef[c] = 0
+        mat = (mat - mat[:, c, None] * coef) % q
+        mat[:, c] = 0
+        v = (v - v[:, c, None] * coef) % q
+        orders[c] = gcd
+    return (v * (q // orders)).T % q, orders
+
+
 def filtered_inverse_scan(scan: RingScan, index: int) -> tuple[list[int], dict]:
-    """RingScan.inverse_scan by filtering the whole ring for ab = ba, bab = b
+    """RingScan.inverse_scans by filtering the whole ring for ab = ba, bab = b
     and each nilpotent defect, in blocks of _BLOCK elements.
 
     Returns the indexes of the elements commuting with element index, and

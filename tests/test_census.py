@@ -468,15 +468,16 @@ class TestVerifyTheorem:
         assert report.checked == 9
 
     def test_scan_criterion_disagreement_in_uniqueness_is_a_violation(self, monkeypatch):
-        inverse_scan = RingScan.inverse_scan
+        inverse_scans = RingScan.inverse_scans
 
-        def extra_candidate_at_two(scan, index):
-            found = inverse_scan(scan, index)
-            if index == 2:
-                found["hirano"] = found["hirano"] + [3]
+        def extra_candidate_at_two(scan, indexes):
+            found = inverse_scans(scan, indexes)
+            for index, one in zip(indexes, found):
+                if index == 2:
+                    one["hirano"] = one["hirano"] + [3]
             return found
 
-        monkeypatch.setattr(RingScan, "inverse_scan", extra_candidate_at_two)
+        monkeypatch.setattr(RingScan, "inverse_scans", extra_candidate_at_two)
         report = verify_theorem("2.2", modular(5))
         assert [(v.inputs, v.detail) for v in report.violations] == [
             (("2",), "criterion says False, equation scan found 1")

@@ -2,24 +2,35 @@
 
 The whole-ring filter in tests/oracles.py is the oracle: on every element
 of the small rings, and on a seeded sample of the larger ones, the
-generated centraliser must equal the filtered commuting set and the scan
-must return the same three index lists.
+generated centraliser must equal the filtered commuting set and the scan,
+batched or one element at a time, must return the same three index lists.
+The one-matrix elimination kernel_mod is the oracle of the batched one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from ringinv import CensusMismatchError, Element, VerificationError, matrix, modular, run_census
-from ringinv import _scan
+from ringinv import (
+    CensusMismatchError,
+    Element,
+    VerificationError,
+    matrix,
+    modular,
+    run_census,
+    verify_theorem,
+)
+from ringinv import _scan, census
 from ringinv._scan import RingScan
 from ringinv.census import _LawContext
+from ringinv.rings import factorize
 
-from oracles import filtered_inverse_scan
+from oracles import filtered_inverse_scan, kernel_mod
 
 EXHAUSTIVE_RINGS = (
     [modular(27), modular(997)]
@@ -71,18 +82,57 @@ def centraliser_size_mod2(p: np.ndarray) -> int:
     return 2 ** (k * k - len(basis))
 
 
+def last_generator(orders):
+    """Per matrix of a batch, the position of its last generator of order > 1."""
+    return orders.shape[1] - 1 - np.argmax(orders[:, ::-1] > 1, axis=1)
+
+
+def dropped(gens, orders, q):
+    """Each matrix's last generator replaced by zero, of order 1."""
+    gens, orders = gens.copy(), orders.copy()
+    items, last = np.arange(len(orders)), last_generator(orders)
+    gens[items, last] = 0
+    orders[items, last] = 1
+    return gens, orders
+
+
 def shifted(gens, orders, q):
-    """One generator moved off the centraliser."""
+    """Each matrix's first generator moved off the centraliser."""
     gens = gens.copy()
-    first = np.flatnonzero(orders > 1)[0]
-    gens[first, 1] = (gens[first, 1] + 1) % q
+    items, first = np.arange(len(orders)), np.argmax(orders > 1, axis=1)
+    gens[items, first, 1] = (gens[items, first, 1] + 1) % q
     return gens, orders
 
 
 def doubled(gens, orders, q):
-    """One generator listed twice, so the enumeration repeats elements."""
-    last = np.flatnonzero(orders > 1)[-1:]
-    return np.concatenate([gens, gens[last]]), np.concatenate([orders, orders[last]])
+    """Each matrix's last generator listed twice, so the enumeration repeats elements."""
+    items, last = np.arange(len(orders)), last_generator(orders)
+    return (
+        np.concatenate([gens, gens[items, last, None]], axis=1),
+        np.concatenate([orders, orders[items, last, None]], axis=1),
+    )
+
+
+def commutators(stack: np.ndarray) -> np.ndarray:
+    """Per matrix a of the stack, the matrix of x -> ax - xa on row-major
+    entries: column j is the image of the j-th matrix unit."""
+    n, d = stack.shape[:2]
+    units = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+    images = stack[:, None] @ units[None] - units[None] @ stack[:, None]
+    return images.reshape(n, d * d, d * d).transpose(0, 2, 1)
+
+
+def counting_rows(monkeypatch) -> list[int]:
+    """Patch RingScan._test_rows to record the number of rows of each block it tests."""
+    test_rows = RingScan._test_rows
+    blocks: list[int] = []
+
+    def counting(self, block, found):
+        blocks.append(sum(len(part[0]) for part in block))
+        return test_rows(self, block, found)
+
+    monkeypatch.setattr(RingScan, "_test_rows", counting)
+    return blocks
 
 
 class TestCentraliserParity:
@@ -94,10 +144,46 @@ class TestCentraliserParity:
     )
     def test_generated_scan_matches_the_filter(self, ring, indexes):
         scan = scan_of(ring)
-        for index in indexes:
+        batched = scan.inverse_scans(indexes)
+        assert len(batched) == len(indexes)
+        for index, one in zip(indexes, batched):
             commuting, found = oracle(ring, index)
             assert generated(scan, index) == commuting, index
             assert scan.inverse_scan(index) == found, index
+            assert one == found, index
+
+    @pytest.mark.parametrize("block", [_scan._BLOCK, 64], ids=["budget", "tiny budget"])
+    @pytest.mark.parametrize(
+        "ring", [matrix(modular(6), 2), matrix(modular(2), 3), modular(12)], ids=str
+    )
+    def test_shuffled_batch_with_repeats_matches_batches_of_one(self, ring, block, monkeypatch):
+        """Scalars (whole-ring centralisers) and non-scalars, in shuffled
+        order, each index twice or more, across the elimination's chunk of
+        _BLOCK // k^2 matrices and across row blocks."""
+        monkeypatch.setattr(_scan, "_BLOCK", block)
+        scan = RingScan(ring)
+        scalars = [ring.index_of(c * ring.one()) for c in range(ring.modulus)]
+        indexes = list(range(ring.size())) * 2 + scalars * 3
+        random.Random(1).shuffle(indexes)
+        assert not ring.dim or len(indexes) > block // ring.dim**4
+        single = {i: scan.inverse_scan(i) for i in set(indexes)}
+        assert scan.inverse_scans(indexes) == [single[i] for i in indexes]
+        for index in scalars + indexes[:20]:
+            assert single[index] == filtered_inverse_scan(scan, index)[1], index
+
+    @pytest.mark.parametrize(
+        "ring",
+        [matrix(modular(n), 2) for n in (4, 6, 8, 9)] + [M3Z2],
+        ids=str,
+    )
+    def test_batched_elimination_matches_one_matrix_at_a_time(self, ring):
+        scan = scan_of(ring)
+        mats = commutators(scan.stack)
+        for q in (p**e for p, e in factorize(ring.modulus).pairs):
+            gens, orders = _scan._kernels_mod(mats, q, _scan._inverse_table(q))
+            for mat, g, o in zip(mats, gens, orders):
+                want_g, want_o = kernel_mod(mat, q)
+                assert (g == want_g).all() and (o == want_o).all()
 
     @pytest.mark.parametrize("ring", [modular(12), matrix(modular(2), 2)], ids=str)
     def test_whole_ring_is_the_stack_itself(self, ring):
@@ -114,14 +200,10 @@ class TestCentraliserParity:
 
 class TestCentraliserSelfCheck:
     def test_dropped_generator_fails_the_census(self, monkeypatch):
-        kernel_mod = _scan._kernel_mod
-
-        def without_last(mat, q):
-            gens, orders = kernel_mod(mat, q)
-            last = np.flatnonzero(orders > 1)[-1]
-            return np.delete(gens, last, axis=0), np.delete(orders, last)
-
-        monkeypatch.setattr(_scan, "_kernel_mod", without_last)
+        kernels_mod = _scan._kernels_mod
+        monkeypatch.setattr(
+            _scan, "_kernels_mod", lambda mats, q, inv: dropped(*kernels_mod(mats, q, inv), q)
+        )
         with pytest.raises(CensusMismatchError):
             run_census(matrix(modular(4), 2))
 
@@ -131,95 +213,143 @@ class TestCentraliserSelfCheck:
         ids=["shifted", "doubled"],
     )
     def test_corrupted_generators_are_caught(self, corrupt, message, monkeypatch):
-        kernel_mod = _scan._kernel_mod
+        kernels_mod = _scan._kernels_mod
         monkeypatch.setattr(
-            _scan, "_kernel_mod", lambda mat, q: corrupt(*kernel_mod(mat, q), q)
+            _scan, "_kernels_mod", lambda mats, q, inv: corrupt(*kernels_mod(mats, q, inv), q)
         )
         ring = matrix(modular(5), 2)
         a = ring.element([[1, 2], [3, 4]])
+        scan = RingScan(ring)
         with pytest.raises(VerificationError, match=message):
-            RingScan(ring).inverse_scan(ring.index_of(a))
+            scan.inverse_scan(ring.index_of(a))
+        with pytest.raises(VerificationError, match=message):
+            scan.inverse_scans([0, ring.index_of(a), 7])
+
+    def test_failing_batch_reports_as_one_element_at_a_time(self, monkeypatch):
+        """Every generator set loses one generator, and the centraliser of
+        the last element also gets a non-commuting one.  A batch that raises
+        is rescanned one element at a time, so the census fails at the same
+        element, with the same error, and law 2.2 records the same
+        violations, as with chunks of one element."""
+        ring = matrix(modular(3), 2)
+        late = commutators(RingScan(ring).stack[-1:])[0]
+        kernels_mod = _scan._kernels_mod
+
+        def corrupted(mats, q, inv):
+            gens, orders = dropped(*kernels_mod(mats, q, inv), q)
+            hit = (mats % q == late % q).all(axis=(1, 2))
+            gens[hit] = shifted(gens, orders, q)[0][hit]
+            return gens, orders
+
+        monkeypatch.setattr(_scan, "_kernels_mod", corrupted)
+        outcomes = []
+        for chunk in (census.SCAN_CHUNK, 1):
+            monkeypatch.setattr(census, "SCAN_CHUNK", chunk)
+            with pytest.raises(VerificationError) as failure:
+                run_census(ring)
+            outcomes.append((type(failure.value), str(failure.value), verify_theorem("2.2", ring)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is CensusMismatchError
+        assert any("non-commuting" in v.detail for v in outcomes[0][2].violations)
 
 
 class TestScanCost:
     def test_scanned_rows_are_the_centralisers(self, monkeypatch):
+        """Every index of the sample twice through the law memo: one batched
+        scan, whose rows are the distinct indexes' centralisers."""
         scan = scan_of(M4Z2)
+        ctx = _LawContext(M4Z2, _scan=scan)
         scan.nilpotent_mask()  # whole-ring set-up, built once per scan object
         indexes = sample(M4Z2)
-        centraliser, mul = RingScan.centraliser, RingScan._mul
-        touched = 0
+        mul = RingScan._mul
         widest = 0
-
-        def counting_centraliser(self, a):
-            nonlocal touched
-            rows = centraliser(self, a)
-            touched += len(rows)
-            return rows
 
         def widest_mul(self, x, y):
             nonlocal widest
-            widest = max([widest] + [len(t) for t in (x, y) if t.ndim == 3])
+            widest = max(widest, *(math.prod(t.shape[:-2]) for t in (x, y)))
             return mul(self, x, y)
 
-        monkeypatch.setattr(RingScan, "centraliser", counting_centraliser)
+        blocks = counting_rows(monkeypatch)
         monkeypatch.setattr(RingScan, "_mul", widest_mul)
+        elements = [M4Z2.element_at(i) for i in indexes]
+        ctx.prefetch(elements + elements[::-1])
         for index in indexes:
-            widest = 0
-            before = touched
-            scan.inverse_scan(index)
-            assert widest <= touched - before, index
+            ctx.scanned_hirano(index)
         monkeypatch.undo()
+        touched = sum(blocks)
         assert touched == sum(len(oracle(M4Z2, i)[0]) for i in indexes)
+        assert touched < 0.05 * SAMPLES * M4Z2.size()
+        assert widest <= min(touched, _scan._BLOCK // 16)
+
+    @pytest.mark.parametrize("law", ["2.2", "3.1"])
+    def test_arity_one_law_rows_are_the_sampled_centralisers(self, law, monkeypatch):
+        seed = 3
+        rng = random.Random(seed)
+        distinct = {rng.randrange(M4Z2.size()) for _ in range(SAMPLES)}
+        blocks = counting_rows(monkeypatch)
+        report = verify_theorem(law, M4Z2, strategy="sampled", seed=seed, samples=SAMPLES)
+        monkeypatch.undo()
+        assert report.ok and report.instances == SAMPLES
+        touched = sum(blocks)
+        assert touched == sum(centraliser_size_mod2(p) for p in scan_of(M4Z2).stack[list(distinct)])
         assert touched < 0.05 * SAMPLES * M4Z2.size()
 
     def test_law_3_6_split_rows_are_the_tripotent_centralisers(self, monkeypatch):
         ctx = _LawContext(M4Z2)
         scan = ctx.scan
         scan.nilpotent_mask()  # whole-ring set-up, built once per scan object
-        centraliser = RingScan.centraliser
+        centralisers = RingScan._centralisers
         touched = 0
 
-        def counting_centraliser(self, a):
+        def counting_centralisers(self, a):
             nonlocal touched
-            rows = centraliser(self, a)
-            touched += len(rows)
-            return rows
+            for members, rows, codes in centralisers(self, a):
+                touched += len(members) * (self.size if rows is None else rows.shape[1])
+                yield members, rows, codes
 
-        monkeypatch.setattr(RingScan, "centraliser", counting_centraliser)
+        monkeypatch.setattr(RingScan, "_centralisers", counting_centralisers)
         scan.tripotent_split_mask(ctx.tripotents)
         monkeypatch.undo()
         assert touched == sum(centraliser_size_mod2(p) for p in scan.stack[ctx.tripotents])
         assert touched < 0.05 * len(ctx.tripotents) * M4Z2.size()
 
     def test_census_cross_check_rows_and_products(self, monkeypatch):
-        centraliser, inverse_scan, mul = RingScan.centraliser, RingScan.inverse_scan, Element.__mul__
+        inverse_scans, mul = RingScan.inverse_scans, Element.__mul__
         scanned: list[int] = []
-        touched = products = 0
+        products = 0
 
-        def counting_centraliser(self, a):
-            nonlocal touched
-            rows = centraliser(self, a)
-            touched += len(rows)
-            return rows
-
-        def recording_scan(self, index):
-            scanned.append(index)
-            return inverse_scan(self, index)
+        def recording_scans(self, indexes):
+            scanned.extend(indexes)
+            return inverse_scans(self, indexes)
 
         def counting_mul(self, other):
             nonlocal products
             products += 1
             return mul(self, other)
 
-        monkeypatch.setattr(RingScan, "centraliser", counting_centraliser)
-        monkeypatch.setattr(RingScan, "inverse_scan", recording_scan)
+        blocks = counting_rows(monkeypatch)
+        monkeypatch.setattr(RingScan, "inverse_scans", recording_scans)
         monkeypatch.setattr(Element, "__mul__", counting_mul)
         checked = run_census(M3Z2).cross_check.checked
         monkeypatch.undo()
         assert scanned == list(range(M3Z2.size())) and checked == len(scanned)
         scan = scan_of(M3Z2)
-        assert touched == sum(len(filtered_inverse_scan(scan, i)[0]) for i in scanned)
+        assert sum(blocks) == sum(len(filtered_inverse_scan(scan, i)[0]) for i in scanned)
         assert products <= PRODUCTS_PER_CHECKED * checked
+
+    def test_laws_scan_each_index_once(self, monkeypatch):
+        inverse_scans = RingScan.inverse_scans
+        scanned: list[int] = []
+
+        def recording_scans(self, indexes):
+            scanned.extend(indexes)
+            return inverse_scans(self, indexes)
+
+        monkeypatch.setattr(RingScan, "inverse_scans", recording_scans)
+        for law in ("4.1", "4.2", "2.2", "3.1"):
+            scanned.clear()
+            assert verify_theorem(law, modular(27)).ok
+            assert sorted(scanned) == list(range(27)), law
 
 
 class TestSharedTripotentMask:
