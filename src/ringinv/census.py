@@ -29,6 +29,15 @@ The laws that consult the equation scan read it through _LawContext,
 which scans each index once; laws 2.2 and 3.1 scan every instance, so
 their instances are scanned a chunk at a time, in one batched call each.
 
+_LawContext also decides each element once per verify_theorem call: the
+laws ask it for has_hirano, hirano, has_strongly_drazin and strongly_drazin,
+and it keeps each verdict and certificate by the element's entries, so
+exhaustive law 4.1 on Z/27 decides 27 products, not two per triple.  The
+memos die with their call, and each is emptied at LAW_MEMO_CAP entries.
+A raise is not remembered, and each instance still runs its own
+construction (cline, commuting_product, the sums, ...) and checks.  Law
+3.6, the census and classify keep no memo.
+
 Law 3.6 (every element Hirano iff every element is a tripotent plus a
 commuting nilpotent) compares two independent paths: the per-element
 criterion has_hirano walked over the ring, and the split mask
@@ -91,6 +100,9 @@ MAX_EXHAUSTIVE_INSTANCES = 2_000_000
 # elements per batched equation scan: the census cross-check and the
 # arity-1 laws hold one chunk's scan results at a time
 SCAN_CHUNK = 256
+# entries in one verify run's memo of one criterion or construction; a
+# full memo is emptied, not grown
+LAW_MEMO_CAP = 2 ** 14
 
 _COUNT_KEYS = (
     "total",
@@ -272,6 +284,25 @@ class TheoremReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
+def _bounded_memo(decide):
+    """decide, computed once per element of one ring (kept by its entries)
+    until LAW_MEMO_CAP values are kept, when the memo is emptied.  A raise
+    leaves nothing behind, so the next call raises too."""
+    memo: dict = {}
+
+    def decided(x: Element):
+        value = memo.get(x.entries, memo)  # the memo itself marks a miss
+        if value is memo:
+            value = decide(x)
+            if len(memo) >= LAW_MEMO_CAP:
+                memo.clear()
+            memo[x.entries] = value
+        return value
+
+    decided.memo = memo
+    return decided
+
+
 @dataclass
 class _LawContext:
     ring: RingSpec
@@ -279,6 +310,12 @@ class _LawContext:
     _scan: RingScan | None = None
     _tripotents: list[int] | None = None
     _scanned: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.has_hirano = _bounded_memo(has_hirano)
+        self.hirano = _bounded_memo(hirano)
+        self.has_strongly_drazin = _bounded_memo(has_strongly_drazin)
+        self.strongly_drazin = _bounded_memo(strongly_drazin)
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -327,9 +364,9 @@ class _LawContext:
 
 
 def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
-    if not has_hirano(a):
+    if not ctx.has_hirano(a):
         return None
-    cert = hirano(a)
+    cert = ctx.hirano(a)
     if _drazin_axioms(a, cert.b) is None:
         return "Hirano inverse fails the Drazin equations"
     return True
@@ -337,13 +374,14 @@ def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
 
 def _law_uniqueness(ctx: _LawContext, a: Element):
     found = ctx.scanned_hirano(ctx.ring.index_of(a))
-    if has_hirano(a) != bool(found):
-        return f"criterion says {has_hirano(a)}, equation scan found {len(found)}"
+    hir = ctx.has_hirano(a)
+    if hir != bool(found):
+        return f"criterion says {hir}, equation scan found {len(found)}"
     if len(found) > 1:
         return f"{len(found)} distinct candidates satisfy the Hirano equations"
     if found:
         index = found[0]
-        if ctx.ring.index_of(hirano(a).b) != index:
+        if ctx.ring.index_of(ctx.hirano(a).b) != index:
             return "constructed inverse differs from the scanned one"
         if ctx.ring.index_of(drazin_finite(a).b) != index:
             return "power-formula Drazin inverse differs from the Hirano inverse"
@@ -351,14 +389,15 @@ def _law_uniqueness(ctx: _LawContext, a: Element):
 
 
 def _law_square_route(ctx: _LawContext, a: Element):
-    hir = has_hirano(a)
-    sd2 = has_strongly_drazin(a * a)
+    a2 = a * a
+    hir = ctx.has_hirano(a)
+    sd2 = ctx.has_strongly_drazin(a2)
     if hir != sd2:
         return f"has_hirano(a) = {hir} but has_strongly_drazin(a^2) = {sd2}"
     if not hir:
         return None
-    h = hirano(a).b
-    s = strongly_drazin(a * a).b
+    h = ctx.hirano(a).b
+    s = ctx.strongly_drazin(a2).b
     if s != h * h:
         return "strongly Drazin inverse of a^2 is not the squared Hirano inverse"
     if h != a * s:
@@ -368,24 +407,25 @@ def _law_square_route(ctx: _LawContext, a: Element):
 
 def _law_criterion(ctx: _LawContext, a: Element):
     found = ctx.scanned_hirano(ctx.ring.index_of(a))
-    if has_hirano(a) != bool(found):
-        return f"criterion says {has_hirano(a)}, equation scan found {len(found)}"
-    if found and ctx.ring.index_of(hirano(a).b) not in found:
+    hir = ctx.has_hirano(a)
+    if hir != bool(found):
+        return f"criterion says {hir}, equation scan found {len(found)}"
+    if found and ctx.ring.index_of(ctx.hirano(a).b) not in found:
         return "constructed inverse not among scanned candidates"
     return True
 
 
 def _law_inverse_of_inverse(ctx: _LawContext, a: Element):
-    if not has_hirano(a):
+    if not ctx.has_hirano(a):
         return None
-    cert = hirano(a)
+    cert = ctx.hirano(a)
     if hirano_of_hirano(cert) != a * a * cert.b:
         return "inverse of the inverse is not a^2 b"
     return True
 
 
 def _law_tripotent_split(ctx: _LawContext, a: Element):
-    if not has_hirano(a):
+    if not ctx.has_hirano(a):
         return None
     d = tripotent_decomposition(a)
     if ctx.ring.size() <= 100:
@@ -400,12 +440,12 @@ def _law_tripotent_split(ctx: _LawContext, a: Element):
 
 
 def _law_sd_difference_forward(ctx: _LawContext, a: Element):
-    if not has_hirano(a):
+    if not ctx.has_hirano(a):
         return None
     b, c = sd_difference_decomposition(a)
     if a != b - c or b * c != c * b:
         return "difference decomposition identities fail"
-    if not (has_strongly_drazin(b) and has_strongly_drazin(c)):
+    if not (ctx.has_strongly_drazin(b) and ctx.has_strongly_drazin(c)):
         return "a part of the difference decomposition is not strongly Drazin invertible"
     return True
 
@@ -413,10 +453,11 @@ def _law_sd_difference_forward(ctx: _LawContext, a: Element):
 def _law_sd_difference_converse(ctx: _LawContext, b: Element, c: Element):
     if b * c != c * b:
         return None
-    if not (has_strongly_drazin(b) and has_strongly_drazin(c)):
+    if not (ctx.has_strongly_drazin(b) and ctx.has_strongly_drazin(c)):
         return None
-    if not has_hirano(b - c):
-        return f"b - c = {b - c} lacks a Hirano inverse"
+    d = b - c
+    if not ctx.has_hirano(d):
+        return f"b - c = {d} lacks a Hirano inverse"
     return True
 
 
@@ -442,17 +483,19 @@ def _law_all_hirano_ring(ctx: _LawContext):
 
 
 def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element):
-    if a * b * a != a * c * a:
+    ac = a * c
+    if a * b * a != ac * a:
         return None
-    left = has_hirano(a * c)
-    right = has_hirano(b * a)
+    ba = b * a
+    left = ctx.has_hirano(ac)
+    right = ctx.has_hirano(ba)
     if left != right:
         return f"existence biconditional fails: ac {left}, ba {right}"
     if not left:
         return True
-    cert = cline(a, b, c, hirano(a * c))
+    cert = cline(a, b, c, ctx.hirano(ac))
     if ctx.oracle_ok:
-        found = ctx.scanned_hirano(ctx.ring.index_of(b * a))
+        found = ctx.scanned_hirano(ctx.ring.index_of(ba))
         if ctx.ring.index_of(cert.b) not in found:
             return "transferred inverse rejected by the equation scan"
     return True
@@ -469,9 +512,9 @@ def _law_power_transfer(ctx: _LawContext, a: Element, b: Element):
 
 
 def _law_commuting_product(ctx: _LawContext, a: Element, b: Element):
-    if a * b != b * a or not (has_hirano(a) and has_hirano(b)):
+    if a * b != b * a or not (ctx.has_hirano(a) and ctx.has_hirano(b)):
         return None
-    ha, hb = hirano(a), hirano(b)
+    ha, hb = ctx.hirano(a), ctx.hirano(b)
     cert = commuting_product(ha, hb)
     if ha.b * hb.b != hb.b * ha.b:
         return "the two inverses do not commute"
@@ -481,9 +524,9 @@ def _law_commuting_product(ctx: _LawContext, a: Element, b: Element):
 
 
 def _law_power_formula(ctx: _LawContext, a: Element):
-    if not has_hirano(a):
+    if not ctx.has_hirano(a):
         return None
-    ha = hirano(a)
+    ha = ctx.hirano(a)
     for n in (1, 2, 3, 4):
         power_formula(ha, n)
     return True
@@ -504,9 +547,9 @@ def _law_orthogonal_sum(ctx: _LawContext, a: Element, b: Element):
     zero = ctx.ring.zero()
     if a * b != zero or b * a != zero:
         return None
-    if not (has_hirano(a) and has_hirano(b)):
+    if not (ctx.has_hirano(a) and ctx.has_hirano(b)):
         return None
-    orthogonal_sum(hirano(a), hirano(b))
+    orthogonal_sum(ctx.hirano(a), ctx.hirano(b))
     return True
 
 
@@ -514,9 +557,10 @@ def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element):
     zero = ctx.ring.zero()
     if a * a != zero or b * b != zero:
         return None
-    if not has_strongly_drazin(a * b):
+    ab = a * b
+    if not ctx.has_strongly_drazin(ab):
         return None
-    result = square_zero_sum(a, b, strongly_drazin(a * b))
+    result = square_zero_sum(a, b, ctx.strongly_drazin(ab))
     if not result.statement_valid:
         return "statement form fails the Hirano equations"
     if not result.proof_valid:
@@ -612,6 +656,9 @@ def verify_theorem(
     for pass_number, (arity, check) in enumerate(law.passes):
         if arity == 0:
             space = [()]
+        elif strategy == "exhaustive" and arity == 1:
+            # product() would build the whole ring before the first instance
+            space = ((a,) for a in ring.elements())
         elif strategy == "exhaustive":
             space = itertools.product(*(ring.elements() for _ in range(arity)))
         else:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import random
 
@@ -11,11 +13,13 @@ from ringinv import (
     Element,
     InfiniteRingError,
     PreconditionError,
+    RingSpec,
     VerificationError,
     ViolationRecord,
     Z,
     has_hirano,
     has_strongly_drazin,
+    hirano,
     is_idempotent,
     is_nilpotent,
     is_tripotent,
@@ -25,7 +29,7 @@ from ringinv import (
     run_census,
     verify_theorem,
 )
-from ringinv import _scan, census
+from ringinv import _scan, census, gen_inverse, lifting, rings
 from ringinv._scan import RingScan, check_scan_fits
 from ringinv.census import _LawContext
 
@@ -527,3 +531,162 @@ class TestVerifyTheorem:
         assert verify_theorem("2.1", modular(9)).to_json() == json.dumps(
             payload, sort_keys=True, indent=2
         )
+
+
+def counting_nilpotency_tests(monkeypatch) -> list[int]:
+    """Patch is_nilpotent in every module that imports it; the one-item list
+    counts the calls."""
+    real = rings.is_nilpotent
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return real(x)
+
+    for module in (rings, lifting, gen_inverse, census):
+        monkeypatch.setattr(module, "is_nilpotent", counting)
+    return calls
+
+
+def cline_terms(ring) -> set:
+    """The products ac and ba of every triple of the ring with aba = aca."""
+    terms = set()
+    for a, b, c in itertools.product(ring.elements(), repeat=3):
+        if a * b * a == a * c * a:
+            terms.update((a * c, b * a))
+    return terms
+
+
+class TestLawMemo:
+    """Each verify_theorem call decides an element's criteria and
+    certificates once; nothing is remembered across calls or after a raise."""
+
+    def test_law_4_1_decides_each_product_once(self, monkeypatch):
+        ring = modular(27)
+        terms = cline_terms(ring)
+        calls = counting_nilpotency_tests(monkeypatch)
+        for x in terms:
+            if has_hirano(x):
+                hirano(x)
+        deciding_once = calls[0]
+        calls[0] = 0
+        report = verify_theorem("4.1", ring)
+        assert report.ok and report.checked == 4131
+        # beyond deciding each product once, one test per checked instance:
+        # cline's check of the transferred inverse
+        assert calls[0] <= deciding_once + report.checked
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        ring = modular(27)
+        decided: list = []
+
+        def recording(x):
+            decided.append(x)
+            return has_hirano(x)
+
+        monkeypatch.setattr(census, "has_hirano", recording)
+        first = verify_theorem("4.1", ring)
+        in_first = list(decided)
+        decided.clear()
+        second = verify_theorem("4.1", ring)
+        assert first == second
+        assert decided == in_first
+        assert len(decided) == len(set(decided)) == len(cline_terms(ring))
+
+    def test_a_full_memo_is_cleared(self, monkeypatch):
+        ring = modular(27)
+        expected = verify_theorem("4.1", ring)
+        bounded_memo = census._bounded_memo
+        sizes: list[int] = []
+
+        def recording_memo(decide):
+            decided = bounded_memo(decide)
+
+            def recording(x):
+                value = decided(x)
+                sizes.append(len(decided.memo))
+                return value
+
+            return recording
+
+        monkeypatch.setattr(census, "LAW_MEMO_CAP", 8)
+        monkeypatch.setattr(census, "_bounded_memo", recording_memo)
+        assert verify_theorem("4.1", ring) == expected
+        assert max(sizes) == 8 and sizes.count(1) > 2
+
+    def test_failed_construction_is_recorded_on_every_instance(self, hirano_fails_at_two):
+        ring = modular(9)
+        two = ring.element(2)
+        expected = [
+            (str(a), str(b))
+            for a, b in itertools.product(ring.elements(), repeat=2)
+            if a * b == b * a and has_hirano(a) and has_hirano(b) and two in (a, b)
+        ]
+        report = verify_theorem("4.4", ring)
+        assert len(expected) == 17
+        assert [v.inputs for v in report.violations] == expected
+        assert {v.detail for v in report.violations} == {HIRANO_FAILURE}
+        assert report.checked == 81
+
+    def test_flipped_verdict_is_reported_at_the_first_falsified_triple(self, monkeypatch):
+        ring = modular(27)
+        flipped = ring.element(3)
+
+        def verdict(x):
+            return has_hirano(x) != (x == flipped)
+
+        falsified = []
+        for a, b, c in itertools.product(ring.elements(), repeat=3):
+            if a * b * a == a * c * a and verdict(a * c) != verdict(b * a):
+                falsified.append(
+                    census.ViolationRecord(
+                        law="4.1",
+                        inputs=(str(a), str(b), str(c)),
+                        detail=f"existence biconditional fails: "
+                        f"ac {verdict(a * c)}, ba {verdict(b * a)}",
+                    )
+                )
+        monkeypatch.setattr(census, "has_hirano", verdict)
+        report = verify_theorem("4.1", ring)
+        assert len(falsified) > census.MAX_VIOLATIONS
+        assert report.violations == tuple(falsified[: census.MAX_VIOLATIONS])
+
+
+class TestExhaustiveStreaming:
+    @pytest.mark.parametrize(
+        "law_id, ahead",
+        [("2.1", 1), ("2.4", 1), ("4.5", 1), ("3.1", census.SCAN_CHUNK)],
+    )
+    def test_arity_one_pass_draws_no_further_than_its_instance(
+        self, law_id, ahead, monkeypatch
+    ):
+        """An exhaustive arity-1 pass draws the ring one element at a time (a
+        chunk at a time for the scanning laws), in enumeration order."""
+        ring = matrix(modular(5), 2)
+        elements = RingSpec.elements
+        drawn = 0
+        leads: list[int] = []
+        visited: list[int] = []
+
+        def counting_elements(self):
+            nonlocal drawn
+            for a in elements(self):
+                drawn += 1
+                yield a
+
+        law = LAWS[law_id]
+        (arity, check), = law.passes
+
+        def recording(ctx, a):
+            visited.append(ring.index_of(a))
+            leads.append(drawn - len(visited))
+            return check(ctx, a)
+
+        monkeypatch.setattr(RingSpec, "elements", counting_elements)
+        monkeypatch.setitem(
+            census.LAWS, law_id, dataclasses.replace(law, passes=((arity, recording),))
+        )
+        report = verify_theorem(law_id, ring, strategy="exhaustive")
+        assert report.ok and report.instances == ring.size() == drawn
+        assert visited == list(range(ring.size()))
+        assert max(leads) <= ahead
