@@ -16,11 +16,11 @@ from ringinv import (
     classify,
     format_polynomial,
     has_hirano,
+    hirano,
     matrix,
     modular,
     run_census,
     square_zero_sum,
-    strongly_drazin,
     tripotent_decomposition,
 )
 
@@ -86,7 +86,7 @@ def show_square_zero_sum() -> None:
     m2 = matrix(Z, 2)
     a = m2.element([[0, 1], [0, 0]])
     b = m2.element([[0, 0], [1, 0]])
-    result = square_zero_sum(a, b, strongly_drazin(a * b))
+    result = square_zero_sum(a, b, hirano(a * b), hirano(b * a))
     print(f"a = {a}, b = {b}: (a+b) has Hirano inverse {result.certificate.b}")
     print(f"  statement and proof forms agree: {result.forms_agree}")
 

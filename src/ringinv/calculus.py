@@ -1,5 +1,12 @@
-"""Transfer laws for Hirano inverses: Cline's formula, a Jacobson-pair
-variant, and product, power, and sum formulas.
+"""Transfer formulas for Hirano inverses: Cline's formula, and product,
+power, and sum formulas.
+
+Each construction takes the certificates it builds on and decides no
+existence criterion itself: the caller decides which elements are
+Hirano invertible (in a verify run, once per element) and passes their
+certificates in.  The power transfer and the Jacobson pair (laws 4.3,
+5.1, 5.2) relate existence verdicts only, with no formula between the
+inverses, so they live in the law registry as comparisons of verdicts.
 
 Every closed formula here is treated as a candidate and re-verified
 through :func:`ringinv.gen_inverse.check_hirano` before anything is
@@ -11,14 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gen_inverse import (
-    HiranoCertificate,
-    SDrazinCertificate,
-    check_hirano,
-    check_strongly_drazin,
-    has_hirano,
-    hirano,
-)
+from .gen_inverse import HiranoCertificate, check_hirano
 from .rings import (
     Element,
     PreconditionError,
@@ -43,22 +43,6 @@ def cline(a: Element, b: Element, c: Element, h: HiranoCertificate) -> HiranoCer
     return cert
 
 
-def power_transfer(a: Element, b: Element, k: int) -> bool:
-    """Whether (ba)^k is Hirano invertible, with the one-way guarantee that
-    (ab)^k invertible forces (ba)^k invertible."""
-    if a.ring != b.ring:
-        raise RingMismatchError("power_transfer needs one common ring")
-    if k < 1:
-        raise PreconditionError("power_transfer needs k >= 1")
-    forward = has_hirano((a * b) ** k)
-    backward = has_hirano((b * a) ** k)
-    if forward and not backward:
-        raise VerificationError(
-            f"power transfer violated at a = {a!r}, b = {b!r}, k = {k}"
-        )
-    return backward
-
-
 def commuting_product(ha: HiranoCertificate, hb: HiranoCertificate) -> HiranoCertificate:
     """For commuting Hirano-invertible a and b, ab has inverse ha.b * hb.b."""
     a, b = ha.a, hb.a
@@ -79,25 +63,6 @@ def power_formula(ha: HiranoCertificate, n: int) -> HiranoCertificate:
     if cert is None:
         raise VerificationError(f"power formula failed for n = {n}")
     return cert
-
-
-def jacobson_transfer(a: Element, b: Element, c: Element) -> bool:
-    """Under aba = aca, 1 + ac and 1 + ba are Hirano invertible together.
-
-    Returns the shared truth value; a one-sided instance raises.  No closed
-    formula relates the two inverses, so when the value is true each side's
-    inverse comes from the direct construction.
-    """
-    if a * b * a != a * c * a:
-        raise PreconditionError("jacobson_transfer requires aba = aca")
-    one = a.ring.one()
-    left = has_hirano(one + a * c)
-    right = has_hirano(one + b * a)
-    if left != right:
-        raise VerificationError(
-            f"Jacobson biconditional violated at a = {a!r}, b = {b!r}, c = {c!r}"
-        )
-    return right
 
 
 def orthogonal_sum(ha: HiranoCertificate, hb: HiranoCertificate) -> HiranoCertificate:
@@ -139,22 +104,23 @@ class SquareZeroSum:
         return self.statement_inverse == self.proof_inverse
 
 
-def square_zero_sum(a: Element, b: Element, sd: SDrazinCertificate) -> SquareZeroSum:
-    """Hirano inverse of a + b from square-zero a, b with ab strongly Drazin
-    invertible (sd certifies ab)."""
+def square_zero_sum(
+    a: Element, b: Element, hab: HiranoCertificate, hba: HiranoCertificate
+) -> SquareZeroSum:
+    """Hirano inverse of a + b from square-zero a, b and the Hirano
+    certificates hab of ab and hba of ba.
+
+    The theorem assumes ab strongly Drazin invertible, which the caller
+    decides; an instance where neither candidate verifies raises.
+    """
     if a.ring != b.ring:
         raise RingMismatchError("square_zero_sum needs one common ring")
     zero = a.ring.zero()
     if a * a != zero or b * b != zero:
         raise PreconditionError("square_zero_sum requires a^2 = b^2 = 0")
     ab = a * b
-    if sd.a != ab or check_strongly_drazin(ab, sd.b) is None:
-        raise PreconditionError("sd must be a valid strongly Drazin certificate for ab")
-    ba = b * a
-    if not has_hirano(ba):
-        raise VerificationError(f"ba = {ba!r} is not Hirano invertible; instance falsified")
-    hab = hirano(ab)
-    hba = hirano(ba)
+    if hab.a != ab or hba.a != b * a:
+        raise PreconditionError("certificates are not for the products ab and ba")
     statement = a * hba.b + b * hab.b
     proof = a * hba.b + b * ab * hab.b
     s = a + b

@@ -7,6 +7,7 @@ import pytest
 from ringinv import (
     PreconditionError,
     RingMismatchError,
+    VerificationError,
     Z,
     check_hirano,
     cline,
@@ -14,14 +15,11 @@ from ringinv import (
     has_hirano,
     has_strongly_drazin,
     hirano,
-    jacobson_transfer,
     matrix,
     modular,
     orthogonal_sum,
     power_formula,
-    power_transfer,
     square_zero_sum,
-    strongly_drazin,
 )
 
 from conftest import all_elements
@@ -74,33 +72,6 @@ class TestCline:
                 continue
             cert = cline(a, b, b, hirano(a * b))
             assert cert.b in brute_force_hirano(b * a)
-
-
-class TestPowerTransfer:
-    def test_minus_two_mod5(self):
-        z5 = modular(5)
-        a, b = z5.element(3), z5.element(1)
-        assert power_transfer(a, b, 2) is True
-        assert power_transfer(a, b, 1) is False
-
-    def test_identity(self):
-        z7 = modular(7)
-        one = z7.element(1)
-        for k in (1, 2, 3):
-            assert power_transfer(one, one, k) is True
-
-    def test_rejects_nonpositive_power(self):
-        z5 = modular(5)
-        with pytest.raises(PreconditionError):
-            power_transfer(z5.element(1), z5.element(1), 0)
-
-    def test_exhaustive_mod2_matrices(self):
-        m2 = matrix(modular(2), 2)
-        elements = all_elements(m2)
-        for a, b in itertools.product(elements, repeat=2):
-            for k in (1, 2, 3):
-                result = power_transfer(a, b, k)
-                assert result == has_hirano((b * a) ** k)
 
 
 class TestCommutingProduct:
@@ -165,30 +136,6 @@ class TestPowerFormula:
         assert not has_hirano(a)
 
 
-class TestJacobsonTransfer:
-    def test_zero_triple(self):
-        z9 = modular(9)
-        zero = z9.element(0)
-        assert jacobson_transfer(zero, zero, zero) is True
-
-    def test_rejects_unbalanced_triple(self):
-        m2 = matrix(modular(3), 2)
-        a = m2.element([[1, 0], [0, 1]])
-        b = m2.element([[0, 1], [0, 0]])
-        c = m2.element([[0, 0], [0, 0]])
-        with pytest.raises(PreconditionError):
-            jacobson_transfer(a, b, c)
-
-    def test_exhaustive_pairs_mod2(self):
-        m2 = matrix(modular(2), 2)
-        one = m2.element([[1, 0], [0, 1]])
-        elements = all_elements(m2)
-        for a, b in itertools.product(elements, repeat=2):
-            result = jacobson_transfer(a, b, b)
-            assert result == has_hirano(one + b * a)
-            assert result == has_hirano(one + a * b)
-
-
 class TestOrthogonalSum:
     def test_integer_diagonal(self):
         a = M2Z.element([[1, 0], [0, 0]])
@@ -229,7 +176,7 @@ class TestOrthogonalSum:
 class TestSquareZeroSum:
     def test_integer_shift_pair(self):
         a, b = SHIFT_UP, SHIFT_DOWN
-        result = square_zero_sum(a, b, strongly_drazin(a * b))
+        result = square_zero_sum(a, b, hirano(a * b), hirano(b * a))
         flip = M2Z.element([[0, 1], [1, 0]])
         assert result.certificate.a == a + b
         assert result.certificate.b == flip
@@ -241,7 +188,7 @@ class TestSquareZeroSum:
     def test_zero_pair(self):
         z9 = modular(9)
         zero = z9.element(0)
-        result = square_zero_sum(zero, zero, strongly_drazin(zero))
+        result = square_zero_sum(zero, zero, hirano(zero), hirano(zero))
         assert result.certificate.b == zero
 
     def test_mod3_obstruction(self):
@@ -254,14 +201,21 @@ class TestSquareZeroSum:
         assert product == m2.element([[2, 0], [0, 0]])
         assert not has_strongly_drazin(product)
         assert not has_hirano(a + b)
+        # ab and ba are Hirano invertible, so both candidates are formed;
+        # without ab strongly Drazin neither inverts a + b
+        hab, hba = hirano(product), hirano(b * a)
+        with pytest.raises(VerificationError, match="neither candidate inverted"):
+            square_zero_sum(a, b, hab, hba)
         with pytest.raises(PreconditionError):
-            square_zero_sum(a, b, strongly_drazin(m2.element([[1, 0], [0, 0]])))
+            square_zero_sum(a, b, hirano(m2.element([[1, 0], [0, 0]])), hba)
+        with pytest.raises(PreconditionError):
+            square_zero_sum(a, b, hab, hab)
 
     def test_rejects_nonzero_squares(self):
         z9 = modular(9)
         one = z9.element(1)
         with pytest.raises(PreconditionError):
-            square_zero_sum(one, one, strongly_drazin(one))
+            square_zero_sum(one, one, hirano(one), hirano(one))
 
     def test_exhaustive_square_zero_pairs_mod2(self):
         m2 = matrix(modular(2), 2)
@@ -272,7 +226,7 @@ class TestSquareZeroSum:
                 continue
             if not has_strongly_drazin(a * b):
                 continue
-            result = square_zero_sum(a, b, strongly_drazin(a * b))
+            result = square_zero_sum(a, b, hirano(a * b), hirano(b * a))
             assert result.statement_valid
             assert result.certificate.b in brute_force_hirano(a + b)
 

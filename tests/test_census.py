@@ -274,7 +274,10 @@ class TestCensusMasks:
 
     @pytest.mark.parametrize(
         "ring", [modular(999_983), modular(1_000_000), matrix(modular(31), 2),
-                 matrix(modular(4), 3), matrix(modular(2), 4)], ids=str
+                 matrix(modular(4), 3), matrix(modular(2), 4),
+                 # 2**20 elements, above RING_SIZE_CAP: a stack of exactly
+                 # SCAN_MEMORY_BUDGET bytes is admitted
+                 matrix(modular(32), 2)], ids=str
     )
     def test_scan_guard_admits_rings_under_the_default_cap(self, ring):
         check_scan_fits(ring)
@@ -557,6 +560,34 @@ def cline_terms(ring) -> set:
     return terms
 
 
+def jacobson_terms(ring) -> set:
+    """The elements 1 + ac and 1 + ba of every triple of the ring with aba = aca."""
+    one = ring.one()
+    terms = set()
+    for a, b, c in itertools.product(ring.elements(), repeat=3):
+        if a * b * a == a * c * a:
+            terms.update((one + a * c, one + b * a))
+    return terms
+
+
+def power_terms(ring) -> set:
+    """The powers (ab)^k and (ba)^k, k = 1, 2, 3, of every pair of the ring."""
+    terms = set()
+    for a, b in itertools.product(ring.elements(), repeat=2):
+        for k in (1, 2, 3):
+            terms.update(((a * b) ** k, (b * a) ** k))
+    return terms
+
+
+def flipping(flipped):
+    """has_hirano with the verdict of one element reversed."""
+
+    def verdict(x):
+        return has_hirano(x) != (x == flipped)
+
+    return verdict
+
+
 class TestLawMemo:
     """Each verify_theorem call decides an element's criteria and
     certificates once; nothing is remembered across calls or after a raise."""
@@ -630,11 +661,7 @@ class TestLawMemo:
 
     def test_flipped_verdict_is_reported_at_the_first_falsified_triple(self, monkeypatch):
         ring = modular(27)
-        flipped = ring.element(3)
-
-        def verdict(x):
-            return has_hirano(x) != (x == flipped)
-
+        verdict = flipping(ring.element(3))
         falsified = []
         for a, b, c in itertools.product(ring.elements(), repeat=3):
             if a * b * a == a * c * a and verdict(a * c) != verdict(b * a):
@@ -648,6 +675,55 @@ class TestLawMemo:
                 )
         monkeypatch.setattr(census, "has_hirano", verdict)
         report = verify_theorem("4.1", ring)
+        assert len(falsified) > census.MAX_VIOLATIONS
+        assert report.violations == tuple(falsified[: census.MAX_VIOLATIONS])
+
+    @pytest.mark.parametrize(
+        "law_id, terms", [("5.1", jacobson_terms), ("4.3", power_terms)]
+    )
+    def test_existence_law_decides_each_term_once(self, law_id, terms, monkeypatch):
+        ring = modular(27)
+        distinct = len(terms(ring))
+        calls = counting_nilpotency_tests(monkeypatch)
+        report = verify_theorem(law_id, ring, strategy="exhaustive")
+        assert report.ok
+        assert calls[0] <= distinct
+
+    def test_flipped_verdict_falsifies_the_power_transfer(self, monkeypatch):
+        ring = matrix(modular(2), 2)
+        verdict = flipping(ring.element([[0, 1], [1, 0]]))
+        falsified = []
+        for a, b in itertools.product(ring.elements(), repeat=2):
+            for k in (1, 2, 3):
+                if verdict((a * b) ** k) and not verdict((b * a) ** k):
+                    falsified.append(
+                        census.ViolationRecord(
+                            law="4.3",
+                            inputs=(str(a), str(b)),
+                            detail=f"power transfer violated at a = {a!r}, b = {b!r}, k = {k}",
+                        )
+                    )
+                    break
+        monkeypatch.setattr(census, "has_hirano", verdict)
+        report = verify_theorem("4.3", ring)
+        assert falsified
+        assert report.violations == tuple(falsified[: census.MAX_VIOLATIONS])
+
+    def test_flipped_verdict_falsifies_the_jacobson_pair(self, monkeypatch):
+        ring = modular(27)
+        one = ring.one()
+        verdict = flipping(ring.element(4))
+        falsified = [
+            census.ViolationRecord(
+                law="5.1",
+                inputs=(str(a), str(b), str(c)),
+                detail=f"Jacobson biconditional violated at a = {a!r}, b = {b!r}, c = {c!r}",
+            )
+            for a, b, c in itertools.product(ring.elements(), repeat=3)
+            if a * b * a == a * c * a and verdict(one + a * c) != verdict(one + b * a)
+        ]
+        monkeypatch.setattr(census, "has_hirano", verdict)
+        report = verify_theorem("5.1", ring)
         assert len(falsified) > census.MAX_VIOLATIONS
         assert report.violations == tuple(falsified[: census.MAX_VIOLATIONS])
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -108,8 +109,19 @@ class TestHirano:
         m2 = matrix(modular(2), 2)
         a = m2.element([[0, 1], [1, 1]])
         assert not has_hirano(a)
-        with pytest.raises(PreconditionError):
+        message = f"{a!r} has no Hirano inverse: a - a^3 is not nilpotent"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
             hirano(a)
+
+    @pytest.mark.parametrize("ring", SMALL_RINGS, ids=str)
+    def test_raises_exactly_where_the_criterion_fails(self, ring):
+        """The lift's own test of a^2 - a^4 decides as has_hirano does."""
+        for a in ring.elements():
+            if has_hirano(a):
+                assert hirano(a).a == a
+            else:
+                with pytest.raises(PreconditionError, match="has no Hirano inverse"):
+                    hirano(a)
 
     def test_mod5_units(self):
         z5 = modular(5)
@@ -146,8 +158,18 @@ class TestStronglyDrazin:
         assert not has_strongly_drazin(a)
         poly = char_poly(a - a * a)
         assert poly == (0, 0, 2, 1)
-        with pytest.raises(PreconditionError):
+        message = f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
             strongly_drazin(a)
+
+    @pytest.mark.parametrize("ring", SMALL_RINGS, ids=str)
+    def test_raises_exactly_where_the_criterion_fails(self, ring):
+        for a in ring.elements():
+            if has_strongly_drazin(a):
+                assert strongly_drazin(a).a == a
+            else:
+                with pytest.raises(PreconditionError, match="has no strongly Drazin inverse"):
+                    strongly_drazin(a)
 
     def test_mod3_two_has_none(self):
         assert not has_strongly_drazin(modular(3).element(2))

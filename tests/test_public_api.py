@@ -54,7 +54,6 @@ PUBLIC_NAMES = [
     "is_nilpotent",
     "is_tripotent",
     "is_unit",
-    "jacobson_transfer",
     "lift_idempotent",
     "matrix",
     "modular",
@@ -63,7 +62,6 @@ PUBLIC_NAMES = [
     "parse_element",
     "parse_ring",
     "power_formula",
-    "power_transfer",
     "run_census",
     "sd_difference_decomposition",
     "square_zero_sum",
