@@ -21,10 +21,11 @@ elements and covers a seeded sample above that.
 verify_theorem drives the law registry: each law id names a fixed
 checkable statement about one ring, run either exhaustively over the
 instance space or on seeded samples, with violations surfaced as
-structured records.  A law callable returns None when an instance falls
-outside the hypothesis, True when the conclusion verified, and a detail
-string when the instance falsifies the law; a VerificationError it raises
-(a construction failing its own check) is recorded as a violation too.
+structured records.  A pass is (arity, hypothesis, conclusion): the engine
+tests the hypothesis once per instance and checks the instances that meet
+it.  A conclusion returns True when it verified and a detail string when
+the instance falsifies the law; a VerificationError it raises (a
+construction failing its own check) is recorded as a violation too.
 The laws that consult the equation scan read it through _LawContext,
 which scans each index once; laws 2.2 and 3.1 scan every instance, so
 their instances are scanned a chunk at a time, in one batched call each.
@@ -363,11 +364,36 @@ class _LawContext:
         return self._tripotents
 
 
+def _hirano(ctx: _LawContext, a: Element) -> bool:
+    return ctx.has_hirano(a)
+
+
+def _hirano_or_square_sd(ctx: _LawContext, a: Element) -> bool:
+    return ctx.has_hirano(a) or ctx.has_strongly_drazin(a * a)
+
+
+def _commuting_sd(ctx: _LawContext, b: Element, c: Element) -> bool:
+    return b * c == c * b and ctx.has_strongly_drazin(b) and ctx.has_strongly_drazin(c)
+
+
+def _aba_is_aca(ctx: _LawContext, a: Element, b: Element, c: Element) -> bool:
+    return a * b * a == a * c * a
+
+
+def _commuting_hirano(ctx: _LawContext, a: Element, b: Element) -> bool:
+    return a * b == b * a and ctx.has_hirano(a) and ctx.has_hirano(b)
+
+
+def _orthogonal_hirano(ctx: _LawContext, a: Element, b: Element) -> bool:
+    return a * b == ctx.ring.zero() == b * a and ctx.has_hirano(a) and ctx.has_hirano(b)
+
+
+def _square_zero(ctx: _LawContext, a: Element, b: Element) -> bool:
+    return a * a == ctx.ring.zero() == b * b and ctx.has_strongly_drazin(a * b)
+
+
 def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
-    if not ctx.has_hirano(a):
-        return None
-    cert = ctx.hirano(a)
-    if _drazin_axioms(a, cert.b) is None:
+    if _drazin_axioms(a, ctx.hirano(a).b) is None:
         return "Hirano inverse fails the Drazin equations"
     return True
 
@@ -394,8 +420,6 @@ def _law_square_route(ctx: _LawContext, a: Element):
     sd2 = ctx.has_strongly_drazin(a2)
     if hir != sd2:
         return f"has_hirano(a) = {hir} but has_strongly_drazin(a^2) = {sd2}"
-    if not hir:
-        return None
     h = ctx.hirano(a).b
     s = ctx.strongly_drazin(a2).b
     if s != h * h:
@@ -416,15 +440,11 @@ def _law_criterion(ctx: _LawContext, a: Element):
 
 
 def _law_inverse_of_inverse(ctx: _LawContext, a: Element):
-    if not ctx.has_hirano(a):
-        return None
     hirano_of_hirano(ctx.hirano(a))
     return True
 
 
 def _law_tripotent_split(ctx: _LawContext, a: Element):
-    if not ctx.has_hirano(a):
-        return None
     d = tripotent_decomposition(a)
     if ctx.ring.size() <= 100:
         matches = [
@@ -438,17 +458,11 @@ def _law_tripotent_split(ctx: _LawContext, a: Element):
 
 
 def _law_sd_difference_forward(ctx: _LawContext, a: Element):
-    if not ctx.has_hirano(a):
-        return None
     sd_difference_decomposition(a)
     return True
 
 
 def _law_sd_difference_converse(ctx: _LawContext, b: Element, c: Element):
-    if b * c != c * b:
-        return None
-    if not (ctx.has_strongly_drazin(b) and ctx.has_strongly_drazin(c)):
-        return None
     d = b - c
     if not ctx.has_hirano(d):
         return f"b - c = {d} lacks a Hirano inverse"
@@ -477,10 +491,7 @@ def _law_all_hirano_ring(ctx: _LawContext):
 
 
 def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element):
-    ac = a * c
-    if a * b * a != ac * a:
-        return None
-    ba = b * a
+    ac, ba = a * c, b * a
     left = ctx.has_hirano(ac)
     right = ctx.has_hirano(ba)
     if left != right:
@@ -495,10 +506,6 @@ def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element):
     return True
 
 
-def _law_cline_pair(ctx: _LawContext, a: Element, b: Element):
-    return _law_cline(ctx, a, b, b)
-
-
 def _law_power_transfer(ctx: _LawContext, a: Element, b: Element):
     """(ab)^k Hirano invertible forces (ba)^k Hirano invertible, k = 1, 2, 3."""
     for k in (1, 2, 3):
@@ -508,8 +515,6 @@ def _law_power_transfer(ctx: _LawContext, a: Element, b: Element):
 
 
 def _law_commuting_product(ctx: _LawContext, a: Element, b: Element):
-    if a * b != b * a or not (ctx.has_hirano(a) and ctx.has_hirano(b)):
-        return None
     ha, hb = ctx.hirano(a), ctx.hirano(b)
     cert = commuting_product(ha, hb)
     if ha.b * hb.b != hb.b * ha.b:
@@ -520,8 +525,6 @@ def _law_commuting_product(ctx: _LawContext, a: Element, b: Element):
 
 
 def _law_power_formula(ctx: _LawContext, a: Element):
-    if not ctx.has_hirano(a):
-        return None
     ha = ctx.hirano(a)
     for n in (1, 2, 3, 4):
         power_formula(ha, n)
@@ -529,37 +532,20 @@ def _law_power_formula(ctx: _LawContext, a: Element):
 
 
 def _law_jacobson(ctx: _LawContext, a: Element, b: Element, c: Element):
-    """Under aba = aca, 1 + ac and 1 + ba are Hirano invertible together."""
-    if a * b * a != a * c * a:
-        return None
+    """1 + ac and 1 + ba are Hirano invertible together."""
     one = ctx.ring.one()
     if ctx.has_hirano(one + a * c) != ctx.has_hirano(one + b * a):
         return f"Jacobson biconditional violated at a = {a!r}, b = {b!r}, c = {c!r}"
     return True
 
 
-def _law_jacobson_pair(ctx: _LawContext, a: Element, b: Element):
-    return _law_jacobson(ctx, a, b, b)
-
-
 def _law_orthogonal_sum(ctx: _LawContext, a: Element, b: Element):
-    zero = ctx.ring.zero()
-    if a * b != zero or b * a != zero:
-        return None
-    if not (ctx.has_hirano(a) and ctx.has_hirano(b)):
-        return None
     orthogonal_sum(ctx.hirano(a), ctx.hirano(b))
     return True
 
 
 def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element):
-    zero = ctx.ring.zero()
-    if a * a != zero or b * b != zero:
-        return None
-    ab = a * b
-    if not ctx.has_strongly_drazin(ab):
-        return None
-    ba = b * a
+    ab, ba = a * b, b * a
     if not ctx.has_hirano(ba):
         return f"ba = {ba!r} is not Hirano invertible; instance falsified"
     result = square_zero_sum(a, b, ctx.hirano(ab), ctx.hirano(ba))
@@ -575,7 +561,7 @@ def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element):
 @dataclass(frozen=True)
 class _Law:
     law_id: str
-    passes: tuple
+    passes: tuple  # of (arity, hypothesis or None, conclusion)
     requires_half: bool = False
     # every instance of its single arity-1 pass runs the equation scan
     scans: bool = False
@@ -584,27 +570,30 @@ class _Law:
 LAWS: dict[str, _Law] = {
     law.law_id: law
     for law in (
-        _Law("2.1", ((1, _law_hirano_implies_drazin),)),
-        _Law("2.2", ((1, _law_uniqueness),), scans=True),
-        _Law("2.4", ((1, _law_square_route),)),
-        _Law("3.1", ((1, _law_criterion),), scans=True),
-        _Law("3.2", ((1, _law_inverse_of_inverse),)),
-        _Law("3.3", ((1, _law_tripotent_split),), requires_half=True),
+        _Law("2.1", ((1, _hirano, _law_hirano_implies_drazin),)),
+        _Law("2.2", ((1, None, _law_uniqueness),), scans=True),
+        _Law("2.4", ((1, _hirano_or_square_sd, _law_square_route),)),
+        _Law("3.1", ((1, None, _law_criterion),), scans=True),
+        _Law("3.2", ((1, _hirano, _law_inverse_of_inverse),)),
+        _Law("3.3", ((1, _hirano, _law_tripotent_split),), requires_half=True),
         _Law(
             "3.4",
-            ((1, _law_sd_difference_forward), (2, _law_sd_difference_converse)),
+            (
+                (1, _hirano, _law_sd_difference_forward),
+                (2, _commuting_sd, _law_sd_difference_converse),
+            ),
             requires_half=True,
         ),
-        _Law("3.6", ((0, _law_all_hirano_ring),)),
-        _Law("4.1", ((3, _law_cline),)),
-        _Law("4.2", ((2, _law_cline_pair),)),
-        _Law("4.3", ((2, _law_power_transfer),)),
-        _Law("4.4", ((2, _law_commuting_product),)),
-        _Law("4.5", ((1, _law_power_formula),)),
-        _Law("5.1", ((3, _law_jacobson),)),
-        _Law("5.2", ((2, _law_jacobson_pair),)),
-        _Law("5.4", ((2, _law_orthogonal_sum),)),
-        _Law("5.5", ((2, _law_square_zero_sum),)),
+        _Law("3.6", ((0, None, _law_all_hirano_ring),)),
+        _Law("4.1", ((3, _aba_is_aca, _law_cline),)),
+        _Law("4.2", ((2, None, lambda ctx, a, b: _law_cline(ctx, a, b, b)),)),
+        _Law("4.3", ((2, None, _law_power_transfer),)),
+        _Law("4.4", ((2, _commuting_hirano, _law_commuting_product),)),
+        _Law("4.5", ((1, _hirano, _law_power_formula),)),
+        _Law("5.1", ((3, _aba_is_aca, _law_jacobson),)),
+        _Law("5.2", ((2, None, lambda ctx, a, b: _law_jacobson(ctx, a, b, b)),)),
+        _Law("5.4", ((2, _orthogonal_hirano, _law_orthogonal_sum),)),
+        _Law("5.5", ((2, _square_zero, _law_square_zero_sum),)),
     )
 }
 
@@ -641,7 +630,7 @@ def verify_theorem(
         raise PreconditionError(
             f"law {theorem_id} needs 2 to be a unit, which fails in {ring}"
         )
-    max_arity = max(arity for arity, _ in law.passes)
+    max_arity = max(arity for arity, *_ in law.passes)
     if strategy is None:
         strategy = "exhaustive" if size ** max_arity <= MAX_EXHAUSTIVE_INSTANCES else "sampled"
     if strategy not in ("exhaustive", "sampled"):
@@ -655,7 +644,7 @@ def verify_theorem(
     violations: list[ViolationRecord] = []
     instances = 0
     checked = 0
-    for pass_number, (arity, check) in enumerate(law.passes):
+    for pass_number, (arity, hypothesis, conclusion) in enumerate(law.passes):
         if arity == 0:
             space = [()]
         elif strategy == "exhaustive" and arity == 1:
@@ -673,13 +662,13 @@ def verify_theorem(
             space = _prefetching(ctx, space)
         for elems in space:
             instances += 1
-            try:
-                verdict = check(ctx, *elems)
-            except VerificationError as err:
-                verdict = str(err)
-            if verdict is None:
+            if hypothesis is not None and not hypothesis(ctx, *elems):
                 continue
             checked += 1
+            try:
+                verdict = conclusion(ctx, *elems)
+            except VerificationError as err:
+                verdict = str(err)
             if verdict is not True:
                 violations.append(
                     ViolationRecord(

@@ -18,6 +18,7 @@ so no power orbit is walked.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .lifting import (
@@ -211,8 +212,14 @@ class InverseReport:
 
 
 def classify(a: Element) -> InverseReport:
-    hir = hirano(a) if has_hirano(a) else None
-    sd = strongly_drazin(a) if has_strongly_drazin(a) else None
+    hir: HiranoCertificate | None = None
+    sd: SDrazinCertificate | None = None
+    # each construction raises PreconditionError exactly where its criterion
+    # fails, and a - a^3 = (a - a^2)(1 + a), so without a Hirano inverse there
+    # is no strongly Drazin one: one raise, not two, for most elements
+    with suppress(PreconditionError):
+        hir = hirano(a)
+        sd = strongly_drazin(a)
     ring = a.ring
     if ring.is_finite:
         dz: DrazinCertificate | None = drazin_finite(a)
@@ -395,9 +402,11 @@ def hirano_of_hirano(cert: HiranoCertificate) -> Element:
     """The Hirano inverse of the inverse: a^2 * b, cross-checked directly."""
     a, b = cert.a, cert.b
     y = a * a * b
-    if not has_hirano(b):
-        raise VerificationError("a Hirano inverse must itself be Hirano invertible")
-    if hirano(b).b != y:
+    try:
+        inverse = hirano(b).b
+    except PreconditionError:
+        raise VerificationError("a Hirano inverse must itself be Hirano invertible") from None
+    if inverse != y:
         raise VerificationError("inverse-of-inverse formula disagreed with construction")
     return y
 

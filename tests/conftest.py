@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import signal
+
 import pytest
 from hypothesis import strategies as st
 
-from ringinv import RingSpec, VerificationError, census, matrix, modular
+from ringinv import (
+    RingSpec,
+    VerificationError,
+    census,
+    gen_inverse,
+    lifting,
+    matrix,
+    modular,
+    rings,
+)
 
 SMALL_MODULAR = [modular(n) for n in range(2, 17)]
 SMALL_MATRIX = [
@@ -25,6 +36,10 @@ M8_Z47_ELEMENT = (
 # nextprime(10**30) * nextprime(2 * 10**30): Pollard rho needs about 10**15
 # steps to split it, far past the factorization budget.
 UNFACTORABLE_MODULUS = 2000000000000000000000000000185000000000000000000000000004047
+
+# wall-clock seconds a test under the wall_clock_limit fixture may run; the
+# guarded tests take a few seconds each
+WALL_CLOCK_LIMIT = 60
 
 finite_rings = st.sampled_from(SMALL_RINGS)
 
@@ -61,6 +76,39 @@ def hirano_fails_at_two(monkeypatch):
         return real_hirano(a)
 
     monkeypatch.setattr(census, "hirano", failing_at_two)
+
+
+def counting_nilpotency_tests(monkeypatch) -> list[int]:
+    """Patch is_nilpotent in every module that imports it; the one-item list
+    counts the calls."""
+    real = rings.is_nilpotent
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return real(x)
+
+    for module in (rings, lifting, gen_inverse, census):
+        monkeypatch.setattr(module, "is_nilpotent", counting)
+    return calls
+
+
+@pytest.fixture
+def wall_clock_limit():
+    """Fail the test with TimeoutError once it has run WALL_CLOCK_LIMIT
+    seconds, so a loop that never ends fails its test instead of stalling
+    the suite (SIGALRM: Unix, main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {WALL_CLOCK_LIMIT} s wall-clock limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(WALL_CLOCK_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

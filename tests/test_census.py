@@ -29,11 +29,11 @@ from ringinv import (
     run_census,
     verify_theorem,
 )
-from ringinv import _scan, census, gen_inverse, lifting, rings
+from ringinv import _scan, census
 from ringinv._scan import RingScan, check_scan_fits
 from ringinv.census import _LawContext
 
-from conftest import HIRANO_FAILURE, SMALL_RINGS
+from conftest import HIRANO_FAILURE, SMALL_RINGS, counting_nilpotency_tests
 
 Z3_COUNTS = {
     "total": 3,
@@ -504,6 +504,21 @@ class TestVerifyTheorem:
             (("2",), "inverse-of-inverse formula disagreed with construction")
         ]
 
+    def test_inverse_without_hirano_inverse_is_a_violation(self, monkeypatch):
+        ring = modular(5)
+        real = census.hirano
+
+        def forged_at_four(a):
+            cert = real(a)
+            return dataclasses.replace(cert, b=ring.element(2)) if a == ring.element(4) else cert
+
+        monkeypatch.setattr(census, "hirano", forged_at_four)
+        report = verify_theorem("3.2", ring)
+        assert [(v.inputs, v.detail) for v in report.violations] == [
+            (("4",), "a Hirano inverse must itself be Hirano invertible")
+        ]
+        assert report.checked == 3
+
     def test_auto_strategy_picks_exhaustive_for_small_rings(self):
         report = verify_theorem("4.1", modular(5))
         assert report.strategy == "exhaustive"
@@ -534,21 +549,6 @@ class TestVerifyTheorem:
         assert verify_theorem("2.1", modular(9)).to_json() == json.dumps(
             payload, sort_keys=True, indent=2
         )
-
-
-def counting_nilpotency_tests(monkeypatch) -> list[int]:
-    """Patch is_nilpotent in every module that imports it; the one-item list
-    counts the calls."""
-    real = rings.is_nilpotent
-    calls = [0]
-
-    def counting(x):
-        calls[0] += 1
-        return real(x)
-
-    for module in (rings, lifting, gen_inverse, census):
-        monkeypatch.setattr(module, "is_nilpotent", counting)
-    return calls
 
 
 def cline_terms(ring) -> set:
@@ -727,6 +727,66 @@ class TestLawMemo:
         assert len(falsified) > census.MAX_VIOLATIONS
         assert report.violations == tuple(falsified[: census.MAX_VIOLATIONS])
 
+    @pytest.mark.parametrize(
+        "law_id, with_test, per_instance", [("4.2", 14_596, 3), ("5.2", 4_470, 4)]
+    )
+    def test_pair_pass_tests_no_hypothesis(self, law_id, with_test, per_instance, monkeypatch):
+        """The pair forms run the triple conclusion with c = b and skip the
+        triple hypothesis aba = aca, which always holds there.  Testing it
+        made with_test products on Z/27, per_instance of them per pair."""
+        ring = modular(27)
+        calls = 0
+        mul = Element.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        report = verify_theorem(law_id, ring, strategy="exhaustive")
+        monkeypatch.undo()
+        assert report.ok and report.checked == report.instances == 729
+        assert calls <= with_test - per_instance * report.instances
+
+    def test_law_3_2_decides_each_inverse_once(self, monkeypatch):
+        calls = counting_nilpotency_tests(monkeypatch)
+        report = verify_theorem("3.2", modular(27), strategy="exhaustive")
+        assert report.ok and report.checked == 27
+        assert calls[0] == 243
+
+    def test_hypothesis_runs_once_and_gates_the_conclusion(self, monkeypatch):
+        ring = matrix(modular(2), 2)
+        law = LAWS["4.4"]
+        ((arity, hypothesis, conclusion),) = law.passes
+        tested: list = []
+        concluded: list = []
+
+        def recording_hypothesis(ctx, a, b):
+            tested.append((a, b))
+            return hypothesis(ctx, a, b)
+
+        def recording_conclusion(ctx, a, b):
+            concluded.append((a, b))
+            return conclusion(ctx, a, b)
+
+        monkeypatch.setitem(
+            census.LAWS,
+            "4.4",
+            dataclasses.replace(
+                law, passes=((arity, recording_hypothesis, recording_conclusion),)
+            ),
+        )
+        report = verify_theorem("4.4", ring)
+        pairs = list(itertools.product(ring.elements(), repeat=2))
+        assert tested == pairs
+        assert concluded == [
+            (a, b)
+            for a, b in pairs
+            if a * b == b * a and has_hirano(a) and has_hirano(b)
+        ]
+        assert report.ok and report.checked == len(concluded) < len(pairs)
+
 
 class TestExhaustiveStreaming:
     @pytest.mark.parametrize(
@@ -751,16 +811,18 @@ class TestExhaustiveStreaming:
                 yield a
 
         law = LAWS[law_id]
-        (arity, check), = law.passes
+        (arity, hypothesis, conclusion), = law.passes
 
         def recording(ctx, a):
             visited.append(ring.index_of(a))
             leads.append(drawn - len(visited))
-            return check(ctx, a)
+            return hypothesis is None or hypothesis(ctx, a)
 
         monkeypatch.setattr(RingSpec, "elements", counting_elements)
         monkeypatch.setitem(
-            census.LAWS, law_id, dataclasses.replace(law, passes=((arity, recording),))
+            census.LAWS,
+            law_id,
+            dataclasses.replace(law, passes=((arity, recording, conclusion),)),
         )
         report = verify_theorem(law_id, ring, strategy="exhaustive")
         assert report.ok and report.instances == ring.size() == drawn

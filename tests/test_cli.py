@@ -94,6 +94,7 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["has_hirano"] is False
 
+    @pytest.mark.usefixtures("wall_clock_limit")
     def test_unfactorable_modulus_fails(self, capsys):
         code, out, err = run(capsys, "classify", f"Z/{UNFACTORABLE_MODULUS}", "3", "--json")
         assert code == 1 and out == ""

@@ -43,6 +43,7 @@ from conftest import (
     M8_Z47_ELEMENT,
     SMALL_RINGS,
     all_elements,
+    counting_nilpotency_tests,
     ring_elements,
 )
 from oracles import (
@@ -461,6 +462,12 @@ class TestSquareRoute:
         a = z9.element(2)
         assert hirano_of_hirano(hirano(a)) == a * a * hirano(a).b
 
+    def test_inverse_without_hirano_inverse_fails_verification(self):
+        z5 = modular(5)
+        forged = dataclasses.replace(hirano(z5.element(4)), b=z5.element(2))
+        with pytest.raises(VerificationError, match="must itself be Hirano invertible"):
+            hirano_of_hirano(forged)
+
 
 class TestClassify:
     def test_mod2_matrix_example(self):
@@ -511,6 +518,14 @@ class TestClassify:
             assert report.hirano.b == report.drazin.b
         if report.has_strongly_drazin:
             assert report.strongly_drazin.b == report.drazin.b
+
+    def test_decides_each_criterion_once(self, monkeypatch):
+        """2 in Z/27 is Hirano invertible and not strongly Drazin invertible:
+        hirano and strongly_drazin each decide their criterion themselves."""
+        calls = counting_nilpotency_tests(monkeypatch)
+        report = classify(modular(27).element(2))
+        assert report.has_hirano and not report.has_strongly_drazin
+        assert calls[0] == 7
 
     def test_strongly_drazin_disagreeing_with_drazin_fails(self, monkeypatch):
         real = gen_inverse.strongly_drazin

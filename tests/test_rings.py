@@ -386,6 +386,7 @@ class TestPredicates:
         assert is_tripotent(z9.element(8))
         assert not is_tripotent(z9.element(2))
 
+    @pytest.mark.usefixtures("wall_clock_limit")
     def test_factorize(self):
         f = factorize(12)
         assert f.pairs == ((2, 2), (3, 1))
@@ -393,6 +394,7 @@ class TestPredicates:
         f = factorize(97)
         assert f.pairs == ((97, 1),)
 
+    @pytest.mark.usefixtures("wall_clock_limit")
     def test_factorize_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(0)
@@ -410,6 +412,7 @@ class TestPredicates:
         for n in moduli:
             assert dict(factorize(n).pairs) == sympy.factorint(n), n
 
+    @pytest.mark.usefixtures("wall_clock_limit")
     def test_factorize_refuses_past_the_rho_budget(self, monkeypatch):
         with pytest.raises(PreconditionError, match=str(UNFACTORABLE_MODULUS)):
             factorize(UNFACTORABLE_MODULUS)
@@ -422,6 +425,7 @@ class TestPredicates:
         monkeypatch.setattr(rings, "_RHO_STEPS", 2**19)
         assert factorize(hardest).pairs == ((399165290221, 1), (798330580441, 1))
 
+    @pytest.mark.usefixtures("wall_clock_limit")
     def test_factorize_rejects_non_integers(self):
         for bad in (1, 0, -5, True, 2.0, "12"):
             with pytest.raises(ValueError):
