@@ -9,8 +9,9 @@ bab = b and differ only in which defect must be nilpotent:
 
 Existence is decided by polynomial criteria: a has a Hirano inverse iff
 a - a^3 is nilpotent, and a strongly Drazin inverse iff a - a^2 is
-nilpotent.  Constructions go through idempotent lifting and unipotent
-inversion, and every certificate re-verifies its defining equations before
+nilpotent.  The Hirano inverse is built by idempotent lifting and unipotent
+inversion; the strongly Drazin inverse is the Hirano inverse that passes
+its equations.  Every certificate re-verifies its defining equations before
 it is returned.  In a finite ring the Drazin inverse is a power of a whose
 exponent comes from the ring alone (unit_exponent and nilpotency_bound),
 so no power orbit is walked.
@@ -145,21 +146,15 @@ def hirano(a: Element) -> HiranoCertificate:
 
 
 def strongly_drazin(a: Element) -> SDrazinCertificate:
-    """Construct the strongly Drazin inverse: b = e * (1 + ea - e)^-1 with
-    e = lift(a), whose own test of a - a^2 is the criterion."""
-    try:
-        e = lift_idempotent(a).element
-    except PreconditionError:
-        raise PreconditionError(
-            f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
-        ) from None
-    one = a.ring.one()
-    u = one + (e * a - e)
-    b = e * inverse_of_unipotent(u)
-    cert = check_strongly_drazin(a, b)
-    if cert is None:
-        raise VerificationError("constructed strongly Drazin inverse failed its equations")
-    return cert
+    """The Hirano inverse, if it passes the strongly Drazin equations: both
+    are the Drazin inverse, and a - a^3 = (a - a^2)(1 + a)."""
+    with suppress(PreconditionError):
+        cert = check_strongly_drazin(a, hirano(a).b)
+        if cert is not None:
+            return cert
+    raise PreconditionError(
+        f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
+    )
 
 
 def drazin_finite(a: Element) -> DrazinCertificate:
@@ -214,12 +209,11 @@ class InverseReport:
 def classify(a: Element) -> InverseReport:
     hir: HiranoCertificate | None = None
     sd: SDrazinCertificate | None = None
-    # each construction raises PreconditionError exactly where its criterion
-    # fails, and a - a^3 = (a - a^2)(1 + a), so without a Hirano inverse there
-    # is no strongly Drazin one: one raise, not two, for most elements
+    # a strongly Drazin inverse is the Hirano inverse (see strongly_drazin),
+    # so one lift and a check of its equations decide both
     with suppress(PreconditionError):
         hir = hirano(a)
-        sd = strongly_drazin(a)
+        sd = check_strongly_drazin(a, hir.b)
     ring = a.ring
     if ring.is_finite:
         dz: DrazinCertificate | None = drazin_finite(a)
@@ -232,9 +226,8 @@ def classify(a: Element) -> InverseReport:
         dz, has_dz = None, False
     else:
         dz, has_dz = None, None
-    for name, cert in (("Hirano", hir), ("strongly Drazin", sd)):
-        if cert is not None and dz is not None and cert.b != dz.b:
-            raise VerificationError(f"uniqueness failure: {name} and Drazin inverses disagree")
+    if hir is not None and dz is not None and hir.b != dz.b:
+        raise VerificationError("uniqueness failure: Hirano and Drazin inverses disagree")
     return InverseReport(
         element=a,
         has_drazin=has_dz,
@@ -315,11 +308,11 @@ def tripotent_decomposition(a: Element) -> TripotentDecomposition:
     nilpotent.  Over Z the split is only available for exact tripotents
     (a = a^3), where p = a and w = 0.
     """
-    if not has_hirano(a):
-        raise PreconditionError(f"{a!r} does not decompose: a - a^3 is not nilpotent")
     ring = a.ring
     inv2 = inverse_of_two(ring)
     if inv2 is None:
+        if not has_hirano(a):
+            raise PreconditionError(f"{a!r} does not decompose: a - a^3 is not nilpotent")
         if ring.is_finite:
             raise PreconditionError(f"2 is not a unit in {ring}")
         if a != a ** 3:
@@ -343,8 +336,12 @@ def tripotent_decomposition(a: Element) -> TripotentDecomposition:
         return decomp
     g = inv2 * (a * a + a)
     h = inv2 * (a * a - a)
-    lifted_g = lift_idempotent(g)
-    lifted_h = lift_idempotent(h)
+    try:  # g - g^2 and h - h^2 are multiples of a - a^3 that differ by it
+        lifted_g, lifted_h = lift_idempotent(g), lift_idempotent(h)
+    except PreconditionError:
+        raise PreconditionError(
+            f"{a!r} does not decompose: a - a^3 is not nilpotent"
+        ) from None
     e, f = lifted_g.element, lifted_h.element
     p = e - f
     w = a - p

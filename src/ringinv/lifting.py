@@ -112,7 +112,7 @@ def lift_idempotent(x: Element) -> LiftedIdempotent:
     defect = x - x * x
     witness = is_nilpotent(defect)
     if witness is None:
-        raise PreconditionError(f"cannot lift {x!r}: x - x^2 is not nilpotent")
+        raise PreconditionError("cannot lift: x - x^2 is not nilpotent")
     cap = (witness.index - 1).bit_length() + 2
     t = x
     poly: Poly = (0, 1)

@@ -755,6 +755,15 @@ class TestLawMemo:
         assert report.ok and report.checked == 27
         assert calls[0] == 243
 
+    @pytest.mark.parametrize("law_id", ["3.3", "3.4"])
+    def test_tripotent_split_tests_no_criterion_again(self, law_id, monkeypatch):
+        """2 is a unit in Z/27, so tripotent_decomposition's two idempotent
+        lifts decide existence; has_hirano is tested once, by the hypothesis."""
+        calls = counting_nilpotency_tests(monkeypatch)
+        report = verify_theorem(law_id, modular(27), strategy="exhaustive")
+        assert report.ok
+        assert calls[0] == 243
+
     def test_hypothesis_runs_once_and_gates_the_conclusion(self, monkeypatch):
         ring = matrix(modular(2), 2)
         law = LAWS["4.4"]

@@ -41,6 +41,7 @@ from ringinv import gen_inverse
 from conftest import (
     COMPANION_M3_Z47,
     M8_Z47_ELEMENT,
+    SMALL_MODULAR,
     SMALL_RINGS,
     all_elements,
     counting_nilpotency_tests,
@@ -124,6 +125,21 @@ class TestHirano:
                 with pytest.raises(PreconditionError, match="has no Hirano inverse"):
                     hirano(a)
 
+    def test_failure_renders_the_element_once(self, monkeypatch):
+        """Only hirano's own message renders the element, not the lift's."""
+        calls = 0
+        render = Element.__repr__
+
+        def counting_repr(self):
+            nonlocal calls
+            calls += 1
+            return render(self)
+
+        monkeypatch.setattr(Element, "__repr__", counting_repr)
+        with pytest.raises(PreconditionError, match="has no Hirano inverse"):
+            hirano(modular(5).element(2))
+        assert calls == 1
+
     def test_mod5_units(self):
         z5 = modular(5)
         assert not has_hirano(z5.element(3))
@@ -168,6 +184,21 @@ class TestStronglyDrazin:
         for a in ring.elements():
             if has_strongly_drazin(a):
                 assert strongly_drazin(a).a == a
+            else:
+                with pytest.raises(PreconditionError, match="has no strongly Drazin inverse"):
+                    strongly_drazin(a)
+
+    @pytest.mark.parametrize(
+        "ring", SMALL_MODULAR + [matrix(modular(2), 2), matrix(modular(3), 2)], ids=str
+    )
+    def test_matches_brute_force(self, ring):
+        """The Hirano inverse that passes the strongly Drazin equations is the
+        one element the exhaustive search finds, and it is missing exactly
+        where the search finds none."""
+        for a in ring.elements():
+            found = brute_force_strongly_drazin(a)
+            if found:
+                assert [strongly_drazin(a).b] == found, a
             else:
                 with pytest.raises(PreconditionError, match="has no strongly Drazin inverse"):
                     strongly_drazin(a)
@@ -527,15 +558,24 @@ class TestClassify:
         assert report.has_hirano and not report.has_strongly_drazin
         assert calls[0] == 7
 
-    def test_strongly_drazin_disagreeing_with_drazin_fails(self, monkeypatch):
-        real = gen_inverse.strongly_drazin
+    def test_strongly_drazin_needs_no_second_lift(self, monkeypatch):
+        """3 in Z/9 has both inverses: the strongly Drazin verdict is the
+        check of the Hirano inverse, not a lift of a - a^2."""
+        calls = counting_nilpotency_tests(monkeypatch)
+        report = classify(modular(9).element(3))
+        assert report.has_hirano and report.has_strongly_drazin
+        assert report.strongly_drazin.b == report.hirano.b == report.drazin.b
+        assert calls[0] == 7
+
+    def test_hirano_disagreeing_with_drazin_fails(self, monkeypatch):
+        real = gen_inverse.hirano
 
         def off_by_one(a):
             cert = real(a)
             return dataclasses.replace(cert, b=cert.b + a.ring.one())
 
-        monkeypatch.setattr(gen_inverse, "strongly_drazin", off_by_one)
-        with pytest.raises(VerificationError, match="strongly Drazin and Drazin"):
+        monkeypatch.setattr(gen_inverse, "hirano", off_by_one)
+        with pytest.raises(VerificationError, match="Hirano and Drazin"):
             classify(modular(9).element(1))
 
 

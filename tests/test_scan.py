@@ -135,6 +135,7 @@ def counting_rows(monkeypatch) -> list[int]:
     return blocks
 
 
+@pytest.mark.usefixtures("wall_clock_limit")
 class TestCentraliserParity:
     @pytest.mark.parametrize(
         "ring, indexes",
