@@ -33,7 +33,9 @@ their instances are scanned a chunk at a time, in one batched call each.
 _LawContext also decides each element once per verify_theorem call: the
 laws ask it for has_hirano, hirano, has_strongly_drazin and strongly_drazin,
 and it keeps each verdict and certificate by the element's entries, so
-exhaustive law 4.1 on Z/27 decides 27 products, not two per triple.  The
+exhaustive law 4.1 on Z/27 decides 27 products, not two per triple.  Its
+strongly_drazin checks the Hirano inverse of its own memo, as
+gen_inverse.strongly_drazin checks a fresh one, so it lifts nothing.  The
 memos die with their call, and each is emptied at LAW_MEMO_CAP entries.
 A raise is not remembered.  Only the context decides a criterion: the
 existence laws (4.3, 5.1, 5.2) compare its verdicts, and each instance
@@ -67,7 +69,9 @@ from .calculus import (
     square_zero_sum,
 )
 from .gen_inverse import (
+    SDrazinCertificate,
     _drazin_axioms,
+    _strongly_drazin_of,
     classify,
     drazin_finite,
     has_hirano,
@@ -76,7 +80,6 @@ from .gen_inverse import (
     hirano_of_hirano,
     inverse_of_two,
     sd_difference_decomposition,
-    strongly_drazin,
     tripotent_decomposition,
 )
 from .rings import (
@@ -316,6 +319,16 @@ class _LawContext:
         self.has_hirano = _bounded_memo(has_hirano)
         self.hirano = _bounded_memo(hirano)
         self.has_strongly_drazin = _bounded_memo(has_strongly_drazin)
+        hirano_of = self.hirano
+
+        def strongly_drazin(x: Element) -> SDrazinCertificate:
+            # the Hirano inverse of the memo above, checked: no second lift
+            try:
+                hir = hirano_of(x)
+            except PreconditionError:
+                hir = None
+            return _strongly_drazin_of(x, hir)
+
         self.strongly_drazin = _bounded_memo(strongly_drazin)
 
     def note(self, text: str) -> None:

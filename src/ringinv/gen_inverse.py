@@ -11,15 +11,17 @@ Existence is decided by polynomial criteria: a has a Hirano inverse iff
 a - a^3 is nilpotent, and a strongly Drazin inverse iff a - a^2 is
 nilpotent.  The Hirano inverse is built by idempotent lifting and unipotent
 inversion; the strongly Drazin inverse is the Hirano inverse that passes
-its equations.  Every certificate re-verifies its defining equations before
-it is returned.  In a finite ring the Drazin inverse is a power of a whose
-exponent comes from the ring alone (unit_exponent and nilpotency_bound),
-so no power orbit is walked.
+its equations.  hirano and strongly_drazin raise PreconditionError when no
+inverse exists; classify asks the builder behind them, which answers None
+instead, so it renders no message only to discard it.  Every certificate
+re-verifies its defining equations before it is returned.  In a finite ring
+the Drazin inverse is a power of a whose exponent comes from the ring alone
+(unit_exponent and nilpotency_bound) and is computed once per ring, so no
+power orbit is walked.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 from .lifting import (
@@ -36,8 +38,6 @@ from .rings import (
     VerificationError,
     is_nilpotent,
     inverse_of_unipotent,
-    nilpotency_bound,
-    unit_exponent,
 )
 
 
@@ -99,17 +99,22 @@ def _drazin_axioms(a: Element, b: Element) -> tuple[Element, NilpotencyWitness] 
     return _nilpotent_defect(a, b, lambda ab: a - a * ab)
 
 
-def check_drazin(a: Element, b: Element, index: int) -> DrazinCertificate | None:
-    found = _drazin_axioms(a, b)
-    if found is None:
-        return None
-    defect, witness = found
+def _drazin_with_index(
+    a: Element, b: Element, found: tuple[Element, NilpotencyWitness], index: int
+) -> DrazinCertificate | None:
+    """The certificate when a^k = a^(k+1) b for k = index, given the Drazin
+    axioms' (defect, witness) found for a and b."""
     if index < 0:
         return None
     power = a ** index
     if power != power * a * b:
         return None
-    return DrazinCertificate(a, b, defect, witness, index)
+    return DrazinCertificate(a, b, *found, index)
+
+
+def check_drazin(a: Element, b: Element, index: int) -> DrazinCertificate | None:
+    found = _drazin_axioms(a, b)
+    return None if found is None else _drazin_with_index(a, b, found, index)
 
 
 def has_hirano(a: Element) -> bool:
@@ -122,8 +127,8 @@ def has_strongly_drazin(a: Element) -> bool:
     return is_nilpotent(a - a * a) is not None
 
 
-def hirano(a: Element) -> HiranoCertificate:
-    """Construct the Hirano inverse of a.
+def _hirano_inverse(a: Element) -> HiranoCertificate | None:
+    """The Hirano inverse of a, or None when a has none.
 
     Lift a^2 to an idempotent e, write a^2 = e + w with w nilpotent, and
     take b = a * (1 + w)^-1 * e.  Everything in sight is a polynomial in a.
@@ -133,9 +138,7 @@ def hirano(a: Element) -> HiranoCertificate:
     try:
         e = lift_idempotent(a * a).element
     except PreconditionError:
-        raise PreconditionError(
-            f"{a!r} has no Hirano inverse: a - a^3 is not nilpotent"
-        ) from None
+        return None
     w = a * a - e
     one = a.ring.one()
     b = a * (inverse_of_unipotent(one + w) * e)
@@ -145,16 +148,29 @@ def hirano(a: Element) -> HiranoCertificate:
     return cert
 
 
+def hirano(a: Element) -> HiranoCertificate:
+    """Construct the Hirano inverse of a (see _hirano_inverse)."""
+    cert = _hirano_inverse(a)
+    if cert is None:
+        raise PreconditionError(f"{a!r} has no Hirano inverse: a - a^3 is not nilpotent")
+    return cert
+
+
+def _strongly_drazin_of(a: Element, hir: HiranoCertificate | None) -> SDrazinCertificate:
+    """The Hirano inverse hir of a (None when a has none), if it passes the
+    strongly Drazin equations: both are the Drazin inverse, and
+    a - a^3 = (a - a^2)(1 + a)."""
+    cert = None if hir is None else check_strongly_drazin(a, hir.b)
+    if cert is None:
+        raise PreconditionError(
+            f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
+        )
+    return cert
+
+
 def strongly_drazin(a: Element) -> SDrazinCertificate:
-    """The Hirano inverse, if it passes the strongly Drazin equations: both
-    are the Drazin inverse, and a - a^3 = (a - a^2)(1 + a)."""
-    with suppress(PreconditionError):
-        cert = check_strongly_drazin(a, hirano(a).b)
-        if cert is not None:
-            return cert
-    raise PreconditionError(
-        f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
-    )
+    """The Hirano inverse, if it passes the strongly Drazin equations."""
+    return _strongly_drazin_of(a, _hirano_inverse(a))
 
 
 def drazin_finite(a: Element) -> DrazinCertificate:
@@ -164,17 +180,16 @@ def drazin_finite(a: Element) -> DrazinCertificate:
     Any m that is a multiple of the power period of a and at least its
     index + 1 gives the Drazin inverse; unit_exponent is a multiple of every
     period and nilpotency_bound bounds every index, so this m depends on the
-    ring alone and b costs O(log m) multiplications.  The index is the
-    nilpotency index of the Drazin defect a - a^2 b, because
-    (a - a^2 b)^k = a^k (1 - ab); it is the least i >= 1 with
-    a^i = a^(i+1) b, so units have index 1.
+    ring alone, is computed once per ring, and b costs O(log m)
+    multiplications.  The index is the nilpotency index of the Drazin defect
+    a - a^2 b, because (a - a^2 b)^k = a^k (1 - ab); it is the least i >= 1
+    with a^i = a^(i+1) b, so units have index 1.  The defect is tested once,
+    with ab = ba and bab = b, and its witness gives the index that the
+    index equation then checks.
     """
-    ring = a.ring
-    exponent = unit_exponent(ring)
-    m = -((nilpotency_bound(ring) + 1) // -exponent) * exponent
-    b = a ** (m - 1)
-    witness = is_nilpotent(a - a * (a * b))
-    cert = None if witness is None else check_drazin(a, b, index=witness.index)
+    b = a ** (a.ring._drazin_exponent - 1)
+    found = _drazin_axioms(a, b)
+    cert = None if found is None else _drazin_with_index(a, b, found, found[1].index)
     if cert is None:
         raise VerificationError("power-formula Drazin inverse failed its equations")
     return cert
@@ -207,13 +222,10 @@ class InverseReport:
 
 
 def classify(a: Element) -> InverseReport:
-    hir: HiranoCertificate | None = None
-    sd: SDrazinCertificate | None = None
     # a strongly Drazin inverse is the Hirano inverse (see strongly_drazin),
     # so one lift and a check of its equations decide both
-    with suppress(PreconditionError):
-        hir = hirano(a)
-        sd = check_strongly_drazin(a, hir.b)
+    hir = _hirano_inverse(a)
+    sd = None if hir is None else check_strongly_drazin(a, hir.b)
     ring = a.ring
     if ring.is_finite:
         dz: DrazinCertificate | None = drazin_finite(a)
@@ -399,11 +411,10 @@ def hirano_of_hirano(cert: HiranoCertificate) -> Element:
     """The Hirano inverse of the inverse: a^2 * b, cross-checked directly."""
     a, b = cert.a, cert.b
     y = a * a * b
-    try:
-        inverse = hirano(b).b
-    except PreconditionError:
-        raise VerificationError("a Hirano inverse must itself be Hirano invertible") from None
-    if inverse != y:
+    inverse = _hirano_inverse(b)
+    if inverse is None:
+        raise VerificationError("a Hirano inverse must itself be Hirano invertible")
+    if inverse.b != y:
         raise VerificationError("inverse-of-inverse formula disagreed with construction")
     return y
 

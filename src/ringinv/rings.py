@@ -162,6 +162,14 @@ class RingSpec:
         k = max(1, self.dim)
         return k if self.modulus is None else k * factorize(self.modulus).max_exponent
 
+    @functools.cached_property
+    def _drazin_exponent(self) -> int:
+        """The first multiple of ``unit_exponent(self)`` that is at least
+        ``nilpotency_bound(self) + 1``: a^m = a^(2m) for every element a, and
+        a^(m-1) is its Drazin inverse.  Raises InfiniteRingError for Z and Mk(Z)."""
+        exponent = unit_exponent(self)
+        return -((self._nilpotency_bound + 1) // -exponent) * exponent
+
     def __reduce__(self):
         # pickle and copy rebuild the ring from its fields, without the cached
         # constants and the compiled kernels above
@@ -640,9 +648,34 @@ def char_poly(x: Element) -> tuple[int, ...]:
 
 
 def det(x: Element) -> int:
-    """Exact determinant, reduced in the entry ring."""
-    c0 = char_poly(x)[0]
-    d = c0 if x.ring.dim % 2 == 0 else -c0
+    """Exact determinant, reduced in the entry ring.
+
+    Fraction-free (Bareiss) elimination over Z: step i replaces each entry
+    below and right of the pivot by a 2x2 minor divided by the previous
+    pivot, a division that is exact, and a zero pivot is swapped with a
+    lower row, which flips the sign.  The last pivot is then the
+    determinant.  char_poly(x)[0] = (-1)^k det(x) is its test oracle.
+    """
+    if not x.ring.is_matrix:
+        raise PreconditionError("det needs a matrix element")
+    k = x.ring.dim
+    m = [list(x.entries[i:i + k]) for i in range(0, k * k, k)]
+    sign, previous = 1, 1
+    for i in range(k - 1):
+        if not m[i][i]:
+            swap = next((r for r in range(i + 1, k) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        pivot_row = m[i]
+        pivot = pivot_row[i]
+        for row in m[i + 1:]:
+            c = row[i]
+            for j in range(i + 1, k):
+                row[j] = (pivot * row[j] - c * pivot_row[j]) // previous
+        previous = pivot
+    d = sign * m[k - 1][k - 1]
     mod = x.ring.modulus
     return d % mod if mod is not None else d
 

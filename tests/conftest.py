@@ -81,16 +81,27 @@ def hirano_fails_at_two(monkeypatch):
 def counting_nilpotency_tests(monkeypatch) -> list[int]:
     """Patch is_nilpotent in every module that imports it; the one-item list
     counts the calls."""
-    real = rings.is_nilpotent
+    return counting_calls(monkeypatch, [rings, lifting, gen_inverse, census], "is_nilpotent")
+
+
+def counting_calls(monkeypatch, modules, name) -> list[int]:
+    """Patch the function ``name`` in each of ``modules``; the one-item list
+    counts the calls."""
+    real = getattr(modules[0], name)
     calls = [0]
 
-    def counting(x):
+    def counting(*args):
         calls[0] += 1
-        return real(x)
+        return real(*args)
 
-    for module in (rings, lifting, gen_inverse, census):
-        monkeypatch.setattr(module, "is_nilpotent", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def counting_renders(monkeypatch) -> list[int]:
+    """Patch Element.__repr__; the one-item list counts the renders."""
+    return counting_calls(monkeypatch, [rings.Element], "__repr__")
 
 
 @pytest.fixture

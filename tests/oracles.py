@@ -7,7 +7,9 @@ ab = ba on every element instead of generating the centraliser.
 kernel_mod is the one-matrix elimination that the batched _kernels_mod
 replaced.
 semigroup_profile walks the power orbit of an element, the O(index +
-period) route that drazin_finite and unit_exponent avoid.  naive_product is
+period) route that drazin_finite and unit_exponent avoid.  brute_force_units
+searches the whole ring for two-sided inverses, where is_unit reads a
+determinant.  naive_product is
 the textbook triple loop that Element.__mul__'s compiled kernels replace, and
 naive_entrywise and naive_scale do the same for sums, differences and integer
 multiples.
@@ -100,6 +102,20 @@ def brute_force_drazin(a: Element) -> list[Element]:
     if not a.ring.is_finite:
         raise InfiniteRingError(f"cannot scan {a.ring}")
     return [b for b in a.ring.elements() if _drazin_axioms(a, b) is not None]
+
+
+def brute_force_units(ring) -> list[bool]:
+    """Whether each element of a finite matrix ring, in enumeration order,
+    has some b with ab = ba = 1: every product of the ring, formed in numpy."""
+    k, n = ring.dim, ring.modulus
+    mats = np.array([x.entries for x in ring.elements()], dtype=np.int64).reshape(-1, k, k)
+    one = np.eye(k, dtype=np.int64)
+    found = []
+    for a in mats:
+        left = ((a @ mats) % n == one).all(axis=(1, 2))
+        right = ((mats @ a) % n == one).all(axis=(1, 2))
+        found.append(bool((left & right).any()))
+    return found
 
 
 def kernel_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,11 +29,11 @@ from ringinv import (
     run_census,
     verify_theorem,
 )
-from ringinv import _scan, census
+from ringinv import _scan, census, gen_inverse
 from ringinv._scan import RingScan, check_scan_fits
 from ringinv.census import _LawContext
 
-from conftest import HIRANO_FAILURE, SMALL_RINGS, counting_nilpotency_tests
+from conftest import HIRANO_FAILURE, SMALL_RINGS, counting_calls, counting_nilpotency_tests
 
 Z3_COUNTS = {
     "total": 3,
@@ -754,6 +754,19 @@ class TestLawMemo:
         report = verify_theorem("3.2", modular(27), strategy="exhaustive")
         assert report.ok and report.checked == 27
         assert calls[0] == 243
+
+    @pytest.mark.parametrize(
+        "ring, lifts",
+        [(modular(27), 27), (matrix(modular(3), 2), 63), (matrix(modular(5), 2), 165)],
+        ids=str,
+    )
+    def test_law_2_4_lifts_each_element_once(self, ring, lifts, monkeypatch):
+        """The strongly Drazin inverse of a^2 is checked from the Hirano
+        memo: one lift per distinct a and a^2 the law decides."""
+        calls = counting_calls(monkeypatch, [gen_inverse], "lift_idempotent")
+        report = verify_theorem("2.4", ring, strategy="exhaustive")
+        assert report.ok
+        assert calls[0] == lifts
 
     @pytest.mark.parametrize("law_id", ["3.3", "3.4"])
     def test_tripotent_split_tests_no_criterion_again(self, law_id, monkeypatch):

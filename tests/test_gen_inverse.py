@@ -45,6 +45,7 @@ from conftest import (
     SMALL_RINGS,
     all_elements,
     counting_nilpotency_tests,
+    counting_renders,
     ring_elements,
 )
 from oracles import (
@@ -127,18 +128,10 @@ class TestHirano:
 
     def test_failure_renders_the_element_once(self, monkeypatch):
         """Only hirano's own message renders the element, not the lift's."""
-        calls = 0
-        render = Element.__repr__
-
-        def counting_repr(self):
-            nonlocal calls
-            calls += 1
-            return render(self)
-
-        monkeypatch.setattr(Element, "__repr__", counting_repr)
+        calls = counting_renders(monkeypatch)
         with pytest.raises(PreconditionError, match="has no Hirano inverse"):
             hirano(modular(5).element(2))
-        assert calls == 1
+        assert calls[0] == 1
 
     def test_mod5_units(self):
         z5 = modular(5)
@@ -178,6 +171,18 @@ class TestStronglyDrazin:
         message = f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
         with pytest.raises(PreconditionError, match=re.escape(message)):
             strongly_drazin(a)
+
+    @pytest.mark.parametrize("modulus", [5, 27], ids=["not Hirano", "Hirano"])
+    def test_failure_renders_the_element_once(self, modulus, monkeypatch):
+        """2 in Z/5 has no Hirano inverse and 2 in Z/27 one that fails the
+        strongly Drazin equations: either way only strongly_drazin's own
+        message renders the element."""
+        a = modular(modulus).element(2)
+        message = f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
+        calls = counting_renders(monkeypatch)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            strongly_drazin(a)
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("ring", SMALL_RINGS, ids=str)
     def test_raises_exactly_where_the_criterion_fails(self, ring):
@@ -295,7 +300,9 @@ class TestDrazinMatchesOrbitWalk:
     def test_short_exponent_fails_verification(self, monkeypatch):
         ring = matrix(modular(5), 2)
         short = unit_exponent(ring) // 2
-        monkeypatch.setattr(gen_inverse, "unit_exponent", lambda _ring: short)
+        # the ring's cached exponent, m = short * ceil((bound + 1) / short)
+        m = -((nilpotency_bound(ring) + 1) // -short) * short
+        monkeypatch.setitem(vars(ring), "_drazin_exponent", m)
         caught = 0
         for a in ring.elements():
             if short % semigroup_profile(a).period:
@@ -556,7 +563,7 @@ class TestClassify:
         calls = counting_nilpotency_tests(monkeypatch)
         report = classify(modular(27).element(2))
         assert report.has_hirano and not report.has_strongly_drazin
-        assert calls[0] == 7
+        assert calls[0] == 6
 
     def test_strongly_drazin_needs_no_second_lift(self, monkeypatch):
         """3 in Z/9 has both inverses: the strongly Drazin verdict is the
@@ -565,16 +572,22 @@ class TestClassify:
         report = classify(modular(9).element(3))
         assert report.has_hirano and report.has_strongly_drazin
         assert report.strongly_drazin.b == report.hirano.b == report.drazin.b
-        assert calls[0] == 7
+        assert calls[0] == 6
+
+    def test_non_hirano_element_renders_nothing(self, monkeypatch):
+        calls = counting_renders(monkeypatch)
+        report = classify(modular(5).element(2))
+        assert not report.has_hirano and report.has_drazin
+        assert calls[0] == 0
 
     def test_hirano_disagreeing_with_drazin_fails(self, monkeypatch):
-        real = gen_inverse.hirano
+        real = gen_inverse._hirano_inverse
 
         def off_by_one(a):
             cert = real(a)
             return dataclasses.replace(cert, b=cert.b + a.ring.one())
 
-        monkeypatch.setattr(gen_inverse, "hirano", off_by_one)
+        monkeypatch.setattr(gen_inverse, "_hirano_inverse", off_by_one)
         with pytest.raises(VerificationError, match="Hirano and Drazin"):
             classify(modular(9).element(1))
 

@@ -45,7 +45,7 @@ from conftest import (
     ring_element_pairs,
     ring_elements,
 )
-from oracles import naive_entrywise, naive_product, naive_scale
+from oracles import brute_force_units, naive_entrywise, naive_product, naive_scale
 
 
 class TestRingSpec:
@@ -549,3 +549,61 @@ class TestCharPoly:
         a, b = pair
         n = a.ring.modulus
         assert det(a * b) % n == (det(a) * det(b)) % n
+
+
+@st.composite
+def small_square_matrices(draw):
+    """A k-by-k matrix, k <= 6, with entries in [-9, 9], over Z or a Z/n."""
+    base = draw(st.sampled_from([Z] + [modular(n) for n in (2, 4, 6, 9, 25)]))
+    k = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=k * k, max_size=k * k))
+    return matrix(base, k).element([entries[i:i + k] for i in range(0, k * k, k)])
+
+
+class TestDet:
+    """det eliminates; the characteristic polynomial, whose constant term
+    is (-1)^k det, is its oracle."""
+
+    @given(small_square_matrices())
+    @settings(max_examples=300)
+    def test_matches_the_characteristic_polynomial(self, a):
+        c0 = char_poly(a)[0]
+        expected = c0 if a.ring.dim % 2 == 0 else -c0
+        n = a.ring.modulus
+        assert det(a) == (expected if n is None else expected % n)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[-7]], -7),
+            ([[0, 1], [1, 0]], -1),
+            ([[0, 2, 1], [3, 0, 0], [1, 1, 1]], -3),
+            # the second pivot vanishes after the first step
+            ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),
+            ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 1),
+            ([[1, 2], [2, 4]], 0),
+            ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+            ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0),
+        ],
+        ids=["k=1", "swap", "zero leading pivot", "zero second pivot", "reversal",
+             "singular 2x2", "zero column", "singular 3x3"],
+    )
+    def test_fixtures_over_integers(self, rows, expected):
+        a = matrix(Z, len(rows)).element(rows)
+        assert det(a) == expected
+        c0 = char_poly(a)[0]
+        assert det(a) == (c0 if len(rows) % 2 == 0 else -c0)
+
+    def test_reduced_in_the_entry_ring(self):
+        assert det(matrix(modular(5), 1).element([[7]])) == 2
+        assert det(matrix(modular(6), 2).element([[0, 5], [1, 0]])) == 1
+
+    def test_scalar_rejected(self):
+        with pytest.raises(PreconditionError):
+            det(modular(9).element(3))
+
+    @pytest.mark.parametrize("ring", [matrix(modular(4), 2), matrix(modular(6), 2)], ids=str)
+    def test_is_unit_matches_inverse_search(self, ring):
+        units = [is_unit(a) for a in ring.elements()]
+        assert units == brute_force_units(ring)
+        assert 0 < sum(units) < ring.size()
