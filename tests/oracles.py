@@ -9,10 +9,9 @@ replaced.
 semigroup_profile walks the power orbit of an element, the O(index +
 period) route that drazin_finite and unit_exponent avoid.  brute_force_units
 searches the whole ring for two-sided inverses, where is_unit reads a
-determinant.  naive_product is
-the textbook triple loop that Element.__mul__'s compiled kernels replace, and
-naive_entrywise and naive_scale do the same for sums, differences and integer
-multiples.
+determinant.  naive_product is the textbook triple loop that
+Element.__mul__'s compiled kernels replace, and naive_entrywise and
+naive_scale do the same for sums, differences and integer multiples.
 """
 
 from __future__ import annotations
