@@ -24,8 +24,10 @@ instance space or on seeded samples, with violations surfaced as
 structured records.  A pass is (arity, hypothesis, conclusion): the engine
 tests the hypothesis once per instance and checks the instances that meet
 it.  A conclusion returns True when it verified and a detail string when
-the instance falsifies the law; a VerificationError it raises (a
-construction failing its own check) is recorded as a violation too.
+the instance falsifies the law; a VerificationError or PreconditionError
+it raises (a construction failing its own check, or refusing an instance
+its law's criterion admitted) is recorded as a violation too, so no
+conclusion aborts a run; a refused request raises before any instance.
 The laws that consult the equation scan read it through _LawContext,
 which scans each index once; laws 2.2 and 3.1 scan every instance, so
 their instances are scanned a chunk at a time, in one batched call each.
@@ -34,8 +36,8 @@ _LawContext also decides each element once per verify_theorem call: the
 laws ask it for has_hirano, hirano, has_strongly_drazin and strongly_drazin,
 and it keeps each verdict and certificate by the element's entries, so
 exhaustive law 4.1 on Z/27 decides 27 products, not two per triple.  Its
-strongly_drazin checks the Hirano inverse of its own memo, as
-gen_inverse.strongly_drazin checks a fresh one, so it lifts nothing.  The
+strongly_drazin checks the Hirano inverse of its own memo and answers
+None when it fails the equations, so it lifts nothing.  The
 memos die with their call, and each is emptied at LAW_MEMO_CAP entries.
 A raise is not remembered.  Only the context decides a criterion: the
 existence laws (4.3, 5.1, 5.2) compare its verdicts, and each instance
@@ -57,6 +59,7 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,9 +72,8 @@ from .calculus import (
     square_zero_sum,
 )
 from .gen_inverse import (
-    SDrazinCertificate,
     _drazin_axioms,
-    _strongly_drazin_of,
+    check_strongly_drazin,
     classify,
     drazin_finite,
     has_hirano,
@@ -311,40 +313,27 @@ def _bounded_memo(decide):
 class _LawContext:
     ring: RingSpec
     notes: list = field(default_factory=list)
-    _scan: RingScan | None = None
-    _tripotents: list[int] | None = None
     _scanned: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.has_hirano = _bounded_memo(has_hirano)
-        self.hirano = _bounded_memo(hirano)
+        self.hirano = hirano_of = _bounded_memo(hirano)
         self.has_strongly_drazin = _bounded_memo(has_strongly_drazin)
-        hirano_of = self.hirano
-
-        def strongly_drazin(x: Element) -> SDrazinCertificate:
-            # the Hirano inverse of the memo above, checked: no second lift
-            try:
-                hir = hirano_of(x)
-            except PreconditionError:
-                hir = None
-            return _strongly_drazin_of(x, hir)
-
-        self.strongly_drazin = _bounded_memo(strongly_drazin)
+        # the Hirano memo's inverse, checked; capturing self would make a cycle
+        self.strongly_drazin = _bounded_memo(lambda x: check_strongly_drazin(x, hirano_of(x).b))
 
     def note(self, text: str) -> None:
         if text not in self.notes:
             self.notes.append(text)
 
-    @property
+    @cached_property
     def scan(self) -> RingScan:
-        if self._scan is None:
-            if self.ring.size() > ORACLE_RING_CAP:
-                raise PreconditionError(
-                    f"{self.ring} is too large for the equation-scan oracle "
-                    f"(cap {ORACLE_RING_CAP} elements)"
-                )
-            self._scan = RingScan(self.ring)
-        return self._scan
+        if self.ring.size() > ORACLE_RING_CAP:
+            raise PreconditionError(
+                f"{self.ring} is too large for the equation-scan oracle "
+                f"(cap {ORACLE_RING_CAP} elements)"
+            )
+        return RingScan(self.ring)
 
     def scanned_hirano(self, index: int) -> list[int]:
         """The Hirano inverses the equation scan finds for one element,
@@ -369,12 +358,10 @@ class _LawContext:
     def oracle_ok(self) -> bool:
         return self.ring.size() <= ORACLE_RING_CAP
 
-    @property
+    @cached_property
     def tripotents(self) -> list[int]:
         """Indexes of the tripotents, in enumeration order."""
-        if self._tripotents is None:
-            self._tripotents = np.flatnonzero(self.scan.tripotent_mask()).tolist()
-        return self._tripotents
+        return np.flatnonzero(self.scan.tripotent_mask()).tolist()
 
 
 def _hirano(ctx: _LawContext, a: Element) -> bool:
@@ -403,6 +390,15 @@ def _orthogonal_hirano(ctx: _LawContext, a: Element, b: Element) -> bool:
 
 def _square_zero(ctx: _LawContext, a: Element, b: Element) -> bool:
     return a * a == ctx.ring.zero() == b * b and ctx.has_strongly_drazin(a * b)
+
+
+def _scannable(ctx: _LawContext) -> bool:
+    """Law 3.6 needs the scan: a larger ring is refused, not a violation."""
+    if not ctx.oracle_ok:
+        raise PreconditionError(
+            f"{ctx.ring} is too large for the whole-ring law (cap {ORACLE_RING_CAP})"
+        )
+    return True
 
 
 def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
@@ -434,10 +430,12 @@ def _law_square_route(ctx: _LawContext, a: Element):
     if hir != sd2:
         return f"has_hirano(a) = {hir} but has_strongly_drazin(a^2) = {sd2}"
     h = ctx.hirano(a).b
-    s = ctx.strongly_drazin(a2).b
-    if s != h * h:
+    sd = ctx.strongly_drazin(a2)
+    if sd is None:
+        return "the Hirano inverse of a^2 fails the strongly Drazin equations"
+    if sd.b != h * h:
         return "strongly Drazin inverse of a^2 is not the squared Hirano inverse"
-    if h != a * s:
+    if h != a * sd.b:
         return "a times the strongly Drazin inverse of a^2 is not the Hirano inverse"
     return True
 
@@ -484,10 +482,6 @@ def _law_sd_difference_converse(ctx: _LawContext, b: Element, c: Element):
 
 def _law_all_hirano_ring(ctx: _LawContext):
     ring = ctx.ring
-    if not ctx.oracle_ok:
-        raise PreconditionError(
-            f"{ring} is too large for the whole-ring law (cap {ORACLE_RING_CAP})"
-        )
     all_hirano = all(has_hirano(a) for a in ring.elements())
     split = ctx.scan.tripotent_split_mask(ctx.tripotents)
     unsplit = np.flatnonzero(~split)
@@ -597,7 +591,7 @@ LAWS: dict[str, _Law] = {
             ),
             requires_half=True,
         ),
-        _Law("3.6", ((0, None, _law_all_hirano_ring),)),
+        _Law("3.6", ((0, _scannable, _law_all_hirano_ring),)),
         _Law("4.1", ((3, _aba_is_aca, _law_cline),)),
         _Law("4.2", ((2, None, lambda ctx, a, b: _law_cline(ctx, a, b, b)),)),
         _Law("4.3", ((2, None, _law_power_transfer),)),
@@ -628,6 +622,10 @@ def verify_theorem(
 ) -> TheoremReport:
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_EXHAUSTIVE_INSTANCES:
+        raise PreconditionError(
+            f"samples must be at most {MAX_EXHAUSTIVE_INSTANCES}, got {samples}"
+        )
     law = LAWS.get(theorem_id)
     if law is None:
         known = ", ".join(sorted(LAWS))
@@ -680,7 +678,7 @@ def verify_theorem(
             checked += 1
             try:
                 verdict = conclusion(ctx, *elems)
-            except VerificationError as err:
+            except (PreconditionError, VerificationError) as err:
                 verdict = str(err)
             if verdict is not True:
                 violations.append(

@@ -156,21 +156,16 @@ def hirano(a: Element) -> HiranoCertificate:
     return cert
 
 
-def _strongly_drazin_of(a: Element, hir: HiranoCertificate | None) -> SDrazinCertificate:
-    """The Hirano inverse hir of a (None when a has none), if it passes the
-    strongly Drazin equations: both are the Drazin inverse, and
-    a - a^3 = (a - a^2)(1 + a)."""
+def strongly_drazin(a: Element) -> SDrazinCertificate:
+    """The Hirano inverse, if it passes the strongly Drazin equations: both
+    are the Drazin inverse, and a - a^3 = (a - a^2)(1 + a)."""
+    hir = _hirano_inverse(a)
     cert = None if hir is None else check_strongly_drazin(a, hir.b)
     if cert is None:
         raise PreconditionError(
             f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
         )
     return cert
-
-
-def strongly_drazin(a: Element) -> SDrazinCertificate:
-    """The Hirano inverse, if it passes the strongly Drazin equations."""
-    return _strongly_drazin_of(a, _hirano_inverse(a))
 
 
 def drazin_finite(a: Element) -> DrazinCertificate:
@@ -198,11 +193,12 @@ def drazin_finite(a: Element) -> DrazinCertificate:
 def _drazin_from_hirano(cert: HiranoCertificate) -> DrazinCertificate:
     """Over Z, a Hirano inverse is the Drazin inverse; find its index by search."""
     a, b = cert.a, cert.b
-    bound = max(1, a.ring.dim)
-    for k in range(bound + 2):
-        out = check_drazin(a, b, index=k)
-        if out is not None:
-            return out
+    found = _drazin_axioms(a, b)  # tested once, then each index in turn
+    if found is not None:
+        for k in range(max(1, a.ring.dim) + 2):
+            out = _drazin_with_index(a, b, found, k)
+            if out is not None:
+                return out
     raise VerificationError("no Drazin index found for a verified Hirano inverse")
 
 

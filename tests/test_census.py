@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -588,9 +590,81 @@ def flipping(flipped):
     return verdict
 
 
+class TestFailureRule:
+    """Whatever a conclusion raises is a violation of its instance; only a
+    refused request, raised before the first instance, aborts a run."""
+
+    # In the commutative Z/5 the verdict-comparing laws (4.3, 5.1, 5.2)
+    # compare the flipped verdict with itself, 5.5 admits only a = b = 0 and
+    # 3.6 has no element inputs; every other law asks for 2's inverse, its
+    # split or its scan once its hypothesis admits 2.
+    ASKS_FOR_TWO = {
+        "2.1", "2.2", "2.4", "3.1", "3.2", "3.3", "3.4", "4.1", "4.2", "4.4", "4.5", "5.4",
+    }
+
+    def test_flipped_criterion_aborts_no_law(self, monkeypatch):
+        ring = modular(5)
+        two = ring.element(2)
+        monkeypatch.setattr(census, "has_hirano", flipping(two))
+        reports = {law_id: verify_theorem(law_id, ring) for law_id in LAWS}
+        with_two = {
+            law_id
+            for law_id, report in reports.items()
+            if any("2" in v.inputs for v in report.violations)
+        }
+        assert with_two == self.ASKS_FOR_TWO
+        assert reports["2.1"].violations == (
+            ViolationRecord(
+                law="2.1",
+                inputs=("2",),
+                detail=f"{two!r} has no Hirano inverse: a - a^3 is not nilpotent",
+            ),
+        )
+        assert [v.detail for v in reports["3.3"].violations] == [
+            f"{two!r} does not decompose: a - a^3 is not nilpotent"
+        ]
+
+    def test_square_route_records_a_failed_strongly_drazin_check(self, monkeypatch):
+        ring = modular(5)
+        one = ring.one()
+        check = census.check_strongly_drazin
+        monkeypatch.setattr(
+            census,
+            "check_strongly_drazin",
+            lambda x, b: None if x == one else check(x, b),
+        )
+        report = verify_theorem("2.4", ring)
+        assert [v.inputs for v in report.violations] == [("1",), ("4",)]
+        assert {v.detail for v in report.violations} == {
+            "the Hirano inverse of a^2 fails the strongly Drazin equations"
+        }
+
+    def test_sample_count_is_bounded_before_any_draw(self, monkeypatch):
+        cap = census.MAX_EXHAUSTIVE_INSTANCES
+        assert verify_theorem("3.6", modular(9), samples=cap).ok
+        monkeypatch.setattr(RingSpec, "element_at", None)
+        with pytest.raises(PreconditionError, match=f"at most {cap}, got {cap + 1}"):
+            verify_theorem("4.1", matrix(modular(7), 2), samples=cap + 1)
+
+
 class TestLawMemo:
     """Each verify_theorem call decides an element's criteria and
     certificates once; nothing is remembered across calls or after a raise."""
+
+    def test_context_is_freed_without_the_cycle_collector(self):
+        """No memo holds its context: a cycle would keep each run's scan and
+        memos alive until the collector ran."""
+        ring = modular(27)
+        ctx = _LawContext(ring)
+        assert ctx.strongly_drazin(ring.element(1)) is not None
+        ctx.tripotents  # fills both cached properties, scan and tripotents
+        freed = weakref.ref(ctx)
+        gc.disable()
+        try:
+            del ctx
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_law_4_1_decides_each_product_once(self, monkeypatch):
         ring = modular(27)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ringinv import _scan, matrix, modular, parse_element, parse_ring
+from ringinv import RingSpec, _scan, census, matrix, modular, parse_element, parse_ring
 from ringinv.cli import main
 
 from conftest import HIRANO_FAILURE, M8_Z47_ELEMENT, UNFACTORABLE_MODULUS
@@ -244,6 +244,24 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "samples" in err
 
+    def test_oversized_sample_count_fails_before_any_draw(self, capsys, monkeypatch):
+        monkeypatch.setattr(census, "_LawContext", None)
+        monkeypatch.setattr(RingSpec, "element_at", None)
+        code, out, err = run(capsys, "verify", "4.1", "M2(Z/7)", "--samples", "100000000")
+        assert (code, out) == (1, "")
+        assert err == "error: samples must be at most 2000000, got 100000000\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("3.6", "M3(Z/4)"), "M3(Z/4) is too large for the whole-ring law (cap 65536)"),
+            (("3.4", "Z/12"), "law 3.4 needs 2 to be a unit, which fails in Z/12"),
+        ],
+        ids=["3.6-oversized", "3.4-no-half"],
+    )
+    def test_refused_request_exits_1_with_its_reason(self, capsys, argv, err):
+        assert run(capsys, "verify", *argv) == (1, "", f"error: {err}\n")
+
     def test_unknown_law_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "9.9", "Z/9")
         assert code == 1
@@ -252,7 +270,7 @@ class TestVerify:
     def test_half_requiring_law_fails_on_even_characteristic(self, capsys):
         code, _, err = run(capsys, "verify", "3.3", "M2(Z/2)")
         assert code == 1
-        assert err.startswith("error:")
+        assert err == "error: law 3.3 needs 2 to be a unit, which fails in M2(Z/2)\n"
 
 
 class TestParsing:

@@ -44,6 +44,7 @@ from conftest import (
     SMALL_MODULAR,
     SMALL_RINGS,
     all_elements,
+    counting_calls,
     counting_nilpotency_tests,
     counting_renders,
     ring_elements,
@@ -573,6 +574,16 @@ class TestClassify:
         assert report.has_hirano and report.has_strongly_drazin
         assert report.strongly_drazin.b == report.hirano.b == report.drazin.b
         assert calls[0] == 6
+
+    def test_integer_drazin_axioms_are_tested_once(self, monkeypatch):
+        """Over Z the Drazin index is searched: the axioms (and their
+        nilpotent defect) are tested once, not once per candidate index."""
+        a = matrix(Z, 2).element([[1, 0], [0, 0]])
+        calls = counting_calls(monkeypatch, [gen_inverse], "is_nilpotent")
+        report = classify(a)
+        assert report.drazin.b == a and report.drazin.index == 1
+        # check_hirano, check_strongly_drazin, and the Drazin defect once
+        assert calls[0] == 3
 
     def test_non_hirano_element_renders_nothing(self, monkeypatch):
         calls = counting_renders(monkeypatch)

@@ -259,7 +259,8 @@ class TestScanCost:
         """Every index of the sample twice through the law memo: one batched
         scan, whose rows are the distinct indexes' centralisers."""
         scan = scan_of(M4Z2)
-        ctx = _LawContext(M4Z2, _scan=scan)
+        ctx = _LawContext(M4Z2)
+        ctx.scan = scan
         scan.nilpotent_mask()  # whole-ring set-up, built once per scan object
         indexes = sample(M4Z2)
         mul = RingScan._mul

@@ -39,3 +39,10 @@ def test_bench_pairs_help():
     assert result.returncode == 0, result.stderr
     for option in ("--workload", "--seed", "--pairs", "--seconds", "--out"):
         assert option in result.stdout
+
+
+def test_cli_battery_help():
+    result = _run_script("cli_battery.py", "--help")
+    assert result.returncode == 0, result.stderr
+    for text in ("CHECKOUT", "--out", "sha256"):
+        assert text in result.stdout
