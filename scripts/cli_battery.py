@@ -9,7 +9,7 @@ Each checkout runs the whole battery in one interpreter, in-process through
 record is its argv, its exit code and the sha256 of its stdout and of its
 stderr.  With one checkout the records are printed as JSON lines.  With two,
 every argv whose record differs is printed, and the exit code is 1 if any
-does.  ``--out FILE`` also writes every record as JSON.
+does.
 
 The battery: all 17 laws on Z/27 (``--json``), on M2(Z/2), on M2(Z/5)
 sampled (``--samples 200 --seed 4``), and with ``--json --seed 0 --samples
@@ -135,7 +135,6 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("checkouts", type=Path, nargs="*", metavar="CHECKOUT",
                         help="one checkout, or a parent and a change")
-    parser.add_argument("--out", type=Path, help="JSON file for every record")
     parser.add_argument("--inside", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.inside:
@@ -148,9 +147,6 @@ def main() -> int:
     checkouts = [path.resolve() for path in args.checkouts]
     children = [start(path) for path in checkouts]
     results = [collect(path, child, argvs) for path, child in zip(checkouts, children)]
-    if args.out:
-        args.out.write_text(json.dumps(
-            {str(path): records for path, records in zip(checkouts, results)}, indent=1) + "\n")
     if len(results) == 1:
         for record in results[0]:
             print(json.dumps(record))

@@ -44,5 +44,5 @@ def test_bench_pairs_help():
 def test_cli_battery_help():
     result = _run_script("cli_battery.py", "--help")
     assert result.returncode == 0, result.stderr
-    for text in ("CHECKOUT", "--out", "sha256"):
+    for text in ("CHECKOUT", "sha256"):
         assert text in result.stdout
