@@ -80,7 +80,6 @@ from .gen_inverse import (
     has_strongly_drazin,
     hirano,
     hirano_of_hirano,
-    inverse_of_two,
     sd_difference_decomposition,
     tripotent_decomposition,
 )
@@ -569,7 +568,6 @@ def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element):
 class _Law:
     law_id: str
     passes: tuple  # of (arity, hypothesis or None, conclusion)
-    requires_half: bool = False
     # every instance of its single arity-1 pass runs the equation scan
     scans: bool = False
 
@@ -582,14 +580,13 @@ LAWS: dict[str, _Law] = {
         _Law("2.4", ((1, _hirano_or_square_sd, _law_square_route),)),
         _Law("3.1", ((1, None, _law_criterion),), scans=True),
         _Law("3.2", ((1, _hirano, _law_inverse_of_inverse),)),
-        _Law("3.3", ((1, _hirano, _law_tripotent_split),), requires_half=True),
+        _Law("3.3", ((1, _hirano, _law_tripotent_split),)),
         _Law(
             "3.4",
             (
                 (1, _hirano, _law_sd_difference_forward),
                 (2, _commuting_sd, _law_sd_difference_converse),
             ),
-            requires_half=True,
         ),
         _Law("3.6", ((0, _scannable, _law_all_hirano_ring),)),
         _Law("4.1", ((3, _aba_is_aca, _law_cline),)),
@@ -636,10 +633,6 @@ def verify_theorem(
     if size > RING_SIZE_CAP:
         raise PreconditionError(
             f"{ring} has {size} elements, above the cap {RING_SIZE_CAP}"
-        )
-    if law.requires_half and inverse_of_two(ring) is None:
-        raise PreconditionError(
-            f"law {theorem_id} needs 2 to be a unit, which fails in {ring}"
         )
     max_arity = max(arity for arity, *_ in law.passes)
     if strategy is None:

@@ -34,7 +34,6 @@ from .rings import (
     Element,
     NilpotencyWitness,
     PreconditionError,
-    RingSpec,
     VerificationError,
     is_nilpotent,
     inverse_of_unipotent,
@@ -252,9 +251,9 @@ class TripotentDecomposition:
     """a = p + w with p^3 = p, w nilpotent, pw = wp, and p = e - f for
     commuting idempotents e and f.
 
-    Certificates place p (and, when 2 is a unit, e and f) in Z[a].  Over Z
-    the idempotent halves need not be integer polynomials in a, so e and f
-    are populated only when (a^2 +- a)/2 are integer elements and their
+    In a finite ring, certificates place p, e and f in Z[a].  Over Z the
+    idempotent halves need not be integer polynomials in a, so e and f are
+    populated only when (a^2 +- a)/2 are integer elements and their
     certificates stay None.
     """
 
@@ -269,12 +268,13 @@ class TripotentDecomposition:
     minus_certificate: PolynomialCertificate | None
 
 
-def inverse_of_two(ring: RingSpec) -> int | None:
-    """The integer residue acting as 1/2, or None when 2 is not a unit."""
-    m = ring.modulus
-    if m is None or m % 2 == 0:
-        return None
-    return (m + 1) // 2
+def _crt_halves(m: int) -> tuple[int, int]:
+    """(u, c) for m = 2^s * o with o odd: u = 1 mod 2^s and 0 mod o is the
+    2-part's central idempotent, and c = 0 mod 2^s and 1/2 mod o acts as 1/2
+    on the odd part.  An odd m gives (0, (m + 1) / 2)."""
+    two = m & -m
+    odd = m // two
+    return odd * pow(odd, -1, two), two * pow(2 * two, -1, odd)
 
 
 def _half_exact(x: Element) -> Element | None:
@@ -311,18 +311,18 @@ def _validate_decomposition(d: TripotentDecomposition) -> None:
 def tripotent_decomposition(a: Element) -> TripotentDecomposition:
     """Split a Hirano-invertible a as tripotent plus commuting nilpotent.
 
-    When 2 is a unit, lift g = (a^2 + a)/2 and h = (a^2 - a)/2 to
-    idempotents e and f; then p = e - f is tripotent and a - p is
-    nilpotent.  Over Z the split is only available for exact tripotents
-    (a = a^3), where p = a and w = 0.
+    In a finite ring Mk(Z/n), lift g = c(a^2 + a) + ua and h = c(a^2 - a)
+    to idempotents e and f, with (u, c) from _crt_halves(n); then p = e - f
+    is tripotent and a - p is nilpotent.  By CRT the ring is a 2-part, where
+    g = a and h = 0 (2 is nilpotent there, so a - a^2 is nilpotent when
+    a - a^3 is), times an odd part, where c is 1/2 and g, h are (a^2 +- a)/2.
+    Over Z the split is only available for exact tripotents (a = a^3),
+    where p = a and w = 0.
     """
     ring = a.ring
-    inv2 = inverse_of_two(ring)
-    if inv2 is None:
+    if not ring.is_finite:
         if not has_hirano(a):
             raise PreconditionError(f"{a!r} does not decompose: a - a^3 is not nilpotent")
-        if ring.is_finite:
-            raise PreconditionError(f"2 is not a unit in {ring}")
         if a != a ** 3:
             raise PreconditionError(
                 "over Z only exact tripotents (a = a^3) decompose; 2 is not a unit"
@@ -342,9 +342,11 @@ def tripotent_decomposition(a: Element) -> TripotentDecomposition:
         )
         _validate_decomposition(decomp)
         return decomp
-    g = inv2 * (a * a + a)
-    h = inv2 * (a * a - a)
-    try:  # g - g^2 and h - h^2 are multiples of a - a^3 that differ by it
+    u, c = _crt_halves(ring.modulus)
+    square = a * a
+    g = c * (square + a) + u * a
+    h = c * (square - a)
+    try:  # g - g^2 and h - h^2 are nilpotent exactly when a - a^3 is
         lifted_g, lifted_h = lift_idempotent(g), lift_idempotent(h)
     except PreconditionError:
         raise PreconditionError(
@@ -357,10 +359,10 @@ def tripotent_decomposition(a: Element) -> TripotentDecomposition:
     if witness is None:
         raise VerificationError("tripotent decomposition produced a non-nilpotent remainder")
     cert_e = PolynomialCertificate(
-        poly_compose(lifted_g.certificate.coefficients, (0, inv2, inv2)), a
+        poly_compose(lifted_g.certificate.coefficients, (0, u + c, c)), a
     )
     cert_f = PolynomialCertificate(
-        poly_compose(lifted_h.certificate.coefficients, (0, -inv2, inv2)), a
+        poly_compose(lifted_h.certificate.coefficients, (0, -c, c)), a
     )
     cert_p = PolynomialCertificate(poly_sub(cert_e.coefficients, cert_f.coefficients), a)
     decomp = TripotentDecomposition(
@@ -381,8 +383,10 @@ def tripotent_decomposition(a: Element) -> TripotentDecomposition:
 def sd_difference_decomposition(a: Element) -> tuple[Element, Element]:
     """Write a = b - c with commuting b, c both strongly Drazin invertible.
 
-    Takes b = e and c = f - w from the tripotent decomposition.  Both parts
-    differ from an idempotent by a commuting nilpotent, so both pass
+    Takes b = e and c = f - w from the tripotent decomposition, so it works
+    for every Hirano element of a finite ring, and over Z for exact
+    tripotents whose halves (a^2 +- a)/2 are integral.  Both parts differ
+    from an idempotent by a commuting nilpotent, so both pass
     has_strongly_drazin.
     """
     d = tripotent_decomposition(a)

@@ -104,6 +104,11 @@ def counting_renders(monkeypatch) -> list[int]:
     return counting_calls(monkeypatch, [rings.Element], "__repr__")
 
 
+def counting_products(monkeypatch) -> list[int]:
+    """Patch Element.__mul__; the one-item list counts the products."""
+    return counting_calls(monkeypatch, [rings.Element], "__mul__")
+
+
 @pytest.fixture
 def wall_clock_limit():
     """Fail the test with TimeoutError once it has run WALL_CLOCK_LIMIT

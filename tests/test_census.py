@@ -12,7 +12,6 @@ import pytest
 from ringinv import (
     LAWS,
     CensusMismatchError,
-    Element,
     InfiniteRingError,
     PreconditionError,
     RingSpec,
@@ -35,7 +34,13 @@ from ringinv import _scan, census, gen_inverse
 from ringinv._scan import RingScan, check_scan_fits
 from ringinv.census import _LawContext
 
-from conftest import HIRANO_FAILURE, SMALL_RINGS, counting_calls, counting_nilpotency_tests
+from conftest import (
+    HIRANO_FAILURE,
+    SMALL_RINGS,
+    counting_calls,
+    counting_nilpotency_tests,
+    counting_products,
+)
 
 Z3_COUNTS = {
     "total": 3,
@@ -106,6 +111,8 @@ BATTERY = [
     ("2.4", "M2(Z/2)", 16, 14),
     ("3.1", "M2(Z/2)", 16, 16),
     ("3.2", "M2(Z/2)", 16, 14),
+    ("3.3", "M2(Z/2)", 16, 14),
+    ("3.4", "M2(Z/2)", 272, 90),
     ("3.6", "M2(Z/2)", 1, 1),
     ("4.1", "M2(Z/2)", 4096, 1504),
     ("4.2", "M2(Z/2)", 256, 256),
@@ -340,19 +347,11 @@ class TestTripotentSplits:
 
     def test_multiplications_are_bounded(self, monkeypatch):
         ring = matrix(modular(7), 2)
-        calls = 0
-        mul = Element.__mul__
-
-        def counting_mul(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
-
-        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        calls = counting_products(monkeypatch)
         report = verify_theorem("3.6", ring)
         monkeypatch.undo()
         assert report.ok
-        assert calls <= 8 * ring.size()
+        assert calls[0] <= 8 * ring.size()
 
 
 class TestCensusWitnesses:
@@ -436,11 +435,11 @@ class TestVerifyTheorem:
             verify_theorem("9.9", modular(9))
 
     @pytest.mark.parametrize("law_id", ["3.3", "3.4"])
-    def test_half_requiring_laws_reject_even_characteristic(self, law_id):
-        with pytest.raises(PreconditionError):
-            verify_theorem(law_id, modular(4))
-        with pytest.raises(PreconditionError):
-            verify_theorem(law_id, matrix(modular(2), 2))
+    @pytest.mark.parametrize("ring", [modular(4), matrix(modular(4), 2)], ids=str)
+    def test_split_laws_hold_where_2_is_not_a_unit(self, law_id, ring):
+        report = verify_theorem(law_id, ring)
+        assert report.strategy == "exhaustive"
+        assert report.ok and report.checked > 0
 
     @pytest.mark.parametrize("law_id,ring_name,instances,checked", BATTERY)
     def test_exhaustive_battery(self, law_id, ring_name, instances, checked):
@@ -809,19 +808,11 @@ class TestLawMemo:
         triple hypothesis aba = aca, which always holds there.  Testing it
         made with_test products on Z/27, per_instance of them per pair."""
         ring = modular(27)
-        calls = 0
-        mul = Element.__mul__
-
-        def counting_mul(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
-
-        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        calls = counting_products(monkeypatch)
         report = verify_theorem(law_id, ring, strategy="exhaustive")
         monkeypatch.undo()
         assert report.ok and report.checked == report.instances == 729
-        assert calls <= with_test - per_instance * report.instances
+        assert calls[0] <= with_test - per_instance * report.instances
 
     def test_law_3_2_decides_each_inverse_once(self, monkeypatch):
         calls = counting_nilpotency_tests(monkeypatch)
@@ -842,14 +833,27 @@ class TestLawMemo:
         assert report.ok
         assert calls[0] == lifts
 
-    @pytest.mark.parametrize("law_id", ["3.3", "3.4"])
-    def test_tripotent_split_tests_no_criterion_again(self, law_id, monkeypatch):
-        """2 is a unit in Z/27, so tripotent_decomposition's two idempotent
-        lifts decide existence; has_hirano is tested once, by the hypothesis."""
+    @pytest.mark.parametrize(
+        "law_id, ring, tests",
+        [
+            ("3.3", modular(27), 243),
+            ("3.4", modular(27), 243),
+            ("3.3", modular(12), 180),
+            ("3.4", modular(12), 108),
+            ("3.3", matrix(modular(2), 2), 240),
+            ("3.4", matrix(modular(2), 2), 130),
+        ],
+        ids=["3.3", "3.4", "3.3-Z/12", "3.4-Z/12", "3.3-M2(Z/2)", "3.4-M2(Z/2)"],
+    )
+    def test_tripotent_split_tests_no_criterion_again(self, law_id, ring, tests, monkeypatch):
+        """tripotent_decomposition's two idempotent lifts decide existence,
+        with or without 1/2 (Z/27, or the 2-parts of Z/12 and M2(Z/2));
+        has_hirano is tested once, by the hypothesis."""
         calls = counting_nilpotency_tests(monkeypatch)
-        report = verify_theorem(law_id, modular(27), strategy="exhaustive")
+        criterion = counting_calls(monkeypatch, [gen_inverse], "has_hirano")
+        report = verify_theorem(law_id, ring, strategy="exhaustive")
         assert report.ok
-        assert calls[0] == 243
+        assert (calls[0], criterion[0]) == (tests, 0)
 
     def test_hypothesis_runs_once_and_gates_the_conclusion(self, monkeypatch):
         ring = matrix(modular(2), 2)

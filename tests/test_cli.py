@@ -22,9 +22,10 @@ CLASSIFY_GOLDEN = json.loads(
 )
 # `verify --json` stdout and exit code per argv.  The law 3.6 battery was
 # recorded from the per-element tripotent search that preceded the
-# commuting-pair scan; every law on Z/27 and M2(Z/2), every law sampled on
-# M2(Z/7), and the refused 3.3/3.4 on Z/12 were recorded from the laws that
-# caught their own VerificationErrors.
+# commuting-pair scan; every law on Z/27 and M2(Z/2) and every law sampled on
+# M2(Z/7) were recorded from the laws that caught their own
+# VerificationErrors, except 3.3 and 3.4 on M2(Z/2) and Z/12, recorded from
+# the CRT split that replaced their refusal where 2 is not a unit.
 VERIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "verify_golden.json").read_text()
 )
@@ -116,12 +117,13 @@ class TestDecompose:
         assert "tripotent p = 2" in out
         assert "nilpotent w = 0 (index 1)" in out
 
-    def test_even_modulus_fails(self, capsys):
-        code, out, err = run(capsys, "decompose", "Z/4", "2")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
-        assert "unit" in err
+    def test_even_modulus(self, capsys):
+        code, out, _ = run(capsys, "decompose", "Z/4", "2")
+        assert code == 0
+        assert "tripotent p = 0" in out
+        assert "nilpotent w = 2 (index 2)" in out
+        assert "idempotent e = 0" in out
+        assert "idempotent f = 0" in out
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "decompose", "Z/9", "2", "--json")
@@ -255,9 +257,8 @@ class TestVerify:
         "argv, err",
         [
             (("3.6", "M3(Z/4)"), "M3(Z/4) is too large for the whole-ring law (cap 65536)"),
-            (("3.4", "Z/12"), "law 3.4 needs 2 to be a unit, which fails in Z/12"),
         ],
-        ids=["3.6-oversized", "3.4-no-half"],
+        ids=["3.6-oversized"],
     )
     def test_refused_request_exits_1_with_its_reason(self, capsys, argv, err):
         assert run(capsys, "verify", *argv) == (1, "", f"error: {err}\n")
@@ -267,10 +268,11 @@ class TestVerify:
         assert code == 1
         assert err != ""
 
-    def test_half_requiring_law_fails_on_even_characteristic(self, capsys):
-        code, _, err = run(capsys, "verify", "3.3", "M2(Z/2)")
-        assert code == 1
-        assert err == "error: law 3.3 needs 2 to be a unit, which fails in M2(Z/2)\n"
+    @pytest.mark.parametrize("argv", [("3.3", "M2(Z/2)"), ("3.4", "Z/12")], ids=" ".join)
+    def test_split_law_passes_where_2_is_not_a_unit(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith(" checked, 0 violations\n")
 
 
 class TestParsing:

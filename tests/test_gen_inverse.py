@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from ringinv import (
-    Element,
     InfiniteRingError,
     PreconditionError,
     VerificationError,
@@ -46,6 +45,7 @@ from conftest import (
     all_elements,
     counting_calls,
     counting_nilpotency_tests,
+    counting_products,
     counting_renders,
     ring_elements,
 )
@@ -325,18 +325,10 @@ class TestDrazinCost:
     def test_multiplications_are_bounded(self, monkeypatch, ring_text, element_text):
         ring = parse_ring(ring_text)
         a = parse_element(ring, element_text)
-        calls = 0
-        mul = Element.__mul__
-
-        def counting_mul(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
-
-        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        calls = counting_products(monkeypatch)
         drazin_finite(a)
         monkeypatch.undo()
-        assert calls <= 4 * unit_exponent(ring).bit_length() + 4 * nilpotency_bound(ring) + 16
+        assert calls[0] <= 4 * unit_exponent(ring).bit_length() + 4 * nilpotency_bound(ring) + 16
 
 
 class TestBruteForce:
@@ -386,9 +378,27 @@ class TestTripotentDecomposition:
         assert dec.tripotent == z3.element(2)
         assert dec.nilpotent_part == z3.element(0)
 
-    def test_even_modulus_rejected(self):
-        with pytest.raises(PreconditionError):
-            tripotent_decomposition(modular(4).element(1))
+    def test_two_part_takes_the_lift_of_a(self):
+        """In Z/4, 2 is nilpotent: e lifts a itself and f = 0."""
+        z4 = modular(4)
+        dec = tripotent_decomposition(z4.element(2))
+        assert (dec.tripotent, dec.nilpotent_part) == (z4.element(0), z4.element(2))
+        assert dec.nilpotent_witness.index == 2
+        assert dec.plus_idempotent == dec.minus_idempotent == z4.element(0)
+
+    def test_mixed_modulus_splits_by_crt(self):
+        """Z/12 = Z/4 x Z/3: e = 9 is the 2-part's lift, f = 4 the odd part's."""
+        z12 = modular(12)
+        dec = tripotent_decomposition(z12.element(5))
+        assert dec.tripotent == z12.element(5)
+        assert dec.plus_idempotent == z12.element(9)
+        assert dec.minus_idempotent == z12.element(4)
+        for cert, target in (
+            (dec.tripotent_certificate, dec.tripotent),
+            (dec.plus_certificate, dec.plus_idempotent),
+            (dec.minus_certificate, dec.minus_idempotent),
+        ):
+            assert cert.evaluate() == target
 
     def test_integer_matrix_with_integral_half(self):
         m2 = matrix(Z, 2)
@@ -412,12 +422,33 @@ class TestTripotentDecomposition:
         with pytest.raises(PreconditionError):
             tripotent_decomposition(m2.element([[1, 1], [0, 1]]))
 
+    @pytest.mark.parametrize(
+        "ring, brute_force",
+        [(modular(n), True) for n in (4, 8, 12, 16)]
+        + [(matrix(modular(2), 2), True)]
+        + [(matrix(modular(4), 2), False), (matrix(modular(2), 3), False)],
+        ids=str,
+    )
+    def test_split_without_one_half(self, ring, brute_force):
+        """The split exists exactly where brute force finds a Hirano inverse,
+        and p, e and f commute with every b that commutes with a, all found
+        by loops over the ring (brute force only on the smaller rings)."""
+        elements = all_elements(ring)
+        for a in elements:
+            if brute_force and not brute_force_hirano(a):
+                message = f"{a!r} does not decompose: a - a^3 is not nilpotent"
+                with pytest.raises(PreconditionError, match=re.escape(message)):
+                    tripotent_decomposition(a)
+            elif brute_force or has_hirano(a):
+                dec = tripotent_decomposition(a)
+                parts = (dec.tripotent, dec.plus_idempotent, dec.minus_idempotent)
+                for b in elements:
+                    if a * b == b * a:
+                        assert all(x * b == b * x for x in parts), (a, b)
+
     @given(ring_elements())
     @settings(max_examples=60)
     def test_decomposition_laws(self, a):
-        ring = a.ring
-        if ring.modulus is None or ring.modulus % 2 == 0:
-            return
         if not has_hirano(a):
             return
         dec = tripotent_decomposition(a)
@@ -462,9 +493,6 @@ class TestSdDifference:
     @given(ring_elements())
     @settings(max_examples=60)
     def test_difference_laws(self, a):
-        ring = a.ring
-        if ring.modulus is None or ring.modulus % 2 == 0:
-            return
         if not has_hirano(a):
             return
         b, c = sd_difference_decomposition(a)

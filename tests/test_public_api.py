@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "has_strongly_drazin",
     "hirano",
     "hirano_of_hirano",
-    "inverse_of_two",
     "inverse_of_unipotent",
     "is_idempotent",
     "is_nilpotent",

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringinv import (
-    Element,
     InfiniteRingError,
     PreconditionError,
     RingMismatchError,
@@ -41,6 +40,7 @@ from ringinv.rings import NilpotencyWitness, factorize
 from conftest import (
     SMALL_RINGS,
     UNFACTORABLE_MODULUS,
+    counting_products,
     finite_rings,
     ring_element_pairs,
     ring_elements,
@@ -266,20 +266,12 @@ class TestProductKernel:
 
     def test_power_costs_its_squarings_and_multiplications(self, monkeypatch):
         a = matrix(modular(7), 2).element([[1, 2], [3, 4]])
-        calls = 0
-        mul = Element.__mul__
-
-        def counting_mul(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
-
-        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        calls = counting_products(monkeypatch)
         powers = {}
         for n in range(1, 65):
-            calls = 0
+            calls[0] = 0
             powers[n] = a ** n
-            assert calls == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
+            assert calls[0] == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
         monkeypatch.undo()
         acc = a.ring.one()
         for n in range(1, 65):

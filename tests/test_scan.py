@@ -18,7 +18,6 @@ import pytest
 
 from ringinv import (
     CensusMismatchError,
-    Element,
     VerificationError,
     matrix,
     modular,
@@ -30,6 +29,7 @@ from ringinv._scan import RingScan
 from ringinv.census import _LawContext
 from ringinv.rings import factorize
 
+from conftest import counting_products
 from oracles import filtered_inverse_scan, kernel_mod
 
 EXHAUSTIVE_RINGS = (
@@ -316,28 +316,22 @@ class TestScanCost:
         assert touched < 0.05 * len(ctx.tripotents) * M4Z2.size()
 
     def test_census_cross_check_rows_and_products(self, monkeypatch):
-        inverse_scans, mul = RingScan.inverse_scans, Element.__mul__
+        inverse_scans = RingScan.inverse_scans
         scanned: list[int] = []
-        products = 0
 
         def recording_scans(self, indexes):
             scanned.extend(indexes)
             return inverse_scans(self, indexes)
 
-        def counting_mul(self, other):
-            nonlocal products
-            products += 1
-            return mul(self, other)
-
         blocks = counting_rows(monkeypatch)
         monkeypatch.setattr(RingScan, "inverse_scans", recording_scans)
-        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        products = counting_products(monkeypatch)
         checked = run_census(M3Z2).cross_check.checked
         monkeypatch.undo()
         assert scanned == list(range(M3Z2.size())) and checked == len(scanned)
         scan = scan_of(M3Z2)
         assert sum(blocks) == sum(len(filtered_inverse_scan(scan, i)[0]) for i in scanned)
-        assert products <= PRODUCTS_PER_CHECKED * checked
+        assert products[0] <= PRODUCTS_PER_CHECKED * checked
 
     def test_laws_scan_each_index_once(self, monkeypatch):
         inverse_scans = RingScan.inverse_scans

@@ -34,6 +34,12 @@ def test_verify_all_help():
     assert "--seed" in result.stdout
 
 
+def test_verify_all_refuses_zero_samples():
+    result = _run_script("verify_all.py", "--samples", "0")
+    assert result.returncode != 0
+    assert "samples must be at least 1" in result.stderr
+
+
 def test_bench_pairs_help():
     result = _run_script("bench_pairs.py", "--help")
     assert result.returncode == 0, result.stderr
