@@ -299,13 +299,6 @@ class RingScan:
                     self._check_commuting(part[sub], rows)
                     yield start + sub, rows, codes
 
-    def centraliser(self, a: np.ndarray) -> np.ndarray:
-        """The elements b with ab = ba, as stack rows in index order: the
-        stack itself when that is the whole ring.  A batch of one of
-        _centralisers, with its checks."""
-        [(_, rows, _)] = self._centralisers(a[None])
-        return self.stack if rows is None else rows[0]
-
     def tripotent_split_mask(self, tripotents: list[int]) -> np.ndarray:
         """Boolean mask over indexes: a = p + w, p among the given tripotent
         indexes, w nilpotent with pw = wp (equivalently ap = pa).  The w are

@@ -140,6 +140,9 @@ Z12_UNSPLIT = (
     "every-element-Hirano is True but every-element-splits is False; "
     "first element without a split: 2"
 )
+# 262 144 elements, above ORACLE_RING_CAP: the laws that read the scan refuse it
+M3Z4 = matrix(modular(4), 3)
+M3Z4_OVERSIZED = "M3(Z/4) is too large for the whole-ring law (cap 65536)"
 
 
 def walk_census(ring):
@@ -637,6 +640,34 @@ class TestFailureRule:
         assert {v.detail for v in report.violations} == {
             "the Hirano inverse of a^2 fails the strongly Drazin equations"
         }
+
+    @pytest.mark.parametrize("strategy", [None, "sampled"], ids=["default", "sampled"])
+    @pytest.mark.parametrize("law_id", ["2.2", "3.1", "3.6"])
+    def test_scanning_law_is_refused_before_any_scan(self, law_id, strategy, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a refused request scanned or decided an element")
+
+        monkeypatch.setattr(RingScan, "__init__", unreachable)
+        monkeypatch.setattr(census, "has_hirano", unreachable)
+        with pytest.raises(PreconditionError) as refused:
+            verify_theorem(law_id, M3Z4, strategy=strategy)
+        assert str(refused.value) == M3Z4_OVERSIZED
+
+    def test_scanning_law_refusal_needs_no_prefetch(self, monkeypatch):
+        monkeypatch.setattr(census, "_prefetching", lambda ctx, space: space)
+        with pytest.raises(PreconditionError) as refused:
+            verify_theorem("2.2", M3Z4)
+        assert str(refused.value) == M3Z4_OVERSIZED
+
+    def test_every_hypothesis_answers_a_bool(self):
+        ctx = _LawContext(M3Z4)
+        first = list(itertools.islice(M3Z4.elements(), 4))
+        for law in LAWS.values():
+            for arity, hypothesis, _ in law.passes:
+                if hypothesis is None:
+                    continue
+                for elems in itertools.product(first, repeat=arity):
+                    assert type(hypothesis(ctx, *elems)) is bool, law.law_id
 
     def test_sample_count_is_bounded_before_any_draw(self, monkeypatch):
         cap = census.MAX_EXHAUSTIVE_INSTANCES

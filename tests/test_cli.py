@@ -256,9 +256,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            (("3.6", "M3(Z/4)"), "M3(Z/4) is too large for the whole-ring law (cap 65536)"),
+            ((law, "M3(Z/4)"), "M3(Z/4) is too large for the whole-ring law (cap 65536)")
+            for law in ("3.6", "2.2", "3.1")
         ],
-        ids=["3.6-oversized"],
+        ids=["3.6-oversized", "2.2-oversized", "3.1-oversized"],
     )
     def test_refused_request_exits_1_with_its_reason(self, capsys, argv, err):
         assert run(capsys, "verify", *argv) == (1, "", f"error: {err}\n")
