@@ -16,7 +16,7 @@ sampled (``--samples 200 --seed 4``), and with ``--json --seed 0 --samples
 500`` on M2(Z/7) and Z/27; ``classify`` and ``decompose``, human and
 ``--json``, on every element of Z/5, Z/9, Z/25, Z/12, M2(Z/2) and M2(Z/3);
 four censuses; integer matrices; laws 3.3 and 3.4 where 2 is not a unit;
-refused inputs.  That is 713 runs.
+refused inputs.  That is 715 runs.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ OTHER_RUNS = (
     ("classify", "M2(Z/3)", "[[1,0]]"), ("classify", "M9(Z/2)", "0"),
     ("decompose", "Z/5", "2"),
     ("census", "Z"), ("census", "Z/20000", "--samples", "0"),
-    ("census", "M5(Z/2)"),
+    ("census", "Z/20000", "--samples", "10001"),
+    ("census", "M5(Z/2)"), ("census", "Z/9", "--max-ring-size", "100"),
     ("verify", "9.9", "Z/9"), ("verify", "3.6", "M3(Z/4)"),
     ("verify", "2.2", "M3(Z/4)"), ("verify", "3.1", "M3(Z/4)"),
     ("verify", "4.1", "M2(Z/7)", "--samples", "0"),

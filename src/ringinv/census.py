@@ -16,11 +16,13 @@ dropped before the next; a chunk whose scan raises is scanned again one
 element at a time, so the first element in index order to fail any check
 fails the census.  Any disagreement is a hard error naming the category
 and the element; the check is exhaustive on rings of at most 10**4
-elements and covers a seeded sample above that.
+elements and covers a seeded sample of at most 10**4 elements above that.
 
 verify_theorem drives the law registry: each law id names a fixed
-checkable statement about one ring, run either exhaustively over the
-instance space or on seeded samples, with violations surfaced as
+checkable statement about one ring, run exhaustively when size**arity
+of its widest pass is at most MAX_EXHAUSTIVE_INSTANCES (every law of
+arity 1 walks the whole ring, as RING_SIZE_CAP is below that cap) and
+on `samples` seeded draws per pass otherwise, with violations surfaced as
 structured records.  A pass is (arity, hypothesis, conclusion): the engine
 tests the hypothesis once per instance and checks the instances that meet
 it.  A conclusion returns True when it verified and a detail string when
@@ -204,18 +206,21 @@ def _cross_check_element(ring: RingSpec, masks: dict, index: int, found: dict) -
 
 def run_census(
     ring: RingSpec,
-    max_ring_size: int = RING_SIZE_CAP,
     seed: int = 0,
     samples: int = CROSS_CHECK_SAMPLES,
 ) -> CensusReport:
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
+    if samples > EXHAUSTIVE_SCAN_CAP:
+        raise PreconditionError(
+            f"samples must be at most {EXHAUSTIVE_SCAN_CAP}, got {samples}"
+        )
     if not ring.is_finite:
         raise InfiniteRingError(f"cannot run a census over {ring}")
     size = ring.size()
-    if size > max_ring_size:
+    if size > RING_SIZE_CAP:
         raise PreconditionError(
-            f"{ring} has {size} elements, above the cap {max_ring_size}"
+            f"{ring} has {size} elements, above the cap {RING_SIZE_CAP}"
         )
     scan = RingScan(ring)
     masks = scan.census_masks()
@@ -597,7 +602,6 @@ def _prefetching(ctx: _LawContext, space):
 def verify_theorem(
     theorem_id: str,
     ring: RingSpec,
-    strategy: str | None = None,
     seed: int = 0,
     samples: int = LAW_SAMPLES,
 ) -> TheoremReport:
@@ -623,15 +627,7 @@ def verify_theorem(
             f"{ring} is too large for the whole-ring law (cap {ORACLE_RING_CAP})"
         )
     max_arity = max(arity for arity, *_ in law.passes)
-    if strategy is None:
-        strategy = "exhaustive" if size ** max_arity <= MAX_EXHAUSTIVE_INSTANCES else "sampled"
-    if strategy not in ("exhaustive", "sampled"):
-        raise PreconditionError(f"unknown strategy {strategy!r}")
-    if strategy == "exhaustive" and size ** max_arity > MAX_EXHAUSTIVE_INSTANCES:
-        raise PreconditionError(
-            f"{ring} yields {size ** max_arity} instances at arity {max_arity}, "
-            f"above the cap {MAX_EXHAUSTIVE_INSTANCES}"
-        )
+    strategy = "exhaustive" if size ** max_arity <= MAX_EXHAUSTIVE_INSTANCES else "sampled"
     ctx = _LawContext(ring)
     violations: list[ViolationRecord] = []
     instances = 0

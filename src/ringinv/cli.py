@@ -17,7 +17,6 @@ from .census import (
     CROSS_CHECK_SAMPLES,
     LAW_SAMPLES,
     LAWS,
-    RING_SIZE_CAP,
     run_census,
     verify_theorem,
 )
@@ -62,7 +61,6 @@ def _build_parser() -> _Parser:
         default=CROSS_CHECK_SAMPLES,
         help="cross-check samples above 10^4 elements",
     )
-    p.add_argument("--max-ring-size", type=int, default=RING_SIZE_CAP, dest="max_ring_size")
 
     p = sub.add_parser("verify", help="check one law id against a finite ring")
     p.add_argument("law", metavar="id", choices=sorted(LAWS), help="law id, e.g. 3.1 or 5.5")
@@ -159,12 +157,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_census(args) -> int:
     ring = _parse_ring_arg(args.ring)
-    report = run_census(
-        ring,
-        max_ring_size=args.max_ring_size,
-        seed=args.seed,
-        samples=args.samples,
-    )
+    report = run_census(ring, seed=args.seed, samples=args.samples)
     if args.as_json:
         print(report.to_json())
         return 0

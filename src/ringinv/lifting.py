@@ -60,7 +60,7 @@ def poly_compose(outer: Poly, inner: Poly) -> Poly:
     return acc
 
 
-def format_polynomial(coeffs: Poly, var: str = "a") -> str:
+def format_polynomial(coeffs: Poly) -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -71,7 +71,7 @@ def format_polynomial(coeffs: Poly, var: str = "a") -> str:
         if power == 0:
             term = str(mag)
         else:
-            t = var if power == 1 else f"{var}^{power}"
+            t = "a" if power == 1 else f"a^{power}"
             term = t if mag == 1 else f"{mag}*{t}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")

@@ -145,6 +145,10 @@ M3Z4 = matrix(modular(4), 3)
 M3Z4_OVERSIZED = "M3(Z/4) is too large for the whole-ring law (cap 65536)"
 
 
+def unreachable(*args):
+    raise AssertionError("a refused request scanned or decided an element")
+
+
 def walk_census(ring):
     """Census counts and first witness indexes, one element at a time.
 
@@ -397,9 +401,17 @@ class TestCensusMechanics:
         with pytest.raises(InfiniteRingError):
             run_census(Z)
 
-    def test_oversized_ring_rejected(self):
-        with pytest.raises(PreconditionError):
-            run_census(matrix(modular(7), 3), max_ring_size=10_000)
+    def test_oversized_ring_rejected(self, monkeypatch):
+        monkeypatch.setattr(RingScan, "__init__", unreachable)
+        with pytest.raises(PreconditionError) as refused:
+            run_census(matrix(modular(7), 3))
+        assert str(refused.value) == "M3(Z/7) has 40353607 elements, above the cap 1000000"
+
+    def test_sample_count_is_bounded_before_any_scan(self, monkeypatch):
+        monkeypatch.setattr(RingScan, "__init__", unreachable)
+        with pytest.raises(PreconditionError) as refused:
+            run_census(modular(20000), samples=10_001)
+        assert str(refused.value) == "samples must be at most 10000, got 10001"
 
     def test_sampled_cross_check_above_cap(self):
         ring = matrix(modular(11), 2)  # 14641 elements > exhaustive cap
@@ -455,9 +467,9 @@ class TestVerifyTheorem:
         assert len(report.violations) == 0
 
     def test_sampled_strategy_is_reproducible(self):
-        ring = matrix(modular(3), 2)
-        first = verify_theorem("4.1", ring, strategy="sampled", seed=7, samples=500)
-        second = verify_theorem("4.1", ring, strategy="sampled", seed=7, samples=500)
+        ring = matrix(modular(5), 2)  # 625 ** 3 triples, above the exhaustive cap
+        first = verify_theorem("4.1", ring, seed=7, samples=500)
+        second = verify_theorem("4.1", ring, seed=7, samples=500)
         assert first.strategy == "sampled"
         assert first.seed == 7
         assert first.instances == 500
@@ -465,10 +477,11 @@ class TestVerifyTheorem:
         assert (first.checked, first.violations) == (second.checked, second.violations)
 
     def test_seed_changes_the_sample(self):
-        ring = matrix(modular(3), 2)
-        first = verify_theorem("4.1", ring, strategy="sampled", seed=7, samples=500)
-        third = verify_theorem("4.1", ring, strategy="sampled", seed=8, samples=500)
-        assert first.checked == 87 and third.checked == 85
+        ring = matrix(modular(5), 2)
+        first = verify_theorem("4.1", ring, seed=7, samples=500)
+        third = verify_theorem("4.1", ring, seed=8, samples=500)
+        assert first.strategy == third.strategy == "sampled"
+        assert first.checked == 32 and third.checked == 22
         assert first.ok and third.ok
 
     def test_failed_construction_becomes_a_violation(self, hirano_fails_at_two):
@@ -641,16 +654,12 @@ class TestFailureRule:
             "the Hirano inverse of a^2 fails the strongly Drazin equations"
         }
 
-    @pytest.mark.parametrize("strategy", [None, "sampled"], ids=["default", "sampled"])
     @pytest.mark.parametrize("law_id", ["2.2", "3.1", "3.6"])
-    def test_scanning_law_is_refused_before_any_scan(self, law_id, strategy, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("a refused request scanned or decided an element")
-
+    def test_scanning_law_is_refused_before_any_scan(self, law_id, monkeypatch):
         monkeypatch.setattr(RingScan, "__init__", unreachable)
         monkeypatch.setattr(census, "has_hirano", unreachable)
         with pytest.raises(PreconditionError) as refused:
-            verify_theorem(law_id, M3Z4, strategy=strategy)
+            verify_theorem(law_id, M3Z4)
         assert str(refused.value) == M3Z4_OVERSIZED
 
     def test_scanning_law_refusal_needs_no_prefetch(self, monkeypatch):
@@ -789,8 +798,8 @@ class TestLawMemo:
         ring = modular(27)
         distinct = len(terms(ring))
         calls = counting_nilpotency_tests(monkeypatch)
-        report = verify_theorem(law_id, ring, strategy="exhaustive")
-        assert report.ok
+        report = verify_theorem(law_id, ring)
+        assert report.ok and report.strategy == "exhaustive"
         assert calls[0] <= distinct
 
     def test_flipped_verdict_falsifies_the_power_transfer(self, monkeypatch):
@@ -840,15 +849,16 @@ class TestLawMemo:
         made with_test products on Z/27, per_instance of them per pair."""
         ring = modular(27)
         calls = counting_products(monkeypatch)
-        report = verify_theorem(law_id, ring, strategy="exhaustive")
+        report = verify_theorem(law_id, ring)
         monkeypatch.undo()
-        assert report.ok and report.checked == report.instances == 729
+        assert report.ok and report.strategy == "exhaustive"
+        assert report.checked == report.instances == 729
         assert calls[0] <= with_test - per_instance * report.instances
 
     def test_law_3_2_decides_each_inverse_once(self, monkeypatch):
         calls = counting_nilpotency_tests(monkeypatch)
-        report = verify_theorem("3.2", modular(27), strategy="exhaustive")
-        assert report.ok and report.checked == 27
+        report = verify_theorem("3.2", modular(27))
+        assert report.ok and report.strategy == "exhaustive" and report.checked == 27
         assert calls[0] == 243
 
     @pytest.mark.parametrize(
@@ -860,8 +870,8 @@ class TestLawMemo:
         """The strongly Drazin inverse of a^2 is checked from the Hirano
         memo: one lift per distinct a and a^2 the law decides."""
         calls = counting_calls(monkeypatch, [gen_inverse], "lift_idempotent")
-        report = verify_theorem("2.4", ring, strategy="exhaustive")
-        assert report.ok
+        report = verify_theorem("2.4", ring)
+        assert report.ok and report.strategy == "exhaustive"
         assert calls[0] == lifts
 
     @pytest.mark.parametrize(
@@ -882,8 +892,8 @@ class TestLawMemo:
         has_hirano is tested once, by the hypothesis."""
         calls = counting_nilpotency_tests(monkeypatch)
         criterion = counting_calls(monkeypatch, [gen_inverse], "has_hirano")
-        report = verify_theorem(law_id, ring, strategy="exhaustive")
-        assert report.ok
+        report = verify_theorem(law_id, ring)
+        assert report.ok and report.strategy == "exhaustive"
         assert (calls[0], criterion[0]) == (tests, 0)
 
     def test_hypothesis_runs_once_and_gates_the_conclusion(self, monkeypatch):
@@ -955,7 +965,8 @@ class TestExhaustiveStreaming:
             law_id,
             dataclasses.replace(law, passes=((arity, recording, conclusion),)),
         )
-        report = verify_theorem(law_id, ring, strategy="exhaustive")
-        assert report.ok and report.instances == ring.size() == drawn
+        report = verify_theorem(law_id, ring)
+        assert report.ok and report.strategy == "exhaustive"
+        assert report.instances == ring.size() == drawn
         assert visited == list(range(ring.size()))
         assert max(leads) <= ahead

@@ -193,6 +193,17 @@ class TestCensus:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "samples" in err
 
+    def test_oversized_sample_count_fails_before_any_scan(self, capsys, monkeypatch):
+        monkeypatch.setattr(census, "RingScan", None)
+        code, out, err = run(capsys, "census", "Z/20000", "--samples", "10001")
+        assert (code, out) == (1, "")
+        assert err == "error: samples must be at most 10000, got 10001\n"
+
+    def test_ring_size_cap_cannot_be_lifted(self, capsys):
+        code, out, err = run(capsys, "census", "Z/9", "--max-ring-size", "100")
+        assert (code, out) == (1, "")
+        assert err == "error: unrecognized arguments: --max-ring-size 100\n"
+
     def test_scan_over_budget_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(_scan, "SCAN_MEMORY_BUDGET", 64)
         code, out, err = run(capsys, "census", "Z/9", "--json")

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
 import ringinv
-from ringinv import calculus, gen_inverse
+from ringinv import calculus, census, gen_inverse
 
 PUBLIC_NAMES = [
     "CensusMismatchError",
@@ -100,3 +101,22 @@ def test_ring_spec_is_modulus_and_dim():
 
 def test_element_is_ring_and_entries():
     assert [f.name for f in dataclasses.fields(ringinv.Element)] == ["ring", "entries"]
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        (ringinv.verify_theorem, ["theorem_id", "ring", "seed", "samples"]),
+        (ringinv.run_census, ["ring", "seed", "samples"]),
+        (ringinv.format_polynomial, ["coeffs"]),
+    ],
+    ids=["verify_theorem", "run_census", "format_polynomial"],
+)
+def test_request_signature_is_pinned(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
+
+
+def test_every_arity_one_law_walks_the_whole_ring():
+    """verify_theorem runs a law exhaustively when size ** arity is at most
+    MAX_EXHAUSTIVE_INSTANCES; every ring it accepts passes at arity 1."""
+    assert census.RING_SIZE_CAP <= census.MAX_EXHAUSTIVE_INSTANCES
