@@ -24,9 +24,14 @@ of its widest pass is at most MAX_EXHAUSTIVE_INSTANCES (every law of
 arity 1 walks the whole ring, as RING_SIZE_CAP is below that cap) and
 on `samples` seeded draws per pass otherwise, with violations surfaced as
 structured records.  A pass is (arity, hypothesis, conclusion): the engine
-tests the hypothesis once per instance and checks the instances that meet
-it.  A conclusion returns True when it verified and a detail string when
-the instance falsifies the law; a VerificationError or PreconditionError
+tests the hypothesis once per candidate and checks the candidates that meet
+it.  An exhaustive pass enumerates its candidates in lexicographic order,
+every tuple unless the hypothesis declares a narrower generator: aba = aca
+(laws 4.1 and 5.1) groups the ring by the sandwich axa once per a, and
+offers as c only the fibre of aba.  instances still counts every tuple, up
+to the stopping one when a run stops at MAX_VIOLATIONS.  A conclusion
+returns True when it verified and a detail string when the instance
+falsifies the law; a VerificationError or PreconditionError
 it raises (a construction failing its own check, or refusing an instance
 its law's criterion admitted) is recorded as a violation too, so no
 conclusion aborts a run; a refused request raises before any instance.
@@ -378,6 +383,25 @@ def _aba_is_aca(ctx: _LawContext, a: Element, b: Element, c: Element) -> bool:
     return a * b * a == a * c * a
 
 
+def _sandwich_fibres(elements: list[Element]):
+    """(rank, (a, b, c)) for the triples with aba = aca, in lexicographic
+    order: for each a, the indexes of x grouped by the sandwich axa, and for
+    each b the group of aba as its c."""
+    size = len(elements)
+    for i, a in enumerate(elements):
+        sandwiches = [(a * x * a).entries for x in elements]
+        fibres: dict = {}
+        for k, s in enumerate(sandwiches):
+            fibres.setdefault(s, []).append(k)
+        for j, (b, s) in enumerate(zip(elements, sandwiches)):
+            rank = (i * size + j) * size
+            for k in fibres[s]:
+                yield rank + k, (a, b, elements[k])
+
+
+_aba_is_aca.candidates = _sandwich_fibres
+
+
 def _commuting_hirano(ctx: _LawContext, a: Element, b: Element) -> bool:
     return a * b == b * a and ctx.has_hirano(a) and ctx.has_hirano(b)
 
@@ -555,7 +579,10 @@ def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element):
 @dataclass(frozen=True)
 class _Law:
     law_id: str
-    passes: tuple  # of (arity, hypothesis or None, conclusion)
+    # of (arity, hypothesis or None, conclusion); an exhaustive pass walks
+    # the (rank, instance) pairs of the hypothesis's `candidates(elements)`
+    # when it declares them, every tuple otherwise
+    passes: tuple
     # reads the equation scan: refused above ORACLE_RING_CAP, and an arity-1
     # pass has its instances scanned a chunk at a time
     scans: bool = False
@@ -591,11 +618,27 @@ LAWS: dict[str, _Law] = {
 }
 
 
+def _exhaustive(ring: RingSpec, arity: int, hypothesis):
+    """The candidate instances of one exhaustive pass, as (rank, instance)
+    in lexicographic order, rank being the instance's position among all
+    size**arity tuples.  A hypothesis's candidates may include tuples that
+    miss it, never leave out one that meets it."""
+    if arity == 1:
+        # streamed: a list would hold the whole ring before the first instance
+        return enumerate((a,) for a in ring.elements())
+    elements = list(ring.elements()) if arity else []  # arity 0: the one tuple ()
+    narrowed = getattr(hypothesis, "candidates", None)
+    if narrowed:
+        return narrowed(elements)
+    return enumerate(itertools.product(elements, repeat=arity))
+
+
 def _prefetching(ctx: _LawContext, space):
-    """The instances of space, each chunk's elements scanned in one batch first."""
+    """The (rank, instance) pairs of space, each chunk's elements scanned in
+    one batch first."""
     space = iter(space)
     while chunk := list(itertools.islice(space, SCAN_CHUNK)):
-        ctx.prefetch(a for (a,) in chunk)
+        ctx.prefetch(a for _, (a,) in chunk)
         yield from chunk
 
 
@@ -633,23 +676,19 @@ def verify_theorem(
     instances = 0
     checked = 0
     for pass_number, (arity, hypothesis, conclusion) in enumerate(law.passes):
-        if arity == 0:
-            space = [()]
-        elif strategy == "exhaustive" and arity == 1:
-            # product() would build the whole ring before the first instance
-            space = ((a,) for a in ring.elements())
-        elif strategy == "exhaustive":
-            space = itertools.product(*(ring.elements() for _ in range(arity)))
+        if strategy == "exhaustive":
+            total = size ** arity
+            space = _exhaustive(ring, arity, hypothesis)
         else:
+            total = samples
             rng = random.Random(seed + pass_number)
-            space = (
+            space = enumerate(
                 tuple(ring.element_at(rng.randrange(size)) for _ in range(arity))
                 for _ in range(samples)
             )
         if law.scans and arity == 1:
             space = _prefetching(ctx, space)
-        for elems in space:
-            instances += 1
+        for rank, elems in space:
             if hypothesis is not None and not hypothesis(ctx, *elems):
                 continue
             checked += 1
@@ -667,7 +706,9 @@ def verify_theorem(
                 )
                 if len(violations) >= MAX_VIOLATIONS:
                     ctx.note(f"stopped after {MAX_VIOLATIONS} violations")
+                    total = rank + 1
                     break
+        instances += total
         if len(violations) >= MAX_VIOLATIONS:
             break
     return TheoremReport(

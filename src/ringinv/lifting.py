@@ -117,14 +117,15 @@ def lift_idempotent(x: Element) -> LiftedIdempotent:
     t = x
     poly: Poly = (0, 1)
     steps = 0
-    while t * t != t:
+    square = t * t
+    while square != t:
         if steps >= cap:
             raise VerificationError("idempotent refinement did not converge within its cap")
-        square = t * t
         t = 3 * square - 2 * (square * t)
         psquare = poly_mul(poly, poly)
         poly = poly_sub(poly_scale(psquare, 3), poly_scale(poly_mul(psquare, poly), 2))
         steps += 1
+        square = t * t
     cert = PolynomialCertificate(poly, x)
     if cert.evaluate() != t or is_nilpotent(x - t) is None:
         raise VerificationError("idempotent lift failed its own certificate checks")

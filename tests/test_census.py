@@ -36,6 +36,7 @@ from ringinv.census import _LawContext
 
 from conftest import (
     HIRANO_FAILURE,
+    SMALL_MODULAR,
     SMALL_RINGS,
     counting_calls,
     counting_nilpotency_tests,
@@ -776,7 +777,8 @@ class TestLawMemo:
         ring = modular(27)
         verdict = flipping(ring.element(3))
         falsified = []
-        for a, b, c in itertools.product(ring.elements(), repeat=3):
+        ranks = []
+        for rank, (a, b, c) in enumerate(itertools.product(ring.elements(), repeat=3)):
             if a * b * a == a * c * a and verdict(a * c) != verdict(b * a):
                 falsified.append(
                     census.ViolationRecord(
@@ -786,10 +788,13 @@ class TestLawMemo:
                         f"ac {verdict(a * c)}, ba {verdict(b * a)}",
                     )
                 )
+                ranks.append(rank)
         monkeypatch.setattr(census, "has_hirano", verdict)
         report = verify_theorem("4.1", ring)
         assert len(falsified) > census.MAX_VIOLATIONS
         assert report.violations == tuple(falsified[: census.MAX_VIOLATIONS])
+        # every tuple up to the stopping one counts, met or missed
+        assert report.instances == ranks[census.MAX_VIOLATIONS - 1] + 1
 
     @pytest.mark.parametrize(
         "law_id, terms", [("5.1", jacobson_terms), ("4.3", power_terms)]
@@ -827,18 +832,23 @@ class TestLawMemo:
         one = ring.one()
         verdict = flipping(ring.element(4))
         falsified = [
-            census.ViolationRecord(
-                law="5.1",
-                inputs=(str(a), str(b), str(c)),
-                detail=f"Jacobson biconditional violated at a = {a!r}, b = {b!r}, c = {c!r}",
+            (
+                rank,
+                census.ViolationRecord(
+                    law="5.1",
+                    inputs=(str(a), str(b), str(c)),
+                    detail=f"Jacobson biconditional violated at a = {a!r}, b = {b!r}, c = {c!r}",
+                ),
             )
-            for a, b, c in itertools.product(ring.elements(), repeat=3)
+            for rank, (a, b, c) in enumerate(itertools.product(ring.elements(), repeat=3))
             if a * b * a == a * c * a and verdict(one + a * c) != verdict(one + b * a)
         ]
         monkeypatch.setattr(census, "has_hirano", verdict)
         report = verify_theorem("5.1", ring)
         assert len(falsified) > census.MAX_VIOLATIONS
-        assert report.violations == tuple(falsified[: census.MAX_VIOLATIONS])
+        first = falsified[: census.MAX_VIOLATIONS]
+        assert report.violations == tuple(record for _, record in first)
+        assert report.instances == first[-1][0] + 1
 
     @pytest.mark.parametrize(
         "law_id, with_test, per_instance", [("4.2", 14_596, 3), ("5.2", 4_470, 4)]
@@ -854,6 +864,19 @@ class TestLawMemo:
         assert report.ok and report.strategy == "exhaustive"
         assert report.checked == report.instances == 729
         assert calls[0] <= with_test - per_instance * report.instances
+
+    @pytest.mark.parametrize("law_id, products", [("4.1", 82_285), ("5.1", 26_340)])
+    def test_triple_pass_tests_only_the_sandwich_fibres(self, law_id, products, monkeypatch):
+        """The triples with aba = aca come from grouping each a's sandwiches
+        axa, 2 products per pair; testing the hypothesis on all 27**3
+        triples made 60 750 products more on Z/27."""
+        ring = modular(27)
+        calls = counting_products(monkeypatch)
+        report = verify_theorem(law_id, ring)
+        monkeypatch.undo()
+        assert report.ok and report.strategy == "exhaustive"
+        assert (report.instances, report.checked) == (19_683, 4_131)
+        assert calls[0] <= products
 
     def test_law_3_2_decides_each_inverse_once(self, monkeypatch):
         calls = counting_nilpotency_tests(monkeypatch)
@@ -970,3 +993,47 @@ class TestExhaustiveStreaming:
         assert report.instances == ring.size() == drawn
         assert visited == list(range(ring.size()))
         assert max(leads) <= ahead
+
+
+class TestSandwichFibres:
+    """Exhaustive laws 4.1 and 5.1 walk only the triples in the fibres of
+    aba = aca; the filter loop over every triple is their oracle."""
+
+    @pytest.mark.parametrize("law_id", ["4.1", "5.1"])
+    @pytest.mark.parametrize("ring", SMALL_MODULAR + [matrix(modular(2), 2)], ids=str)
+    def test_checks_exactly_the_filtered_triples(self, law_id, ring, monkeypatch):
+        law = LAWS[law_id]
+        ((arity, hypothesis, _),) = law.passes
+        concluded: list = []
+
+        def recording(ctx, a, b, c):
+            concluded.append((a, b, c))
+            return True
+
+        monkeypatch.setitem(
+            census.LAWS,
+            law_id,
+            dataclasses.replace(law, passes=((arity, hypothesis, recording),)),
+        )
+        report = verify_theorem(law_id, ring)
+        admitted = [
+            triple
+            for triple in itertools.product(ring.elements(), repeat=3)
+            if census._aba_is_aca(None, *triple)
+        ]
+        assert concluded == admitted
+        assert (report.instances, report.checked) == (ring.size() ** 3, len(admitted))
+
+    def test_a_dropped_fibre_member_changes_the_checked_count(self, monkeypatch):
+        """(3, 0, 3) meets aba = aca in Z/9 (3*3*3 = 0); without it the
+        battery's 297 checked triples of law 4.1 fall to 296."""
+        ring = modular(9)
+        fibres = census._aba_is_aca.candidates
+        dropped = (3 * 9 + 0) * 9 + 3
+
+        def dropping(elements):
+            return ((rank, t) for rank, t in fibres(elements) if rank != dropped)
+
+        monkeypatch.setattr(census._aba_is_aca, "candidates", dropping)
+        report = verify_theorem("4.1", ring)
+        assert (report.instances, report.checked) == (729, 296)

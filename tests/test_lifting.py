@@ -16,7 +16,7 @@ from ringinv import (
 )
 from ringinv.lifting import poly_add, poly_compose, poly_mul, poly_scale, poly_sub
 
-from conftest import all_elements, ring_elements
+from conftest import all_elements, counting_products, ring_elements
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(tuple)
 
@@ -74,6 +74,17 @@ class TestLiftIdempotent:
         z9 = modular(9)
         lifted = lift_idempotent(z9.element(1))
         assert lifted.element == z9.element(1)
+
+    def test_each_step_squares_once(self, monkeypatch):
+        """3 in Z/256 lifts in three Newton steps (certificate degree 27);
+        the square the loop tests is the square the step uses, so the lift
+        makes one product per step fewer than squaring twice did (53)."""
+        x = modular(256).element(3)
+        calls = counting_products(monkeypatch)
+        lifted = lift_idempotent(x)
+        monkeypatch.undo()
+        assert len(lifted.certificate.coefficients) - 1 == 3 ** 3
+        assert calls[0] == 53 - 3
 
     def test_rejects_non_liftable(self):
         z9 = modular(9)
