@@ -299,14 +299,14 @@ class RingScan:
                     self._check_commuting(part[sub], rows)
                     yield start + sub, rows, codes
 
-    def tripotent_split_mask(self, tripotents: list[int]) -> np.ndarray:
-        """Boolean mask over indexes: a = p + w, p among the given tripotent
-        indexes, w nilpotent with pw = wp (equivalently ap = pa).  The w are
-        the nilpotent rows of the centraliser of p."""
+    def tripotent_split_mask(self) -> np.ndarray:
+        """Boolean mask over indexes: a = p + w, p tripotent (tripotent_mask),
+        w nilpotent with pw = wp (equivalently ap = pa).  The w are the
+        nilpotent rows of the centraliser of p."""
         m = self.modulus
         nilpotent = self.nilpotent_mask()
         split = np.zeros(self.size, dtype=bool)
-        p = self.stack[tripotents]
+        p = self.stack[self.tripotent_mask()]
         nilpotents = self.stack[nilpotent]
         for members, rows, codes in self._centralisers(p):
             if rows is None:

@@ -30,11 +30,12 @@ every tuple unless the hypothesis declares a narrower generator: aba = aca
 (laws 4.1 and 5.1) groups the ring by the sandwich axa once per a, and
 offers as c only the fibre of aba.  instances still counts every tuple, up
 to the stopping one when a run stops at MAX_VIOLATIONS.  A conclusion
-returns True when it verified and a detail string when the instance
-falsifies the law; a VerificationError or PreconditionError
-it raises (a construction failing its own check, or refusing an instance
-its law's criterion admitted) is recorded as a violation too, so no
-conclusion aborts a run; a refused request raises before any instance.
+returns nothing when the instance holds and raises when it falsifies the
+law: VerificationError(detail), or the VerificationError or
+PreconditionError of a construction failing its own check or refusing an
+instance its law's criterion admitted.  Each is recorded as a violation
+with str(err) as its detail, so no conclusion aborts a run; a refused
+request raises before any instance.
 The laws that read the equation scan (2.2, 3.1 and 3.6, marked scans)
 are refused on rings above ORACLE_RING_CAP elements, with the other
 refused requests.  They read it through _LawContext, which scans each
@@ -43,12 +44,12 @@ scanned a chunk at a time, in one batched call each.  Laws 4.1 and 4.2
 also check the transferred inverse against the scan, on rings up to that
 cap only.
 
-_LawContext also decides each element once per verify_theorem call: the
-laws ask it for has_hirano, hirano, has_strongly_drazin and strongly_drazin,
-and it keeps each verdict and certificate by the element's entries, so
-exhaustive law 4.1 on Z/27 decides 27 products, not two per triple.  Its
-strongly_drazin checks the Hirano inverse of its own memo and answers
-None when it fails the equations, so it lifts nothing.  The
+_LawContext also decides each element once per verify_theorem call: its
+three memos has_hirano, hirano and has_strongly_drazin keep each verdict
+and certificate by the element's entries, so exhaustive law 4.1 on Z/27
+decides 27 products, not two per triple.  Law 2.4 checks the strongly
+Drazin equations on the memo's Hirano inverse of a^2, so it lifts nothing
+more; whole-ring facts (the scan's masks) are RingScan's alone.  The
 memos die with their call, and each is emptied at LAW_MEMO_CAP entries.
 A raise is not remembered.  Only the context decides a criterion: the
 existence laws (4.3, 5.1, 5.2) compare its verdicts, and each instance
@@ -329,10 +330,8 @@ class _LawContext:
 
     def __post_init__(self) -> None:
         self.has_hirano = _bounded_memo(has_hirano)
-        self.hirano = hirano_of = _bounded_memo(hirano)
+        self.hirano = _bounded_memo(hirano)
         self.has_strongly_drazin = _bounded_memo(has_strongly_drazin)
-        # the Hirano memo's inverse, checked; capturing self would make a cycle
-        self.strongly_drazin = _bounded_memo(lambda x: check_strongly_drazin(x, hirano_of(x).b))
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -349,22 +348,15 @@ class _LawContext:
             self._scanned[index] = self.scan.inverse_scan(index)["hirano"]
         return self._scanned[index]
 
-    def prefetch(self, elements) -> None:
-        """Scan the elements not scanned yet in one batch.  A batch that
+    def prefetch(self, indexes: list[int]) -> None:
+        """Scan a chunk of fresh, distinct indexes in one batch.  A batch that
         raises is dropped: each element is then scanned alone when a law asks
         for it, so the error is recorded against its own instance."""
-        indexes = dict.fromkeys(map(self.ring.index_of, elements))
-        missing = [i for i in indexes if i not in self._scanned]
         try:
-            found = self.scan.inverse_scans(missing)
+            found = self.scan.inverse_scans(indexes)
         except VerificationError:
             return
-        self._scanned.update(zip(missing, (one["hirano"] for one in found)))
-
-    @cached_property
-    def tripotents(self) -> list[int]:
-        """Indexes of the tripotents, in enumeration order."""
-        return np.flatnonzero(self.scan.tripotent_mask()).tolist()
+        self._scanned.update(zip(indexes, (one["hirano"] for one in found)))
 
 
 def _hirano(ctx: _LawContext, a: Element) -> bool:
@@ -414,174 +406,167 @@ def _square_zero(ctx: _LawContext, a: Element, b: Element) -> bool:
     return a * a == ctx.ring.zero() == b * b and ctx.has_strongly_drazin(a * b)
 
 
-def _law_hirano_implies_drazin(ctx: _LawContext, a: Element):
+def _law_hirano_implies_drazin(ctx: _LawContext, a: Element) -> None:
     if _drazin_axioms(a, ctx.hirano(a).b) is None:
-        return "Hirano inverse fails the Drazin equations"
-    return True
+        raise VerificationError("Hirano inverse fails the Drazin equations")
 
 
-def _law_uniqueness(ctx: _LawContext, a: Element):
+def _law_uniqueness(ctx: _LawContext, a: Element) -> None:
     found = ctx.scanned_hirano(ctx.ring.index_of(a))
     hir = ctx.has_hirano(a)
     if hir != bool(found):
-        return f"criterion says {hir}, equation scan found {len(found)}"
+        raise VerificationError(f"criterion says {hir}, equation scan found {len(found)}")
     if len(found) > 1:
-        return f"{len(found)} distinct candidates satisfy the Hirano equations"
+        raise VerificationError(
+            f"{len(found)} distinct candidates satisfy the Hirano equations"
+        )
     if found:
         index = found[0]
         if ctx.ring.index_of(ctx.hirano(a).b) != index:
-            return "constructed inverse differs from the scanned one"
+            raise VerificationError("constructed inverse differs from the scanned one")
         if ctx.ring.index_of(drazin_finite(a).b) != index:
-            return "power-formula Drazin inverse differs from the Hirano inverse"
-    return True
+            raise VerificationError(
+                "power-formula Drazin inverse differs from the Hirano inverse"
+            )
 
 
-def _law_square_route(ctx: _LawContext, a: Element):
+def _law_square_route(ctx: _LawContext, a: Element) -> None:
     a2 = a * a
     hir = ctx.has_hirano(a)
     sd2 = ctx.has_strongly_drazin(a2)
     if hir != sd2:
-        return f"has_hirano(a) = {hir} but has_strongly_drazin(a^2) = {sd2}"
+        raise VerificationError(f"has_hirano(a) = {hir} but has_strongly_drazin(a^2) = {sd2}")
     h = ctx.hirano(a).b
-    sd = ctx.strongly_drazin(a2)
+    sd = check_strongly_drazin(a2, ctx.hirano(a2).b)
     if sd is None:
-        return "the Hirano inverse of a^2 fails the strongly Drazin equations"
+        raise VerificationError("the Hirano inverse of a^2 fails the strongly Drazin equations")
     if sd.b != h * h:
-        return "strongly Drazin inverse of a^2 is not the squared Hirano inverse"
+        raise VerificationError(
+            "strongly Drazin inverse of a^2 is not the squared Hirano inverse"
+        )
     if h != a * sd.b:
-        return "a times the strongly Drazin inverse of a^2 is not the Hirano inverse"
-    return True
+        raise VerificationError(
+            "a times the strongly Drazin inverse of a^2 is not the Hirano inverse"
+        )
 
 
-def _law_criterion(ctx: _LawContext, a: Element):
+def _law_criterion(ctx: _LawContext, a: Element) -> None:
     found = ctx.scanned_hirano(ctx.ring.index_of(a))
     hir = ctx.has_hirano(a)
     if hir != bool(found):
-        return f"criterion says {hir}, equation scan found {len(found)}"
+        raise VerificationError(f"criterion says {hir}, equation scan found {len(found)}")
     if found and ctx.ring.index_of(ctx.hirano(a).b) not in found:
-        return "constructed inverse not among scanned candidates"
-    return True
+        raise VerificationError("constructed inverse not among scanned candidates")
 
 
-def _law_inverse_of_inverse(ctx: _LawContext, a: Element):
+def _law_inverse_of_inverse(ctx: _LawContext, a: Element) -> None:
     hirano_of_hirano(ctx.hirano(a))
-    return True
 
 
-def _law_tripotent_split(ctx: _LawContext, a: Element):
+def _law_tripotent_split(ctx: _LawContext, a: Element) -> None:
     d = tripotent_decomposition(a)
     if ctx.ring.size() <= 100:
+        tripotents = np.flatnonzero(ctx.scan.tripotent_mask()).tolist()
         matches = [
             p
-            for p in map(ctx.ring.element_at, ctx.tripotents)
+            for p in map(ctx.ring.element_at, tripotents)
             if is_nilpotent(a - p) is not None and p * a == a * p
         ]
         if d.tripotent not in matches:
-            return "constructed tripotent not found by the brute-force search"
-    return True
+            raise VerificationError("constructed tripotent not found by the brute-force search")
 
 
-def _law_sd_difference_forward(ctx: _LawContext, a: Element):
+def _law_sd_difference_forward(ctx: _LawContext, a: Element) -> None:
     sd_difference_decomposition(a)
-    return True
 
 
-def _law_sd_difference_converse(ctx: _LawContext, b: Element, c: Element):
+def _law_sd_difference_converse(ctx: _LawContext, b: Element, c: Element) -> None:
     d = b - c
     if not ctx.has_hirano(d):
-        return f"b - c = {d} lacks a Hirano inverse"
-    return True
+        raise VerificationError(f"b - c = {d} lacks a Hirano inverse")
 
 
-def _law_all_hirano_ring(ctx: _LawContext):
+def _law_all_hirano_ring(ctx: _LawContext) -> None:
     ring = ctx.ring
     all_hirano = all(has_hirano(a) for a in ring.elements())
-    split = ctx.scan.tripotent_split_mask(ctx.tripotents)
-    unsplit = np.flatnonzero(~split)
+    unsplit = np.flatnonzero(~ctx.scan.tripotent_split_mask())
     all_split = unsplit.size == 0
     if all_hirano != all_split:
         who = "" if all_split else (
             f"; first element without a split: {ring.element_at(int(unsplit[0]))}"
         )
-        return (
+        raise VerificationError(
             f"every-element-Hirano is {all_hirano} but "
             f"every-element-splits is {all_split}{who}"
         )
-    return True
 
 
-def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element):
+def _law_cline(ctx: _LawContext, a: Element, b: Element, c: Element) -> None:
     ac, ba = a * c, b * a
     left = ctx.has_hirano(ac)
     right = ctx.has_hirano(ba)
     if left != right:
-        return f"existence biconditional fails: ac {left}, ba {right}"
+        raise VerificationError(f"existence biconditional fails: ac {left}, ba {right}")
     if not left:
-        return True
+        return
     cert = cline(a, b, c, ctx.hirano(ac))
     if ctx.ring.size() <= ORACLE_RING_CAP:
         found = ctx.scanned_hirano(ctx.ring.index_of(ba))
         if ctx.ring.index_of(cert.b) not in found:
-            return "transferred inverse rejected by the equation scan"
-    return True
+            raise VerificationError("transferred inverse rejected by the equation scan")
 
 
-def _law_power_transfer(ctx: _LawContext, a: Element, b: Element):
+def _law_power_transfer(ctx: _LawContext, a: Element, b: Element) -> None:
     """(ab)^k Hirano invertible forces (ba)^k Hirano invertible, k = 1, 2, 3."""
     for k in (1, 2, 3):
         if ctx.has_hirano((a * b) ** k) and not ctx.has_hirano((b * a) ** k):
-            return f"power transfer violated at a = {a!r}, b = {b!r}, k = {k}"
-    return True
+            raise VerificationError(f"power transfer violated at a = {a!r}, b = {b!r}, k = {k}")
 
 
-def _law_commuting_product(ctx: _LawContext, a: Element, b: Element):
+def _law_commuting_product(ctx: _LawContext, a: Element, b: Element) -> None:
     ha, hb = ctx.hirano(a), ctx.hirano(b)
-    cert = commuting_product(ha, hb)
+    commuting_product(ha, hb)
     if ha.b * hb.b != hb.b * ha.b:
-        return "the two inverses do not commute"
-    return True
+        raise VerificationError("the two inverses do not commute")
 
 
-def _law_power_formula(ctx: _LawContext, a: Element):
-    ha = ctx.hirano(a)
+def _law_power_formula(ctx: _LawContext, a: Element) -> None:
     for n in (1, 2, 3, 4):
-        power_formula(ha, n)
-    return True
+        power_formula(ctx.hirano(a), n)
 
 
-def _law_jacobson(ctx: _LawContext, a: Element, b: Element, c: Element):
+def _law_jacobson(ctx: _LawContext, a: Element, b: Element, c: Element) -> None:
     """1 + ac and 1 + ba are Hirano invertible together."""
     one = ctx.ring.one()
     if ctx.has_hirano(one + a * c) != ctx.has_hirano(one + b * a):
-        return f"Jacobson biconditional violated at a = {a!r}, b = {b!r}, c = {c!r}"
-    return True
+        raise VerificationError(
+            f"Jacobson biconditional violated at a = {a!r}, b = {b!r}, c = {c!r}"
+        )
 
 
-def _law_orthogonal_sum(ctx: _LawContext, a: Element, b: Element):
+def _law_orthogonal_sum(ctx: _LawContext, a: Element, b: Element) -> None:
     orthogonal_sum(ctx.hirano(a), ctx.hirano(b))
-    return True
 
 
-def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element):
+def _law_square_zero_sum(ctx: _LawContext, a: Element, b: Element) -> None:
     ab, ba = a * b, b * a
     if not ctx.has_hirano(ba):
-        return f"ba = {ba!r} is not Hirano invertible; instance falsified"
+        raise VerificationError(f"ba = {ba!r} is not Hirano invertible; instance falsified")
     result = square_zero_sum(a, b, ctx.hirano(ab), ctx.hirano(ba))
     if not result.statement_valid:
-        return "statement form fails the Hirano equations"
+        raise VerificationError("statement form fails the Hirano equations")
     if not result.proof_valid:
         ctx.note(f"proof form fails at a = {a}, b = {b}")
     elif not result.forms_agree:
         ctx.note(f"statement and proof forms differ at a = {a}, b = {b}")
-    return True
 
 
 @dataclass(frozen=True)
 class _Law:
     law_id: str
-    # of (arity, hypothesis or None, conclusion); an exhaustive pass walks
-    # the (rank, instance) pairs of the hypothesis's `candidates(elements)`
-    # when it declares them, every tuple otherwise
+    # of (arity, hypothesis or None, conclusion returning None or raising);
+    # an exhaustive pass walks the (rank, instance) pairs of the hypothesis's
+    # `candidates(elements)` when it declares them, every tuple otherwise
     passes: tuple
     # reads the equation scan: refused above ORACLE_RING_CAP, and an arity-1
     # pass has its instances scanned a chunk at a time
@@ -634,11 +619,11 @@ def _exhaustive(ring: RingSpec, arity: int, hypothesis):
 
 
 def _prefetching(ctx: _LawContext, space):
-    """The (rank, instance) pairs of space, each chunk's elements scanned in
-    one batch first."""
+    """The (rank, instance) pairs of space, each chunk scanned in one batch
+    first by rank: an arity-1 pass is always exhaustive, so rank is index."""
     space = iter(space)
     while chunk := list(itertools.islice(space, SCAN_CHUNK)):
-        ctx.prefetch(a for _, (a,) in chunk)
+        ctx.prefetch([rank for rank, _ in chunk])
         yield from chunk
 
 
@@ -693,17 +678,11 @@ def verify_theorem(
                 continue
             checked += 1
             try:
-                verdict = conclusion(ctx, *elems)
+                conclusion(ctx, *elems)
             except (PreconditionError, VerificationError) as err:
-                verdict = str(err)
-            if verdict is not True:
-                violations.append(
-                    ViolationRecord(
-                        law=theorem_id,
-                        inputs=tuple(str(e) for e in elems),
-                        detail=verdict,
-                    )
-                )
+                inputs = tuple(str(e) for e in elems)
+                record = ViolationRecord(law=theorem_id, inputs=inputs, detail=str(err))
+                violations.append(record)
                 if len(violations) >= MAX_VIOLATIONS:
                     ctx.note(f"stopped after {MAX_VIOLATIONS} violations")
                     total = rank + 1

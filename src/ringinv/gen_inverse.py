@@ -190,14 +190,14 @@ def drazin_finite(a: Element) -> DrazinCertificate:
 
 
 def _drazin_from_hirano(cert: HiranoCertificate) -> DrazinCertificate:
-    """Over Z, a Hirano inverse is the Drazin inverse; find its index by search."""
+    """Over Z, a Hirano inverse is the Drazin inverse; a unit has index 0."""
     a, b = cert.a, cert.b
-    found = _drazin_axioms(a, b)  # tested once, then each index in turn
+    found = _drazin_axioms(a, b)
     if found is not None:
-        for k in range(max(1, a.ring.dim) + 2):
-            out = _drazin_with_index(a, b, found, k)
-            if out is not None:
-                return out
+        index = 0 if a * b == a.ring.one() else found[1].index
+        out = _drazin_with_index(a, b, found, index)
+        if out is not None:
+            return out
     raise VerificationError("no Drazin index found for a verified Hirano inverse")
 
 

@@ -7,6 +7,7 @@ import json
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from ringinv import (
@@ -324,21 +325,19 @@ class TestTripotentSplits:
     def test_tripotent_indexes_match_the_walk(self, ring):
         # the is_tripotent walk over the whole ring is the oracle for the mask
         walk = [i for i, p in enumerate(ring.elements()) if is_tripotent(p)]
-        assert _LawContext(ring).tripotents == walk
+        assert RingScan(ring).tripotent_mask().nonzero()[0].tolist() == walk
 
     @pytest.mark.parametrize("ring", SPLIT_RINGS, ids=str)
     def test_split_mask_matches_the_walk_and_the_criterion(self, ring):
-        ctx = _LawContext(ring)
-        split = ctx.scan.tripotent_split_mask(ctx.tripotents).tolist()
+        split = RingScan(ring).tripotent_split_mask().tolist()
         assert split == walk_split(ring)
         assert split == [has_hirano(a) for a in ring.elements()]
 
     def test_idempotents_alone_leave_elements_unsplit(self, monkeypatch):
-        idempotents = property(
-            lambda ctx: [i for i, p in enumerate(ctx.ring.elements()) if is_idempotent(p)]
-        )
-        monkeypatch.setattr(_LawContext, "tripotents", idempotents)
-        report = verify_theorem("3.6", modular(12))
+        ring = modular(12)
+        idempotents = [is_idempotent(p) for p in ring.elements()]
+        monkeypatch.setattr(RingScan, "tripotent_mask", lambda scan: np.array(idempotents))
+        report = verify_theorem("3.6", ring)
         assert [(v.inputs, v.detail) for v in report.violations] == [((), Z12_UNSPLIT)]
 
     def test_missing_nilpotent_is_caught(self, monkeypatch):
@@ -679,6 +678,31 @@ class TestFailureRule:
                 for elems in itertools.product(first, repeat=arity):
                     assert type(hypothesis(ctx, *elems)) is bool, law.law_id
 
+    def test_every_conclusion_returns_none(self, monkeypatch):
+        """A conclusion reports a violation only by raising: on Z/27, where
+        every law holds, each checked instance's conclusion returns None."""
+        returned: dict[str, list] = {}
+
+        def recording(law_id, conclusion):
+            def recorded(ctx, *elems):
+                value = conclusion(ctx, *elems)
+                returned.setdefault(law_id, []).append(value)
+                return value
+
+            return recorded
+
+        for law_id, law in list(LAWS.items()):
+            passes = tuple(
+                (arity, hypothesis, recording(law_id, conclusion))
+                for arity, hypothesis, conclusion in law.passes
+            )
+            monkeypatch.setitem(LAWS, law_id, dataclasses.replace(law, passes=passes))
+        for law_id in LAWS:
+            assert verify_theorem(law_id, modular(27)).ok, law_id
+        assert {law_id: set(map(repr, values)) for law_id, values in returned.items()} == {
+            law_id: {"None"} for law_id in LAWS
+        }
+
     def test_sample_count_is_bounded_before_any_draw(self, monkeypatch):
         cap = census.MAX_EXHAUSTIVE_INSTANCES
         assert verify_theorem("3.6", modular(9), samples=cap).ok
@@ -696,8 +720,8 @@ class TestLawMemo:
         memos alive until the collector ran."""
         ring = modular(27)
         ctx = _LawContext(ring)
-        assert ctx.strongly_drazin(ring.element(1)) is not None
-        ctx.tripotents  # fills both cached properties, scan and tripotents
+        assert ctx.hirano(ring.element(1)) is not None
+        ctx.scan  # fills the cached property
         freed = weakref.ref(ctx)
         gc.disable()
         try:

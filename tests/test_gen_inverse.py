@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import re
 
@@ -60,6 +61,25 @@ from oracles import (
 # nilpotent: it separates the Hirano and strongly-Drazin classes over an
 # infinite ring.
 CUBE_FIXED = [[-2, 3, 2], [-2, 3, 2], [1, -1, -1]]
+
+def integer_battery():
+    """Z and M1(Z), M2(Z) with entries in -2..2, and M3(Z) with entries in
+    -1..1: 20 318 elements, 5 206 of them Hirano invertible."""
+    yield from (Z.element(v) for v in range(-2, 3))
+    for dim, span in ((1, range(-2, 3)), (2, range(-2, 3)), (3, range(-1, 2))):
+        ring = matrix(Z, dim)
+        for entries in itertools.product(span, repeat=dim * dim):
+            yield ring.element([list(entries[row * dim : (row + 1) * dim]) for row in range(dim)])
+
+
+def searched_drazin_index(a, b) -> int | None:
+    """The least k >= 0 with a^k = a^(k+1) b, searched up to dim + 1: how
+    classify found the index over Z before it read the defect's witness."""
+    for k in range(max(1, a.ring.dim) + 2):
+        if a**k == a ** (k + 1) * b:
+            return k
+    return None
+
 
 ORBIT_RINGS = SMALL_RINGS + [
     matrix(modular(6), 2),
@@ -604,14 +624,42 @@ class TestClassify:
         assert calls[0] == 6
 
     def test_integer_drazin_axioms_are_tested_once(self, monkeypatch):
-        """Over Z the Drazin index is searched: the axioms (and their
-        nilpotent defect) are tested once, not once per candidate index."""
+        """Over Z the Drazin axioms (and their nilpotent defect) are tested
+        once, and the index is read off the defect's witness."""
         a = matrix(Z, 2).element([[1, 0], [0, 0]])
         calls = counting_calls(monkeypatch, [gen_inverse], "is_nilpotent")
         report = classify(a)
         assert report.drazin.b == a and report.drazin.index == 1
         # check_hirano, check_strongly_drazin, and the Drazin defect once
         assert calls[0] == 3
+
+    def test_integer_drazin_index_matches_the_search(self):
+        """The witness rule gives, on every Hirano element of the battery,
+        the least k >= 0 with a^k = a^(k+1) b."""
+        drazin_invertible = 0
+        for a in integer_battery():
+            report = classify(a)
+            if report.drazin is None:
+                continue
+            drazin_invertible += 1
+            assert report.drazin.index == searched_drazin_index(a, report.drazin.b), a
+        assert drazin_invertible == 5206
+
+    def test_integer_drazin_index_is_checked_once(self, monkeypatch):
+        """A non-unit over Z checks only the index its defect's witness
+        gives; a unit checks index 0."""
+        calls = counting_calls(monkeypatch, [gen_inverse], "_drazin_with_index")
+        m2 = matrix(Z, 2)
+        for a, index in (
+            (Z.element(0), 1),
+            (Z.element(-1), 0),
+            (m2.element([[1, 0], [0, 0]]), 1),
+            (m2.element([[0, 1], [0, 0]]), 2),
+            (m2.element([[1, 1], [0, 0]]), 1),
+        ):
+            calls[0] = 0
+            assert classify(a).drazin.index == index, a
+            assert calls[0] == 1, a
 
     def test_non_hirano_element_renders_nothing(self, monkeypatch):
         calls = counting_renders(monkeypatch)

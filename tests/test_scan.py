@@ -268,8 +268,9 @@ class TestCentraliserSelfCheck:
 
 class TestScanCost:
     def test_scanned_rows_are_the_centralisers(self, monkeypatch):
-        """Every index of the sample twice through the law memo: one batched
-        scan, whose rows are the distinct indexes' centralisers."""
+        """The distinct sampled indexes in one batched scan, whose rows are
+        their centralisers; each index is then read twice through the law
+        memo, which scans nothing more."""
         scan = scan_of(M4Z2)
         ctx = _LawContext(M4Z2)
         ctx.scan = scan
@@ -285,9 +286,8 @@ class TestScanCost:
 
         blocks = counting_rows(monkeypatch)
         monkeypatch.setattr(RingScan, "_mul", widest_mul)
-        elements = [M4Z2.element_at(i) for i in indexes]
-        ctx.prefetch(elements + elements[::-1])
-        for index in indexes:
+        ctx.prefetch(indexes)
+        for index in indexes + indexes[::-1]:
             ctx.scanned_hirano(index)
         monkeypatch.undo()
         touched = sum(blocks)
@@ -320,10 +320,11 @@ class TestScanCost:
                 yield members, rows, codes
 
         monkeypatch.setattr(RingScan, "_centralisers", counting_centralisers)
-        scan.tripotent_split_mask(ctx.tripotents)
+        scan.tripotent_split_mask()
         monkeypatch.undo()
-        assert touched == sum(centraliser_size_mod2(p) for p in scan.stack[ctx.tripotents])
-        assert touched < 0.05 * len(ctx.tripotents) * M4Z2.size()
+        tripotents = np.flatnonzero(scan.tripotent_mask())
+        assert touched == sum(centraliser_size_mod2(p) for p in scan.stack[tripotents])
+        assert touched < 0.05 * len(tripotents) * M4Z2.size()
 
     def test_census_cross_check_rows_and_products(self, monkeypatch):
         inverse_scans = RingScan.inverse_scans
@@ -370,7 +371,15 @@ class TestSharedTripotentMask:
         def refuse(scan):
             raise AssertionError("census_masks built for the tripotents alone")
 
+        tripotent_mask = RingScan.tripotent_mask
+        masks = []
+
+        def recording_mask(scan):
+            masks.append(tripotent_mask(scan))
+            return masks[-1]
+
         monkeypatch.setattr(RingScan, "census_masks", refuse)
-        ctx = _LawContext(matrix(modular(3), 2))
-        assert ctx.tripotents == np.flatnonzero(ctx.scan.tripotent_mask()).tolist()
-        assert len(ctx.tripotents) == 39
+        monkeypatch.setattr(RingScan, "tripotent_mask", recording_mask)
+        assert verify_theorem("3.6", matrix(modular(3), 2)).ok
+        assert masks and all(mask is masks[0] for mask in masks)
+        assert len(np.flatnonzero(masks[0])) == 39

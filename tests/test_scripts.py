@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -52,3 +54,29 @@ def test_cli_battery_help():
     assert result.returncode == 0, result.stderr
     for text in ("CHECKOUT", "sha256"):
         assert text in result.stdout
+
+
+def _tuple_constants(path: Path, *names: str) -> dict[str, tuple]:
+    """The literal tuples bound to ``names`` at the top of a Python file,
+    read from its syntax tree, so the file is neither run nor changed."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                found[target.id] = ast.literal_eval(node.value)
+    assert sorted(found) == sorted(names)
+    return found
+
+
+def test_traced_methods_exist_on_their_classes():
+    """perfbench's trace mode wraps each method through cls.__dict__[attr]:
+    a renamed or deleted method would crash every traced run."""
+    constants = _tuple_constants(
+        ROOT / "perfbench" / "tracing.py", "SPANNED_METHODS", "COUNTED_METHODS"
+    )
+    entries = constants["SPANNED_METHODS"] + constants["COUNTED_METHODS"]
+    assert entries
+    for module_name, cls_name, attr, _ in entries:
+        cls = getattr(importlib.import_module("ringinv." + module_name), cls_name)
+        assert attr in vars(cls), (module_name, cls_name, attr)
