@@ -16,13 +16,17 @@ sampled (``--samples 200 --seed 4``), and with ``--json --seed 0 --samples
 500`` on M2(Z/7) and Z/27; ``classify`` and ``decompose``, human and
 ``--json``, on every element of Z/5, Z/9, Z/25, Z/12, M2(Z/2) and M2(Z/3);
 four censuses; integer matrices; laws 3.3 and 3.4 where 2 is not a unit;
-refused inputs.  That is 715 runs.
+refused inputs, among them numbers of 6 021 digits (2^20000, above
+Python's default int-string limit) and a superscript digit.  That is 718
+runs.  A call that raises instead of exiting is recorded with the
+exception's type as its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import hashlib
 import io
 import itertools
@@ -42,6 +46,9 @@ LAW_RUNS = (
     ("M2(Z/7)", "--json", "--seed", "0", "--samples", "500"),
     ("Z/27", "--json", "--seed", "0", "--samples", "500"),
 )
+
+# 2^20000 in decimal, built without int -> str and its digit limit
+BIG = str(decimal.Context(prec=7000).power(decimal.Decimal(2), 20000))
 
 ELEMENT_RINGS = ((False, 5), (False, 9), (False, 25), (False, 12), (True, 2), (True, 3))
 
@@ -75,6 +82,7 @@ OTHER_RUNS = (
     ("verify", "2.2", "M3(Z/4)"), ("verify", "3.1", "M3(Z/4)"),
     ("verify", "4.1", "M2(Z/7)", "--samples", "0"),
     ("verify", "2.1", "Z"), (),
+    ("classify", f"Z/{BIG}", "3"), ("classify", "Z/9", BIG), ("classify", "Z/9", "²"),
 )
 
 
@@ -115,6 +123,8 @@ def run_inside(argvs: list[list[str]]) -> list[dict]:
                 code = main(argv)
             except SystemExit as exit_:
                 code = exit_.code
+            except Exception as raised:  # a traceback, not an exit
+                code = f"raised {type(raised).__name__}"
         records.append({"argv": argv, "exit": code,
                         "stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue())})
     return records

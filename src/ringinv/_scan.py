@@ -1,9 +1,11 @@
 """Vectorized scans: census masks over the whole ring, and the equation scan.
 
-Both work on numpy stacks of ring elements and share no code with the
+All work on numpy stacks of ring elements and share no code with the
 per-element criteria in rings and gen_inverse.  census_masks evaluates the
 criteria (x^B = 0, x^unit_exponent = 1, x - x^3 nilpotent, ...) for every
-element at once.  inverse_scans solves the three defining equation
+element at once.  drazin_codes raises a batch of elements to the ring's
+power-formula exponent m - 1 in one stack power, giving the index of each
+Drazin inverse x^(m-1) (drazin_finite's formula).  inverse_scans solves the three defining equation
 systems, and nothing else, for a batch of elements: it generates the
 centraliser of each a (the solutions of ab = ba, usually a small fraction
 of the ring) and tests bab = b and the nilpotent defects on those rows
@@ -140,6 +142,7 @@ class RingScan:
         self._radix = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self._bound = nilpotency_bound(ring)
         self._unit_exponent = unit_exponent(ring)
+        self._drazin_exponent = ring._drazin_exponent
         self._nilpotent_mask: np.ndarray | None = None
         self._tripotent_mask: np.ndarray | None = None
         # the d^2 x d^2 matrix a (x) I - I (x) a^T of x -> ax - xa on
@@ -176,6 +179,12 @@ class RingScan:
     def codes(self, stack: np.ndarray) -> np.ndarray:
         flat = stack.reshape(stack.shape[0], -1)
         return flat @ self._radix
+
+    def drazin_codes(self, indexes) -> np.ndarray:
+        """Indexes of x^(m-1), the power-formula Drazin inverses of the
+        elements at indexes, from one stack power (m >= 2: RingSpec._drazin_exponent)."""
+        x = self.stack[np.asarray(indexes, dtype=np.int64)]
+        return self.codes(self._power(x, self._drazin_exponent - 1))
 
     def nilpotent_mask(self) -> np.ndarray:
         """Boolean mask over indexes: x^B = 0 with B = nilpotency_bound."""

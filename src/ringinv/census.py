@@ -5,18 +5,22 @@ three generalized-inverse classes across a finite ring from whole-ring
 numpy masks (RingScan.census_masks: x - x^3 nilpotent for Hirano, x - x^2
 nilpotent for strongly Drazin, x^unit_exponent = 1 for units, ...).  Each
 checked element's mask verdicts are confirmed by two independent paths:
-classify with the per-element criteria, and the definitional equation
-scan (RingScan.inverse_scans), whose unique Drazin inverse also decides
-nilpotent, idempotent, tripotent and unit.  The scan solves ab = ba by
-generating the centraliser of a and tests the other equations on its
-rows only, so a checked element costs in proportion to its centraliser,
-not to the ring.  The checked elements are scanned SCAN_CHUNK at a time,
-one batched call per chunk, and each chunk's results are checked and
-dropped before the next; a chunk whose scan raises is scanned again one
-element at a time, so the first element in index order to fail any check
-fails the census.  Any disagreement is a hard error naming the category
-and the element; the check is exhaustive on rings of at most 10**4
-elements and covers a seeded sample of at most 10**4 elements above that.
+the per-element predicates and the Hirano lift, as one path (the lift's
+inverse also answers the strongly Drazin equations, as in classify), and
+the definitional equation scan (RingScan.inverse_scans), whose unique
+Drazin inverse d also decides nilpotent, idempotent, tripotent and unit.
+The power formula a^(m-1), one stack power per chunk
+(RingScan.drazin_codes), is compared with the scan's unique d.  The scan
+solves ab = ba by generating the centraliser of a and tests the other
+equations on its rows only, so a checked element costs in proportion to
+its centraliser, not to the ring.  The checked elements are scanned
+SCAN_CHUNK at a time, one batched call per chunk, and each chunk's results
+are checked and dropped before the next; a chunk whose scan raises is
+scanned again one element at a time, so the first element in index order
+to fail any check fails the census.  Any disagreement is a hard error
+naming the category and the element; the check is exhaustive on rings of
+at most 10**4 elements and covers a seeded sample of at most 10**4
+elements above that.
 
 verify_theorem drives the law registry: each law id names a fixed
 checkable statement about one ring, run exhaustively when size**arity
@@ -84,8 +88,8 @@ from .calculus import (
 )
 from .gen_inverse import (
     _drazin_axioms,
+    _hirano_and_strongly_drazin,
     check_strongly_drazin,
-    classify,
     drazin_finite,
     has_hirano,
     has_strongly_drazin,
@@ -165,13 +169,19 @@ class CensusReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _cross_check_element(ring: RingSpec, masks: dict, index: int, found: dict) -> None:
-    """Confirm one element's mask verdicts by its criteria, classify and its
-    equation scan found.
+def _cross_check_element(
+    ring: RingSpec, masks: dict, index: int, found: dict, drazin_code: int
+) -> None:
+    """Confirm one element's mask verdicts by its criteria and its equation
+    scan found, and check the scan against the constructed inverses.
 
     The scan's Drazin inverse d is unique; it decides the classes that have
     no inverse system of their own: a is nilpotent iff d = 0, tripotent iff
-    d = a, idempotent iff a*d = a, and a unit iff a*d = 1.
+    d = a, idempotent iff a*d = a, and a unit iff a*d = 1.  The Hirano lift
+    decides the Hirano and strongly Drazin classes, as in classify; its
+    inverses must lie in the scanned sets and equal d, and drazin_code,
+    the index of the power-formula Drazin inverse a^(m-1)
+    (RingScan.drazin_codes), must be d's.
     """
     a = ring.element_at(index)
     if len(found["drazin"]) != 1:
@@ -180,14 +190,15 @@ def _cross_check_element(ring: RingSpec, masks: dict, index: int, found: dict) -
             f"of {a}, not exactly one"
         )
     d = ring.element_at(found["drazin"][0])
-    report = classify(a)
+    ad = a * d
+    hir, sd = _hirano_and_strongly_drazin(a)
     paths = {
         "nilpotent": (is_nilpotent(a) is not None, d == ring.zero()),
-        "idempotent": (is_idempotent(a), a * d == a),
+        "idempotent": (is_idempotent(a), ad == a),
         "tripotent": (is_tripotent(a), d == a),
-        "unit": (is_unit(a), a * d == ring.one()),
-        "strongly_drazin": (report.has_strongly_drazin, bool(found["strongly_drazin"])),
-        "hirano": (report.has_hirano, bool(found["hirano"])),
+        "unit": (is_unit(a), ad == ring.one()),
+        "strongly_drazin": (sd is not None, bool(found["strongly_drazin"])),
+        "hirano": (hir is not None, bool(found["hirano"])),
     }
     for category, (criterion, brute) in paths.items():
         mask = bool(masks[category][index])
@@ -197,14 +208,18 @@ def _cross_check_element(ring: RingSpec, masks: dict, index: int, found: dict) -
                 f"{mask}, criterion says {criterion}, equation scan says {brute}"
             )
     for name, cert, scanned in (
-        ("Hirano", report.hirano, found["hirano"]),
-        ("strongly Drazin", report.strongly_drazin, found["strongly_drazin"]),
+        ("Hirano", hir, found["hirano"]),
+        ("strongly Drazin", sd, found["strongly_drazin"]),
     ):
         if cert is not None and ring.index_of(cert.b) not in scanned:
             raise CensusMismatchError(
                 f"constructed {name} inverse of {a} in {ring} is not in the scanned set"
             )
-    if report.drazin.b != d:
+    if hir is not None and hir.b != d:
+        raise CensusMismatchError(
+            f"uniqueness failure in {ring}: the Hirano and Drazin inverses of {a} disagree"
+        )
+    if drazin_code != found["drazin"][0]:
         raise CensusMismatchError(
             f"power-formula Drazin inverse of {a} in {ring} differs from the scanned one"
         )
@@ -243,12 +258,13 @@ def run_census(
         info = CrossCheckInfo(strategy="sampled", seed=seed, checked=len(indexes))
     for start in range(0, len(indexes), SCAN_CHUNK):
         chunk = indexes[start : start + SCAN_CHUNK]
+        drazin = scan.drazin_codes(chunk).tolist()
         try:
             scanned = scan.inverse_scans(chunk)
         except VerificationError:
             scanned = map(scan.inverse_scan, chunk)  # lazily, in index order
-        for index, found in zip(chunk, scanned):
-            _cross_check_element(ring, masks, index, found)
+        for index, found, code in zip(chunk, scanned, drazin):
+            _cross_check_element(ring, masks, index, found, code)
     if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
         raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
     hir, sd = masks["hirano"], masks["strongly_drazin"]

@@ -155,11 +155,20 @@ def hirano(a: Element) -> HiranoCertificate:
     return cert
 
 
+def _hirano_and_strongly_drazin(
+    a: Element,
+) -> tuple[HiranoCertificate | None, SDrazinCertificate | None]:
+    """The Hirano and strongly Drazin inverses of a, None for each it lacks.
+    A strongly Drazin inverse is the Hirano inverse (see strongly_drazin),
+    so one lift and a check of its equations decide both."""
+    hir = _hirano_inverse(a)
+    return hir, None if hir is None else check_strongly_drazin(a, hir.b)
+
+
 def strongly_drazin(a: Element) -> SDrazinCertificate:
     """The Hirano inverse, if it passes the strongly Drazin equations: both
     are the Drazin inverse, and a - a^3 = (a - a^2)(1 + a)."""
-    hir = _hirano_inverse(a)
-    cert = None if hir is None else check_strongly_drazin(a, hir.b)
+    cert = _hirano_and_strongly_drazin(a)[1]
     if cert is None:
         raise PreconditionError(
             f"{a!r} has no strongly Drazin inverse: a - a^2 is not nilpotent"
@@ -217,10 +226,7 @@ class InverseReport:
 
 
 def classify(a: Element) -> InverseReport:
-    # a strongly Drazin inverse is the Hirano inverse (see strongly_drazin),
-    # so one lift and a check of its equations decide both
-    hir = _hirano_inverse(a)
-    sd = None if hir is None else check_strongly_drazin(a, hir.b)
+    hir, sd = _hirano_and_strongly_drazin(a)
     ring = a.ring
     if ring.is_finite:
         dz: DrazinCertificate | None = drazin_finite(a)

@@ -6,10 +6,13 @@ Element grammar:  an integer for scalar rings, a row-major nested list such
 
 ``str`` of a ring or an element renders the same grammar, so every
 emitted literal parses back to what it came from.  A Unicode minus sign
-is accepted as input.
+is accepted as input.  Numbers are ASCII digits, at most
+sys.get_int_max_str_digits() of them.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .rings import Element, RingSpec, Z, matrix, modular
 
@@ -49,7 +52,19 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", self.text, start)
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos]
+        if not digits.isascii():
+            at = start + next(i for i, ch in enumerate(digits) if not ch.isascii())
+            raise ParseError("expected an ASCII digit", self.text, at)
+        # 0 is no limit, as on Python before 3.10.7, which has no such call
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(digits) > limit:
+            raise ParseError(
+                f"number has {len(digits)} digits, above the limit of {limit}",
+                self.text,
+                start,
+            )
+        return int(digits)
 
     def signed_int(self) -> int:
         sign = 1

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ringinv import (
     is_unit,
     matrix,
     modular,
+    parse_ring,
     run_census,
     verify_theorem,
 )
@@ -87,6 +89,22 @@ M2Z3_COUNTS = {
     "strongly_drazin": 30,
     "hirano": 63,
 }
+
+# every finite ring whose census is recorded in census_golden.json
+GOLDEN_CENSUS_RINGS = [
+    ring
+    for ring in (
+        parse_ring(entry["argv"][1])
+        for entry in json.loads(
+            (Path(__file__).parent / "data" / "census_golden.json").read_text()
+        )
+        if entry["exit_code"] == 0
+    )
+    if ring.is_finite
+]
+# per-element drazin_finite takes about 9 s over the 153 364 elements of the
+# golden rings above the exhaustive cap, so those are compared on a sample
+POWER_FORMULA_SAMPLES = 1000
 
 # (ring, instances, checked) triples frozen from exhaustive runs; a change in
 # any of them means the verification harness itself changed behavior.
@@ -421,6 +439,79 @@ class TestCensusMechanics:
         assert report.cross_check.checked == 20
         again = run_census(ring, seed=3, samples=20)
         assert report.to_json() == again.to_json()
+
+
+class TestPowerFormulaCodes:
+    """RingScan.drazin_codes against the per-element power formula it
+    replaced in the census, drazin_finite, kept as the oracle."""
+
+    @pytest.mark.parametrize("ring", GOLDEN_CENSUS_RINGS, ids=str)
+    def test_codes_match_drazin_finite(self, ring):
+        codes = RingScan(ring).drazin_codes(range(ring.size()))
+        indexes = range(ring.size())
+        if ring.size() > census.EXHAUSTIVE_SCAN_CAP:
+            indexes = random.Random(0).sample(indexes, POWER_FORMULA_SAMPLES)
+        for i in indexes:
+            assert codes[i] == ring.index_of(gen_inverse.drazin_finite(ring.element_at(i)).b)
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["batched", "one at a time"])
+    def test_corrupted_code_is_caught(self, fallback, monkeypatch):
+        ring = matrix(modular(3), 2)
+        index = 40
+        drazin_codes = RingScan.drazin_codes
+
+        def corrupted(scan, indexes):
+            codes = drazin_codes(scan, indexes)
+            codes[list(indexes).index(index)] += 1
+            return codes
+
+        monkeypatch.setattr(RingScan, "drazin_codes", corrupted)
+        if fallback:
+            # a batch of more than one raises, so each chunk is scanned
+            # again one element at a time
+            inverse_scans = RingScan.inverse_scans
+
+            def one_at_a_time(scan, indexes):
+                if len(indexes) > 1:
+                    raise VerificationError("batch refused")
+                return inverse_scans(scan, indexes)
+
+            monkeypatch.setattr(RingScan, "inverse_scans", one_at_a_time)
+        with pytest.raises(CensusMismatchError, match="power-formula") as caught:
+            run_census(ring)
+        assert f"Drazin inverse of {ring.element_at(index)} in" in str(caught.value)
+
+    def test_lifted_inverse_other_than_the_scanned_drazin_is_caught(self, monkeypatch):
+        # the lift hands out another scanned Hirano candidate for a = 1
+        ring = matrix(modular(3), 2)
+        one, other = ring.index_of(ring.one()), 5
+        inverse_scans = RingScan.inverse_scans
+        lift = census._hirano_and_strongly_drazin
+
+        def extra_candidate(scan, indexes):
+            found = inverse_scans(scan, indexes)
+            if one in indexes:
+                found[list(indexes).index(one)]["hirano"].append(other)
+            return found
+
+        def other_inverse(a):
+            hir, sd = lift(a)
+            if a == ring.one():
+                hir = dataclasses.replace(hir, b=ring.element_at(other))
+            return hir, sd
+
+        monkeypatch.setattr(RingScan, "inverse_scans", extra_candidate)
+        monkeypatch.setattr(census, "_hirano_and_strongly_drazin", other_inverse)
+        with pytest.raises(CensusMismatchError, match="uniqueness failure") as caught:
+            run_census(ring)
+        assert f"inverses of {ring.one()} disagree" in str(caught.value)
+
+    def test_census_runs_no_per_element_power(self, monkeypatch):
+        drazin = counting_calls(monkeypatch, [gen_inverse, census], "drazin_finite")
+        classified = counting_calls(monkeypatch, [gen_inverse], "classify")
+        run_census(matrix(modular(3), 2))
+        assert drazin == [0] and classified == [0]
+        assert not hasattr(census, "classify")
 
 
 class TestVerifyTheorem:

@@ -303,6 +303,21 @@ class TestParsing:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("Z/" + "1" + "0" * 6020, "3"), "number has 6021 digits, above the limit of 4300"),
+            (("Z/9", "1" + "0" * 6020), "number has 6021 digits, above the limit of 4300"),
+            (("Z/9", "\u00b2"), "expected an ASCII digit (at position 0 in '\u00b2')"),
+        ],
+        ids=["long modulus", "long element", "superscript"],
+    )
+    def test_unparsable_number_is_an_error_line(self, capsys, argv, message):
+        # 6 021 digits, as in 2**20000: above Python's default int-string limit
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -90,3 +92,50 @@ class TestElementGrammar:
         m = matrix(Z, 2)
         a = m.element([[-3, 12], [0, -1]])
         assert parse_element(m, str(a)) == a
+
+
+@pytest.fixture
+def digit_limit():
+    """Restore the interpreter's int-string digit limit after the test."""
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+class TestNumbers:
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (parse_ring, "Z/\u00b2", 2),
+            (parse_ring, "M\u0662(Z/3)", 1),
+            (lambda text: parse_element(modular(9), text), "\u00b2", 0),
+            (lambda text: parse_element(modular(9), text), "-1\u00b2", 2),
+            (lambda text: parse_element(matrix(modular(9), 2), text), "[[1,0],[0,\u0663]]", 10),
+        ],
+        ids=["modulus", "dimension", "scalar", "after an ASCII digit", "matrix entry"],
+    )
+    def test_non_ascii_digit_is_refused_where_it_stands(self, parse, text, position):
+        # str.isdigit accepts these; int accepts the Arabic-Indic ones but
+        # not the superscript
+        with pytest.raises(ParseError, match="expected an ASCII digit") as err:
+            parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("where", ["modulus", "element"])
+    def test_number_above_the_digit_limit_is_refused(self, where, digit_limit):
+        digit_limit(640)
+        number = "1" + "0" * 640
+        with pytest.raises(ParseError, match="641 digits, above the limit of 640") as err:
+            if where == "modulus":
+                parse_ring(f"Z/{number}")
+            else:
+                parse_element(modular(9), f"-{number}")
+        assert err.value.position == (2 if where == "modulus" else 1)
+
+    def test_number_at_the_digit_limit_parses(self, digit_limit):
+        digit_limit(640)
+        assert parse_element(modular(9), "1" + "0" * 639) == modular(9).element(1)
+
+    def test_no_limit_admits_any_length(self, digit_limit):
+        digit_limit(0)
+        assert parse_element(modular(9), "1" + "0" * 6020) == modular(9).element(1)

@@ -44,8 +44,8 @@ SAMPLES = 200
 M4Z2 = matrix(modular(2), 4)
 M3Z2 = matrix(modular(2), 3)
 # Element products per cross-checked element of a census: the criteria,
-# classify and the scan's verdict tests (about 60 on M3(Z/2)), whatever
-# the size of the ring.
+# the Hirano lift and the scan's verdict tests (about 21 on M3(Z/2)),
+# whatever the size of the ring.
 PRODUCTS_PER_CHECKED = 100
 
 
