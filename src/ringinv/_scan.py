@@ -1,11 +1,12 @@
-"""Vectorized scans: census masks over the whole ring, and the equation scan.
+"""Vectorized scans: census masks over the whole ring, power-formula Drazin
+inverses, and the equation scan.
 
 All work on numpy stacks of ring elements and share no code with the
 per-element criteria in rings and gen_inverse.  census_masks evaluates the
 criteria (x^B = 0, x^unit_exponent = 1, x - x^3 nilpotent, ...) for every
-element at once.  drazin_codes raises a batch of elements to the ring's
-power-formula exponent m - 1 in one stack power, giving the index of each
-Drazin inverse x^(m-1) (drazin_finite's formula).  inverse_scans solves the three defining equation
+element at once.  drazin_codes gives the indexes of the power-formula
+Drazin inverses x^(D-1) of a batch of elements, D the ring's exponent of
+drazin_finite, from one stack power.  inverse_scans solves the three defining equation
 systems, and nothing else, for a batch of elements: it generates the
 centraliser of each a (the solutions of ab = ba, usually a small fraction
 of the ring) and tests bab = b and the nilpotent defects on those rows
@@ -181,8 +182,9 @@ class RingScan:
         return flat @ self._radix
 
     def drazin_codes(self, indexes) -> np.ndarray:
-        """Indexes of x^(m-1), the power-formula Drazin inverses of the
-        elements at indexes, from one stack power (m >= 2: RingSpec._drazin_exponent)."""
+        """Indexes of x^(D-1), the power-formula Drazin inverses of the
+        elements at indexes, from one stack power; D >= 2 is
+        RingSpec._drazin_exponent."""
         x = self.stack[np.asarray(indexes, dtype=np.int64)]
         return self.codes(self._power(x, self._drazin_exponent - 1))
 

@@ -56,15 +56,15 @@ class _Cursor:
         if not digits.isascii():
             at = start + next(i for i, ch in enumerate(digits) if not ch.isascii())
             raise ParseError("expected an ASCII digit", self.text, at)
-        # 0 is no limit, as on Python before 3.10.7, which has no such call
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and len(digits) > limit:
+        try:
+            return int(digits)
+        except ValueError:  # ASCII digits fail only above the interpreter's limit
+            limit = sys.get_int_max_str_digits()
             raise ParseError(
                 f"number has {len(digits)} digits, above the limit of {limit}",
                 self.text,
                 start,
-            )
-        return int(digits)
+            ) from None
 
     def signed_int(self) -> int:
         sign = 1
