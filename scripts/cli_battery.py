@@ -107,6 +107,12 @@ def battery() -> list[list[str]]:
     return runs
 
 
+def _shown(arg: str) -> str:
+    """An argument as a differs: line shows it: one above 40 characters is
+    cut to its first 20 and its length."""
+    return arg if len(arg) <= 40 else f"{arg[:20]}...({len(arg)} characters)"
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -168,7 +174,7 @@ def main() -> int:
         return 0
     differ = [old["argv"] for old, new in zip(*results) if old != new]
     for argv in differ:
-        print("differs:", " ".join(argv))
+        print("differs:", " ".join(map(_shown, argv)))
     print(f"{len(argvs)} runs, {len(differ)} differ")
     return 1 if differ else 0
 

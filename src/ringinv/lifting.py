@@ -7,13 +7,18 @@ steps.  The iteration is mirrored on integer polynomials, producing a
 certificate that e is a polynomial in x; evaluating the certificate must
 reproduce e exactly.  That membership is what later constructions rely on
 for commutation: anything commuting with x commutes with e.
+
+The iteration and the certificate's evaluation are chains of products on
+one ring: they run the ring's kernels on entry tuples and build one element
+each, for their result.  The integer polynomials stay exact.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .rings import Element, PreconditionError, VerificationError, is_nilpotent
+from .rings import Element, PreconditionError, VerificationError, _element, is_nilpotent
 
 Poly = tuple[int, ...]  # integer coefficients, constant term first
 
@@ -25,11 +30,10 @@ def _trim(coeffs: list[int]) -> Poly:
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    out[:len(q)] = map(operator.add, p, q)
     return _trim(out)
 
 
@@ -44,11 +48,14 @@ def poly_scale(p: Poly, c: int) -> Poly:
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
+    if len(p) > len(q):
+        p, q = q, p
+    # a row of products per coefficient of the shorter factor
     out = [0] * (len(p) + len(q) - 1)
+    width = len(q)
     for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
+            out[i:i + width] = map(operator.add, out[i:i + width], map(a.__mul__, q))
     return _trim(out)
 
 
@@ -88,12 +95,20 @@ class PolynomialCertificate:
     subject: Element
 
     def evaluate(self) -> Element:
+        """The polynomial at ``subject``, by Horner's rule on entry tuples.
+
+        Each step is one kernel product and the coefficient added on the
+        diagonal; over Z/n the coefficients are reduced mod n first, which
+        gives the same residue.  One element is built, for the value.
+        """
         ring = self.subject.ring
-        acc = ring.zero()
-        one = ring.one()
-        for c in reversed(self.coefficients):
-            acc = acc * self.subject + c * one
-        return acc
+        product, add, m = ring._product, ring._add, ring.modulus
+        x, one = self.subject.entries, ring.one().entries
+        coefficients = self.coefficients if m is None else [c % m for c in self.coefficients]
+        acc = ring.zero().entries
+        for c in reversed(coefficients):
+            acc = add(product(acc, x, m), tuple([c * v for v in one]), m)
+        return _element(ring, acc)
 
 
 @dataclass(frozen=True)
@@ -114,18 +129,22 @@ def lift_idempotent(x: Element) -> LiftedIdempotent:
     if witness is None:
         raise PreconditionError("cannot lift: x - x^2 is not nilpotent")
     cap = (witness.index - 1).bit_length() + 2
-    t = x
+    ring = x.ring
+    product, m = ring._product, ring.modulus
+    t = x.entries
     poly: Poly = (0, 1)
     steps = 0
-    square = t * t
+    square = product(t, t, m)
     while square != t:
         if steps >= cap:
             raise VerificationError("idempotent refinement did not converge within its cap")
-        t = 3 * square - 2 * (square * t)
+        step = [3 * s - 2 * c for s, c in zip(square, product(square, t, m))]
+        t = tuple(step) if m is None else tuple([v % m for v in step])
         psquare = poly_mul(poly, poly)
         poly = poly_sub(poly_scale(psquare, 3), poly_scale(poly_mul(psquare, poly), 2))
         steps += 1
-        square = t * t
+        square = product(t, t, m)
+    t = _element(ring, t)
     cert = PolynomialCertificate(poly, x)
     if cert.evaluate() != t or is_nilpotent(x - t) is None:
         raise VerificationError("idempotent lift failed its own certificate checks")

@@ -18,10 +18,20 @@ from .rings import Element, RingSpec, Z, matrix, modular
 
 
 class ParseError(ValueError):
-    """A literal failed to parse; carries the 0-based offending position."""
+    """A literal failed to parse; carries the 0-based offending position.
+
+    The message quotes the text, or for a text above 80 characters its
+    length and the 40 characters either side of the position, so a number
+    of thousands of digits gives a short message.
+    """
 
     def __init__(self, message: str, text: str, position: int) -> None:
-        super().__init__(f"{message} (at position {position} in {text!r})")
+        if len(text) <= 80:
+            where = repr(text)
+        else:
+            start = max(0, position - 40)
+            where = f"a text of {len(text)} characters, around {text[start:position + 40]!r}"
+        super().__init__(f"{message} (at position {position} in {where})")
         self.text = text
         self.position = position
 

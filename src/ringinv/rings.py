@@ -25,6 +25,10 @@ kernel grows as k**3, so sizes above ``_UNROLL_MAX_DIM`` = 8 keep generic
 loops: 8 is the CLI's own dimension cap, and an 8x8 product kernel (512
 products) compiles in about 2 ms, but rings built through the library may
 be any size.
+
+A chain of products on one ring (a power, a nilpotency test, the series
+that inverts a unipotent) runs the kernels on entry tuples and builds one
+element, for its result, instead of one element per link.
 """
 
 from __future__ import annotations
@@ -359,19 +363,21 @@ class Element:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Element":
-        """Square-and-multiply; exponent 0 gives the identity."""
+        """Square-and-multiply on the entries; exponent 0 gives the identity."""
         if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
+        ring = self.ring
         if exponent == 0:
-            return self.ring.one()
+            return ring.one()
         # left to right over the bits after the leading one: a square per bit,
         # and a product by self per set bit
-        result = self
+        product, m, base = ring._product, ring.modulus, self.entries
+        result = base
         for bit in bin(exponent)[3:]:
-            result = result * result
+            result = product(result, result, m)
             if bit == "1":
-                result = result * self
-        return result
+                result = product(result, base, m)
+        return self if result is base else _element(ring, result)
 
     def __str__(self) -> str:
         if self.ring.is_matrix:
@@ -582,16 +588,19 @@ def unit_exponent(ring: RingSpec) -> int:
 
 
 def is_nilpotent(x: Element) -> NilpotencyWitness | None:
-    """Return a witness holding the minimal vanishing exponent, or None."""
+    """Return a witness holding the minimal vanishing exponent, or None.
+
+    The powers are entry tuples, compared with the zero entries."""
     ring = x.ring
-    zero = ring.zero()
+    zero = ring.zero().entries
     bound = ring._nilpotency_bound
-    power = x
-    for m in range(1, bound + 1):
+    product, m, base = ring._product, ring.modulus, x.entries
+    power = base
+    for index in range(1, bound + 1):
         if power == zero:
-            return NilpotencyWitness(m)
-        if m < bound:
-            power = power * x
+            return NilpotencyWitness(index)
+        if index < bound:
+            power = product(power, base, m)
     return None
 
 
@@ -601,16 +610,18 @@ def inverse_of_unipotent(u: Element) -> Element:
     With w^m = 0 the inverse is 1 - w + w^2 - ... +- w^(m-1).  The product
     is re-checked; a failure means the nilpotency witness was wrong.
     """
-    one = u.ring.one()
+    ring = u.ring
+    one = ring.one()
     w = u - one
     witness = is_nilpotent(w)
     if witness is None:
         raise PreconditionError(f"{u} is not unipotent: u - 1 is not nilpotent")
-    acc = one
-    power = one
+    product, add, sub, m = ring._product, ring._add, ring._sub, ring.modulus
+    acc = power = one.entries
     for j in range(1, witness.index):
-        power = power * w
-        acc = acc - power if j % 2 else acc + power
+        power = product(power, w.entries, m)
+        acc = sub(acc, power, m) if j % 2 else add(acc, power, m)
+    acc = _element(ring, acc)
     if u * acc != one or acc * u != one:
         raise VerificationError("unipotent inversion failed; the nilpotency witness is invalid")
     return acc

@@ -105,8 +105,23 @@ def counting_renders(monkeypatch) -> list[int]:
 
 
 def counting_products(monkeypatch) -> list[int]:
-    """Patch Element.__mul__; the one-item list counts the products."""
-    return counting_calls(monkeypatch, [rings.Element], "__mul__")
+    """Patch every ring's product kernel, so products on entry tuples count
+    as well as ``Element * Element``; the one-item list counts the products.
+    Integer multiples are not products and are not counted."""
+    calls = [0]
+    kernel_of = rings.RingSpec._product.func
+
+    def counting_kernel(ring):
+        kernel = kernel_of(ring)
+
+        def counting(a, b, m):
+            calls[0] += 1
+            return kernel(a, b, m)
+
+        return counting
+
+    monkeypatch.setattr(rings.RingSpec, "_product", property(counting_kernel))
+    return calls
 
 
 @pytest.fixture

@@ -12,6 +12,10 @@ searches the whole ring for two-sided inverses, where is_unit reads a
 determinant.  naive_product is the textbook triple loop that
 Element.__mul__'s compiled kernels replace, and naive_entrywise and
 naive_scale do the same for sums, differences and integer multiples.
+element_power, element_is_nilpotent, element_inverse_of_unipotent,
+horner_evaluate and newton_lift are the chains of Element products that
+the entry-tuple chains of rings and lifting replaced, with naive_poly_add
+and naive_poly_mul the coefficient loops behind the old lift's certificate.
 """
 
 from __future__ import annotations
@@ -22,7 +26,14 @@ import numpy as np
 
 from ringinv._scan import _BLOCK, RingScan
 from ringinv.gen_inverse import _drazin_axioms, check_hirano, check_strongly_drazin
-from ringinv.rings import Element, InfiniteRingError
+from ringinv.lifting import LiftedIdempotent, Poly, PolynomialCertificate, _trim, poly_scale
+from ringinv.rings import (
+    Element,
+    InfiniteRingError,
+    NilpotencyWitness,
+    PreconditionError,
+    VerificationError,
+)
 
 
 @dataclass(frozen=True)
@@ -172,3 +183,106 @@ def filtered_inverse_scan(scan: RingScan, index: int) -> tuple[list[int], dict]:
         for flag, out in ((mask_h, hirano), (mask_s, sdrazin), (mask_d, drazin)):
             out.extend((start + base[flag]).tolist())
     return commuting, {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin}
+
+
+def element_power(a: Element, exponent: int) -> Element:
+    """a ** exponent by square-and-multiply on Elements."""
+    if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    if exponent == 0:
+        return a.ring.one()
+    result = a
+    for bit in bin(exponent)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * a
+    return result
+
+
+def element_is_nilpotent(x: Element) -> NilpotencyWitness | None:
+    """is_nilpotent by Element powers compared with ring.zero()."""
+    ring = x.ring
+    zero = ring.zero()
+    bound = ring._nilpotency_bound
+    power = x
+    for m in range(1, bound + 1):
+        if power == zero:
+            return NilpotencyWitness(m)
+        if m < bound:
+            power = power * x
+    return None
+
+
+def element_inverse_of_unipotent(u: Element) -> Element:
+    """inverse_of_unipotent by the alternating series on Elements."""
+    one = u.ring.one()
+    w = u - one
+    witness = element_is_nilpotent(w)
+    if witness is None:
+        raise PreconditionError(f"{u} is not unipotent: u - 1 is not nilpotent")
+    acc = one
+    power = one
+    for j in range(1, witness.index):
+        power = power * w
+        acc = acc - power if j % 2 else acc + power
+    if u * acc != one or acc * u != one:
+        raise VerificationError("unipotent inversion failed; the nilpotency witness is invalid")
+    return acc
+
+
+def horner_evaluate(cert: PolynomialCertificate) -> Element:
+    """PolynomialCertificate.evaluate by Horner's rule on Elements, with the
+    unreduced integer coefficients."""
+    ring = cert.subject.ring
+    acc = ring.zero()
+    one = ring.one()
+    for c in reversed(cert.coefficients):
+        acc = acc * cert.subject + c * one
+    return acc
+
+
+def naive_poly_add(p: Poly, q: Poly) -> Poly:
+    out = [0] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
+
+
+def naive_poly_mul(p: Poly, q: Poly) -> Poly:
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return _trim(out)
+
+
+def newton_lift(x: Element) -> LiftedIdempotent:
+    """lift_idempotent by t <- 3t^2 - 2t^3 on Elements, with its certificate
+    from naive_poly_add and naive_poly_mul, and the same checks."""
+    defect = x - x * x
+    witness = element_is_nilpotent(defect)
+    if witness is None:
+        raise PreconditionError("cannot lift: x - x^2 is not nilpotent")
+    cap = (witness.index - 1).bit_length() + 2
+    t = x
+    poly: Poly = (0, 1)
+    steps = 0
+    square = t * t
+    while square != t:
+        if steps >= cap:
+            raise VerificationError("idempotent refinement did not converge within its cap")
+        t = 3 * square - 2 * (square * t)
+        psquare = naive_poly_mul(poly, poly)
+        cube = naive_poly_mul(psquare, poly)
+        poly = naive_poly_add(poly_scale(psquare, 3), poly_scale(cube, -2))
+        steps += 1
+        square = t * t
+    cert = PolynomialCertificate(poly, x)
+    if horner_evaluate(cert) != t or element_is_nilpotent(x - t) is None:
+        raise VerificationError("idempotent lift failed its own certificate checks")
+    return LiftedIdempotent(t, cert)

@@ -317,6 +317,8 @@ class TestParsing:
         code, out, err = run(capsys, "classify", *argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        # a long literal is quoted by its length and a window, not in full
+        assert len(err) < 200
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)

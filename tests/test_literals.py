@@ -46,6 +46,23 @@ class TestRingGrammar:
             parse_ring("Z/x")
         assert "position" in str(err.value)
 
+    def test_text_of_80_characters_is_quoted_whole(self):
+        text = "M2(Z/3)" + " " * 72 + ")"
+        with pytest.raises(ParseError) as err:
+            parse_ring(text)
+        assert str(err.value) == f"unexpected trailing input (at position 79 in {text!r})"
+
+    def test_long_text_is_quoted_around_the_position(self):
+        text = "M2(Z/3)" + " " * 200 + "x" + " " * 200
+        with pytest.raises(ParseError) as err:
+            parse_ring(text)
+        window = " " * 40 + "x" + " " * 39
+        assert err.value.text == text and err.value.position == 207
+        assert str(err.value) == (
+            f"unexpected trailing input (at position 207 in a text of 408 characters, "
+            f"around {window!r})"
+        )
+
     def test_round_trip(self):
         for ring in (
             Z, modular(12), matrix(modular(7), 2), matrix(Z, 4), matrix(modular(5), 1), matrix(Z, 1)
