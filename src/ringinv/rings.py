@@ -588,9 +588,7 @@ def unit_exponent(ring: RingSpec) -> int:
 
 
 def is_nilpotent(x: Element) -> NilpotencyWitness | None:
-    """Return a witness holding the minimal vanishing exponent, or None.
-
-    The powers are entry tuples, compared with the zero entries."""
+    """Return a witness holding the minimal vanishing exponent, or None."""
     ring = x.ring
     zero = ring.zero().entries
     bound = ring._nilpotency_bound
