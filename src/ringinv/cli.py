@@ -2,8 +2,10 @@
 
 Subcommands: classify, decompose, census, verify.  Ring literals use the
 grammar from literals (Z, Z/9, M2(Z/3), ...), elements are integers or
-row-major nested lists.  Exit codes: 0 on success, 1 on parse or
-precondition failure, 2 when law verification found violations.
+row-major nested lists.  classify and decompose build one payload dict:
+--json prints it, and the human text is rendered from it.  Exit codes: 0
+on success, 1 on parse or precondition failure, 2 when law verification
+found violations.
 """
 
 from __future__ import annotations
@@ -79,46 +81,35 @@ def _parse_ring_arg(text: str):
 
 
 def _cert_text(cert: PolynomialCertificate | None) -> str | None:
-    if cert is None:
-        return None
-    return format_polynomial(cert.coefficients)
+    return None if cert is None else format_polynomial(cert.coefficients)
 
 
 def _cmd_classify(args) -> int:
     ring = _parse_ring_arg(args.ring)
     a = parse_element(ring, args.element)
     report = classify(a)
+    hirano, sdrazin, drazin = report.hirano, report.strongly_drazin, report.drazin
+    payload = {
+        "ring": str(ring),
+        "element": str(a),
+        "has_hirano": report.has_hirano,
+        "has_strongly_drazin": report.has_strongly_drazin,
+        "has_drazin": report.has_drazin,
+        "hirano": None if hirano is None else str(hirano.b),
+        "strongly_drazin": None if sdrazin is None else str(sdrazin.b),
+        "drazin": None if drazin is None else str(drazin.b),
+        "drazin_index": None if drazin is None else drazin.index,
+    }
     if args.as_json:
-        payload = {
-            "ring": str(ring),
-            "element": str(a),
-            "has_hirano": report.has_hirano,
-            "has_strongly_drazin": report.has_strongly_drazin,
-            "has_drazin": report.has_drazin,
-            "hirano": None if report.hirano is None else str(report.hirano.b),
-            "strongly_drazin": None
-            if report.strongly_drazin is None
-            else str(report.strongly_drazin.b),
-            "drazin": None if report.drazin is None else str(report.drazin.b),
-            "drazin_index": None if report.drazin is None else report.drazin.index,
-        }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
-    print(f"element {a} in {ring}")
-    if report.hirano is not None:
-        print(f"  hirano: {report.hirano.b}")
+    print(f"element {payload['element']} in {payload['ring']}")
+    print(f"  hirano: {payload['hirano'] or 'none'}")
+    print(f"  strongly drazin: {payload['strongly_drazin'] or 'none'}")
+    if payload["drazin"] is not None:
+        print(f"  drazin: {payload['drazin']} (index {payload['drazin_index']})")
     else:
-        print("  hirano: none")
-    if report.strongly_drazin is not None:
-        print(f"  strongly drazin: {report.strongly_drazin.b}")
-    else:
-        print("  strongly drazin: none")
-    if report.drazin is not None:
-        print(f"  drazin: {report.drazin.b} (index {report.drazin.index})")
-    elif report.has_drazin is False:
-        print("  drazin: none")
-    else:
-        print("  drazin: undecided")
+        print(f"  drazin: {'none' if payload['has_drazin'] is False else 'undecided'}")
     return 0
 
 
@@ -126,32 +117,31 @@ def _cmd_decompose(args) -> int:
     ring = _parse_ring_arg(args.ring)
     a = parse_element(ring, args.element)
     d = tripotent_decomposition(a)
+    payload = {
+        "ring": str(ring),
+        "element": str(a),
+        "tripotent": str(d.tripotent),
+        "nilpotent": str(d.nilpotent_part),
+        "nilpotent_index": d.nilpotent_witness.index,
+        "plus_idempotent": None if d.plus_idempotent is None else str(d.plus_idempotent),
+        "minus_idempotent": None if d.minus_idempotent is None else str(d.minus_idempotent),
+        "tripotent_certificate": _cert_text(d.tripotent_certificate),
+        "plus_certificate": _cert_text(d.plus_certificate),
+        "minus_certificate": _cert_text(d.minus_certificate),
+    }
     if args.as_json:
-        payload = {
-            "ring": str(ring),
-            "element": str(a),
-            "tripotent": str(d.tripotent),
-            "nilpotent": str(d.nilpotent_part),
-            "nilpotent_index": d.nilpotent_witness.index,
-            "plus_idempotent": None if d.plus_idempotent is None else str(d.plus_idempotent),
-            "minus_idempotent": None if d.minus_idempotent is None else str(d.minus_idempotent),
-            "tripotent_certificate": _cert_text(d.tripotent_certificate),
-            "plus_certificate": _cert_text(d.plus_certificate),
-            "minus_certificate": _cert_text(d.minus_certificate),
-        }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
-    print(f"element {a} in {ring}")
-    print(f"  tripotent p = {d.tripotent}")
-    print(f"    p as a polynomial in a: {_cert_text(d.tripotent_certificate)}")
-    print(f"  nilpotent w = {d.nilpotent_part} (index {d.nilpotent_witness.index})")
-    if d.plus_idempotent is not None:
-        print(f"  idempotent e = {d.plus_idempotent}")
-        if d.plus_certificate is not None:
-            print(f"    e as a polynomial in a: {_cert_text(d.plus_certificate)}")
-        print(f"  idempotent f = {d.minus_idempotent}")
-        if d.minus_certificate is not None:
-            print(f"    f as a polynomial in a: {_cert_text(d.minus_certificate)}")
+    print(f"element {payload['element']} in {payload['ring']}")
+    print(f"  tripotent p = {payload['tripotent']}")
+    print(f"    p as a polynomial in a: {payload['tripotent_certificate']}")
+    print(f"  nilpotent w = {payload['nilpotent']} (index {payload['nilpotent_index']})")
+    # e and f are both set or both None, and a certificate is set only with its idempotent
+    for name, side in (("e", "plus"), ("f", "minus")):
+        if payload[f"{side}_idempotent"] is not None:
+            print(f"  idempotent {name} = {payload[f'{side}_idempotent']}")
+        if payload[f"{side}_certificate"] is not None:
+            print(f"    {name} as a polynomial in a: {payload[f'{side}_certificate']}")
     return 0
 
 

@@ -97,16 +97,21 @@ class PolynomialCertificate:
     def evaluate(self) -> Element:
         """The polynomial at ``subject``, by Horner's rule on entry tuples.
 
-        Each step is one kernel product and the coefficient added on the
-        diagonal; over Z/n the coefficients are reduced mod n first, which
-        gives the same residue.  One element is built, for the value.
+        The accumulator starts as the leading coefficient on the diagonal,
+        not as zero, so no step multiplies zero by the subject: a polynomial
+        of degree d costs d kernel products.  Each step is one product and
+        the next coefficient added on the diagonal; over Z/n the
+        coefficients are reduced mod n first, which gives the same residue.
+        The empty polynomial is zero.  One element is built, for the value.
         """
         ring = self.subject.ring
+        if not self.coefficients:
+            return ring.zero()
         product, add, m = ring._product, ring._add, ring.modulus
         x, one = self.subject.entries, ring.one().entries
         coefficients = self.coefficients if m is None else [c % m for c in self.coefficients]
-        acc = ring.zero().entries
-        for c in reversed(coefficients):
+        acc = tuple([coefficients[-1] * v for v in one])
+        for c in reversed(coefficients[:-1]):
             acc = add(product(acc, x, m), tuple([c * v for v in one]), m)
         return _element(ring, acc)
 

@@ -2,7 +2,8 @@
 
 Ring grammar:     Z   Z/9   M2(Z/3)   M3(Z)
 Element grammar:  an integer for scalar rings, a row-major nested list such
-                  as [[-2,3,2],[-2,3,2],[1,-1,-1]] for matrix rings.
+                  as [[-2,3,2],[-2,3,2],[1,-1,-1]] for matrix rings; one
+                  list rule reads a row of integers and a list of rows.
 
 ``str`` of a ring or an element renders the same grammar, so every
 emitted literal parses back to what it came from.  A Unicode minus sign
@@ -129,19 +130,22 @@ def parse_ring(text: str) -> RingSpec:
     return ring
 
 
-def _parse_row(cur: _Cursor) -> list[int]:
-    cur.skip_ws()
+def _bracketed(cur: _Cursor, item) -> list:
+    """'[' item (',' item)* ']', whitespace allowed around each item."""
     cur.take("[")
-    row = []
+    items = []
     while True:
         cur.skip_ws()
-        row.append(cur.signed_int())
+        items.append(item(cur))
         cur.skip_ws()
-        if cur.peek() == ",":
-            cur.take(",")
-            continue
-        cur.take("]")
-        return row
+        if cur.peek() != ",":
+            cur.take("]")
+            return items
+        cur.take(",")
+
+
+def _parse_row(cur: _Cursor) -> list[int]:
+    return _bracketed(cur, _Cursor.signed_int)
 
 
 def parse_element(ring: RingSpec, text: str) -> Element:
@@ -157,16 +161,7 @@ def parse_element(ring: RingSpec, text: str) -> Element:
     if cur.peek() != "[":
         raise cur.fail(f"{ring} takes a row-major matrix literal like [[0,1],[1,1]]")
     shape_at = cur.pos
-    cur.take("[")
-    rows = []
-    while True:
-        rows.append(_parse_row(cur))
-        cur.skip_ws()
-        if cur.peek() == ",":
-            cur.take(",")
-            continue
-        cur.take("]")
-        break
+    rows = _bracketed(cur, _parse_row)
     cur.expect_end()
     k = ring.dim
     if len(rows) != k or any(len(row) != k for row in rows):

@@ -1,9 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 The brute-force scans try every element of a finite ring against the
-defining equations, one Python check at a time.  filtered_inverse_scan is
-the whole-ring numpy filter that RingScan.inverse_scans replaced: it tests
-ab = ba on every element instead of generating the centraliser.
+defining equations, one Python check at a time.  filtered_inverse_scans is
+a whole-ring numpy filter, as the scan was before RingScan.inverse_scans
+generated centralisers: it tests ab = ba on every element instead.
 kernel_mod is the one-matrix elimination that the batched _kernels_mod
 replaced.
 semigroup_profile walks the power orbit of an element, the O(index +
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ringinv._scan import _BLOCK, RingScan
+from ringinv._scan import RingScan
 from ringinv.gen_inverse import _drazin_axioms, check_hirano, check_strongly_drazin
 from ringinv.lifting import LiftedIdempotent, Poly, PolynomialCertificate, _trim, poly_scale
 from ringinv.rings import (
@@ -152,37 +152,55 @@ def kernel_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return (v * (q // orders)).T % q, orders
 
 
-def filtered_inverse_scan(scan: RingScan, index: int) -> tuple[list[int], dict]:
-    """RingScan.inverse_scans by filtering the whole ring for ab = ba, bab = b
-    and each nilpotent defect, in blocks of _BLOCK elements.
+# element pairs per chunk of filtered_inverse_scans, times k^2 entries each
+_PAIR_ENTRIES = 1 << 20
 
-    Returns the indexes of the elements commuting with element index, and
+
+def filtered_inverse_scans(scan: RingScan, indexes) -> list[tuple[list[int], dict]]:
+    """RingScan.inverse_scans by filtering the whole ring for ab = ba, bab = b
+    and each nilpotent defect, for a chunk of indexes at a time.
+
+    ab - ba is linear in b: with E_t the t-th matrix unit, row t of its
+    matrix is aE_t - E_ta, so the flattened stack times the matrices of a
+    chunk gives ab - ba for every pair at once.  Its entries d are integers
+    of size below k^2 m^2, exact in a float64 product; d / m is then
+    integral iff m divides d, so a pair commutes iff the fractional parts
+    of its k^2 quotients, all >= 0, sum to 0.  bab = b and the defects are
+    tested on the commuting pairs only.
+
+    Returns, per index, the indexes of the elements commuting with it and
     the three index lists of inverse_scan.
     """
-    m, n = scan.modulus, scan.size
-    a = scan.stack[index]
-    a2 = scan._mul(a, a)
-    commuting: list[int] = []
-    hirano: list[int] = []
-    sdrazin: list[int] = []
-    drazin: list[int] = []
-    for start in range(0, n, _BLOCK):
-        block = scan.stack[start : start + _BLOCK]
-        ab = scan._mul(a[None], block)
-        ba = scan._mul(block, a[None])
-        shared = (ab == ba).all(axis=(1, 2))
-        commuting.extend((start + np.flatnonzero(shared)).tolist())
-        shared &= (scan._mul(block, ab) == block).all(axis=(1, 2))
-        base = np.flatnonzero(shared)
-        if base.size == 0:
-            continue
-        ab = ab[base]
-        mask_h = scan._nilpotent_codes((a2[None] - ab) % m)
-        mask_s = scan._nilpotent_codes((a[None] - ab) % m)
-        mask_d = scan._nilpotent_codes((a[None] - scan._mul(a[None], ab)) % m)
-        for flag, out in ((mask_h, hirano), (mask_s, sdrazin), (mask_d, drazin)):
-            out.extend((start + base[flag]).tolist())
-    return commuting, {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin}
+    m, n, k = scan.modulus, scan.size, scan.dim
+    assert k * k * m * m < 2**53
+    flat = scan.stack.reshape(n, k * k).astype(np.float64)
+    units = np.eye(k * k, dtype=np.int64).reshape(k * k, k, k)
+    chunk = max(1, _PAIR_ENTRIES // (n * k * k))
+    found = []
+    for start in range(0, len(indexes), chunk):
+        a = scan.stack[list(indexes[start : start + chunk])]
+        maps = scan._mul(a[:, None], units) - scan._mul(units, a[:, None])
+        # column j * k^2 + s holds entry s of ab - ba for the j-th a
+        cols = maps.reshape(len(a), k * k, k * k).transpose(1, 0, 2).reshape(k * k, -1)
+        fractions = (flat @ cols) / m
+        fractions -= np.floor(fractions)
+        shared = (fractions.reshape(-1, k * k) @ np.ones(k * k) == 0).reshape(n, -1).T
+        which, b = np.nonzero(shared)
+        pa, pb = a[which], scan.stack[b]
+        ab = scan._mul(pa, pb)
+        keep = (scan._mul(pb, ab) == pb).all(axis=(1, 2))
+        which, b, pa, ab = which[keep], b[keep], pa[keep], ab[keep]
+        defects = (
+            scan._nilpotent_codes((scan._mul(pa, pa) - ab) % m),
+            scan._nilpotent_codes((pa - ab) % m),
+            scan._nilpotent_codes((pa - scan._mul(pa, ab)) % m),
+        )
+        for j, commuting in enumerate(shared):
+            mine = which == j
+            hirano, sdrazin, drazin = (b[mine & flag].tolist() for flag in defects)
+            lists = {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin}
+            found.append((np.flatnonzero(commuting).tolist(), lists))
+    return found
 
 
 def element_power(a: Element, exponent: int) -> Element:

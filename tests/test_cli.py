@@ -139,6 +139,77 @@ class TestDecompose:
         assert total == parse_element(ring, payload["element"])
 
 
+def classify_text(p: dict) -> str:
+    """The human classify text that carries the --json payload p."""
+    if p["drazin"] is not None:
+        drazin = f"{p['drazin']} (index {p['drazin_index']})"
+    else:
+        drazin = "none" if p["has_drazin"] is False else "undecided"
+    return (
+        f"element {p['element']} in {p['ring']}\n"
+        f"  hirano: {'none' if p['hirano'] is None else p['hirano']}\n"
+        f"  strongly drazin: {'none' if p['strongly_drazin'] is None else p['strongly_drazin']}\n"
+        f"  drazin: {drazin}\n"
+    )
+
+
+def decompose_text(p: dict) -> str:
+    """The human decompose text that carries the --json payload p."""
+    lines = [
+        f"element {p['element']} in {p['ring']}",
+        f"  tripotent p = {p['tripotent']}",
+        f"    p as a polynomial in a: {p['tripotent_certificate']}",
+        f"  nilpotent w = {p['nilpotent']} (index {p['nilpotent_index']})",
+    ]
+    if p["plus_idempotent"] is not None:
+        lines.append(f"  idempotent e = {p['plus_idempotent']}")
+        if p["plus_certificate"] is not None:
+            lines.append(f"    e as a polynomial in a: {p['plus_certificate']}")
+        lines.append(f"  idempotent f = {p['minus_idempotent']}")
+        if p["minus_certificate"] is not None:
+            lines.append(f"    f as a polynomial in a: {p['minus_certificate']}")
+    return "".join(line + "\n" for line in lines)
+
+
+class TestRenderingsAgree:
+    """The human text says what --json says: the same inverses, index,
+    certificates and none/undecided words, or the same refusal."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [entry["argv"][:3] for entry in CLASSIFY_GOLDEN]
+        + [["classify", "M2(Z)", "[[2,0],[0,0]]"], ["classify", "Z", "2"]],
+        ids=" ".join,
+    )
+    def test_classify(self, capsys, argv):
+        human = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--json")
+        expected = classify_text(json.loads(out)) if code == 0 else ""
+        assert human == (code, expected, err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("Z/9", "2"),
+            ("Z/12", "5"),
+            ("Z/4", "2"),
+            ("Z/5", "3"),
+            ("M2(Z/3)", "[[1,2],[0,1]]"),
+            ("M2(Z/4)", "[[2,1],[0,3]]"),
+            ("M2(Z/9)", "[[2,1],[0,2]]"),
+            ("M2(Z)", "[[1,0],[0,-1]]"),
+            ("M2(Z)", "[[0,1],[1,0]]"),
+            ("M2(Z)", "[[2,0],[0,0]]"),
+        ],
+        ids=" ".join,
+    )
+    def test_decompose(self, capsys, argv):
+        human = run(capsys, "decompose", *argv)
+        code, out, err = run(capsys, "decompose", *argv, "--json")
+        expected = decompose_text(json.loads(out)) if code == 0 else ""
+        assert human == (code, expected, err)
+
+
 class TestCensus:
     def test_json_counts(self, capsys):
         code, out, _ = run(capsys, "census", "Z/3", "--json")

@@ -23,6 +23,7 @@ from ringinv import (
 )
 from ringinv.lifting import poly_add, poly_mul
 
+from conftest import counting_products
 from oracles import (
     element_inverse_of_unipotent,
     element_is_nilpotent,
@@ -116,6 +117,21 @@ class TestAgainstElementChains:
         # negative coefficients and ones far above n reduce to the same residue
         cert = PolynomialCertificate(tuple(coeffs), x)
         assert cert.evaluate() == horner_evaluate(cert)
+
+    @pytest.mark.parametrize(
+        "coeffs", [(), (4,), (4, -1, 0, 7)], ids=["empty", "constant", "cubic"]
+    )
+    @pytest.mark.parametrize("ring", [Z, modular(9), matrix(modular(9), 2), matrix(Z, 3)], ids=str)
+    def test_degree_d_costs_d_products(self, ring, coeffs, monkeypatch):
+        """Horner's rule starts from the leading coefficient, so it never
+        multiplies zero by x; the empty polynomial is zero, at no product."""
+        cert = PolynomialCertificate(coeffs, ring.one() + ring.one())
+        calls = counting_products(monkeypatch)
+        value = cert.evaluate()
+        monkeypatch.undo()
+        assert calls[0] == max(0, len(coeffs) - 1)
+        assert value == horner_evaluate(cert)
+        assert coeffs or value == ring.zero()
 
     @settings(max_examples=150, deadline=None)
     @given(chain_elements())

@@ -78,13 +78,15 @@ class TestLiftIdempotent:
     def test_each_step_squares_once(self, monkeypatch):
         """3 in Z/256 lifts in three Newton steps (certificate degree 27);
         the square the loop tests is the square the step uses, so the lift
-        makes one product per step fewer than squaring twice did (53)."""
+        makes one product per step fewer than squaring twice did (53), and
+        the certificate check's Horner evaluation starts from the leading
+        coefficient, not from zero times x, so it makes one fewer again."""
         x = modular(256).element(3)
         calls = counting_products(monkeypatch)
         lifted = lift_idempotent(x)
         monkeypatch.undo()
         assert len(lifted.certificate.coefficients) - 1 == 3 ** 3
-        assert calls[0] == 53 - 3
+        assert calls[0] == 53 - 3 - 1
 
     def test_rejects_non_liftable(self):
         z9 = modular(9)

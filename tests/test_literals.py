@@ -41,6 +41,20 @@ class TestRingGrammar:
         with pytest.raises(ParseError):
             parse_ring(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Z /9", "unexpected trailing input (at position 2 in 'Z /9')"),
+            ("Z/ 9", "expected a number (at position 2 in 'Z/ 9')"),
+            ("M 2(Z/9)", "expected a number (at position 1 in 'M 2(Z/9)')"),
+            ("M2(Z /9)", "expected ')' (at position 5 in 'M2(Z /9)')"),
+        ],
+    )
+    def test_no_whitespace_inside_a_token(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_ring(text)
+        assert str(err.value) == message
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_ring("Z/x")
@@ -100,6 +114,33 @@ class TestElementGrammar:
     def test_scalar_for_matrix_ring_rejected(self):
         with pytest.raises(ParseError):
             parse_element(matrix(modular(3), 2), "7")
+
+    @pytest.mark.parametrize(
+        "text",
+        [" [ [ 1 , -2 ] , [ 3 , 4 ] ] ", "\t[\n[1,-2]\n,\t[3,4]\t]\n"],
+        ids=["spaces", "tabs and newlines"],
+    )
+    def test_whitespace_around_every_token(self, text):
+        m = matrix(modular(9), 2)
+        assert parse_element(m, text) == m.element([[1, -2], [3, 4]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[- 3]]", "expected a number (at position 3 in '[[- 3]]')"),
+            ("[[1,2],[3,4]", "expected ']' (at position 12 in '[[1,2],[3,4]')"),
+            ("[[1,,2]]", "expected a number (at position 4 in '[[1,,2]]')"),
+            ("[[1,2],]", "expected '[' (at position 7 in '[[1,2],]')"),
+            ("[]", "expected '[' (at position 1 in '[]')"),
+            ("[ ]", "expected '[' (at position 2 in '[ ]')"),
+            ("[[]]", "expected a number (at position 2 in '[[]]')"),
+            ("[[1,2] [3,4]]", "expected ']' (at position 7 in '[[1,2] [3,4]]')"),
+        ],
+    )
+    def test_refusal_names_the_token_and_its_position(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_element(matrix(modular(9), 2), text)
+        assert str(err.value) == message
 
     @given(ring_elements())
     def test_round_trip(self, a):

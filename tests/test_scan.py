@@ -32,7 +32,7 @@ from ringinv.census import _LawContext
 from ringinv.rings import factorize
 
 from conftest import counting_products
-from oracles import filtered_inverse_scan, kernel_mod
+from oracles import filtered_inverse_scans, kernel_mod
 
 EXHAUSTIVE_RINGS = (
     [modular(27), modular(997)]
@@ -54,10 +54,10 @@ def scan_of(ring) -> RingScan:
     return RingScan(ring)
 
 
-# holds the last sampled ring's oracle answers for the cost test
-@functools.lru_cache(maxsize=SAMPLES)
-def oracle(ring, index: int) -> tuple[list[int], dict]:
-    return filtered_inverse_scan(scan_of(ring), index)
+# holds the last ring's oracle answers, so the cost test reuses M4(Z/2)'s sample
+@functools.lru_cache(maxsize=1)
+def oracle(ring, indexes: tuple[int, ...]) -> list[tuple[list[int], dict]]:
+    return filtered_inverse_scans(scan_of(ring), indexes)
 
 
 def sample(ring) -> list[int]:
@@ -158,8 +158,8 @@ class TestCentraliserParity:
         assert len(batched) == len(indexes)
         centralisers = generated(scan, indexes)
         whole_ring = list(range(ring.size()))
-        for index, one in zip(indexes, batched):
-            commuting, found = oracle(ring, index)
+        expected = oracle(ring, tuple(indexes))
+        for index, one, (commuting, found) in zip(indexes, batched, expected, strict=True):
             rows = centralisers[index]
             assert (whole_ring if rows is None else rows) == commuting, index
             assert scan.inverse_scan(index) == found, index
@@ -181,8 +181,9 @@ class TestCentraliserParity:
         assert not ring.dim or len(indexes) > block // ring.dim**4
         single = {i: scan.inverse_scan(i) for i in set(indexes)}
         assert scan.inverse_scans(indexes) == [single[i] for i in indexes]
-        for index in scalars + indexes[:20]:
-            assert single[index] == filtered_inverse_scan(scan, index)[1], index
+        checked = scalars + indexes[:20]
+        for index, (_, found) in zip(checked, filtered_inverse_scans(scan, checked), strict=True):
+            assert single[index] == found, index
 
     @pytest.mark.parametrize(
         "ring",
@@ -291,7 +292,7 @@ class TestScanCost:
             ctx.scanned_hirano(index)
         monkeypatch.undo()
         touched = sum(blocks)
-        assert touched == sum(len(oracle(M4Z2, i)[0]) for i in indexes)
+        assert touched == sum(len(commuting) for commuting, _ in oracle(M4Z2, tuple(indexes)))
         assert touched < 0.05 * SAMPLES * M4Z2.size()
         assert widest <= min(touched, _scan._BLOCK // 16)
 
@@ -341,7 +342,7 @@ class TestScanCost:
         monkeypatch.undo()
         assert scanned == list(range(M3Z2.size())) and checked == len(scanned)
         scan = scan_of(M3Z2)
-        assert sum(blocks) == sum(len(filtered_inverse_scan(scan, i)[0]) for i in scanned)
+        assert sum(blocks) == sum(len(commuting) for commuting, _ in filtered_inverse_scans(scan, scanned))
         assert products[0] <= PRODUCTS_PER_CHECKED * checked
 
     def test_laws_scan_each_index_once(self, monkeypatch):
