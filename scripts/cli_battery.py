@@ -15,10 +15,10 @@ The battery: all 17 laws on Z/27 (``--json``), on M2(Z/2), on M2(Z/5)
 sampled (``--samples 200 --seed 4``), and with ``--json --seed 0 --samples
 500`` on M2(Z/7) and Z/27; ``classify`` and ``decompose``, human and
 ``--json``, on every element of Z/5, Z/9, Z/25, Z/12, M2(Z/2) and M2(Z/3);
-four censuses; integer matrices; laws 3.3 and 3.4 where 2 is not a unit;
-refused inputs, among them numbers of 6 021 digits (2^20000, above
-Python's default int-string limit) and a superscript digit.  That is 718
-runs.  A call that raises instead of exiting is recorded with the
+eight censuses, four of them on composite moduli near the caps; integer
+matrices; laws 3.3 and 3.4 where 2 is not a unit; refused inputs, among
+them numbers of 6 021 digits (2^20000, above Python's default int-string
+limit) and a superscript digit.  That is 722 runs.  A call that raises instead of exiting is recorded with the
 exception's type as its exit code.
 """
 
@@ -57,6 +57,11 @@ CENSUSES = (
     ("M2(Z/3)",),
     ("M2(Z/4)", "--json"),
     ("Z/20000", "--seed", "1", "--samples", "20", "--json"),
+    # composite moduli near the caps, whose masks come from prime-power components
+    ("M2(Z/30)", "--json"),
+    ("Z/720720", "--json"),
+    ("Z/1000000", "--seed", "2", "--json"),
+    ("M2(Z/6)",),
 )
 
 OTHER_RUNS = (

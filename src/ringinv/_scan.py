@@ -4,20 +4,25 @@ inverses, and the equation scan.
 All work on numpy stacks of ring elements and share no code with the
 per-element criteria in rings and gen_inverse.  census_masks evaluates the
 criteria (x^B = 0, x^unit_exponent = 1, x - x^3 nilpotent, ...) for every
-element at once.  drazin_codes gives the indexes of the power-formula
-Drazin inverses x^(D-1) of a batch of elements, D the ring's exponent of
-drazin_finite, from one stack power.  inverse_scans solves the three defining equation
-systems, and nothing else, for a batch of elements: it generates the
-centraliser of each a (the solutions of ab = ba, usually a small fraction
-of the ring) and tests bab = b and the nilpotent defects on those rows
-only.  Each stage runs once per batch, not once per element: one
-elimination over the stacked commutator matrices per prime power of m, one
-product per group of centralisers with the same generator orders, and one
-pass of the tests over the rows of all the centralisers, in blocks of at
-most _BLOCK matrix entries.  inverse_scan is a batch of one.  Entries stay
-integers reduced mod m after every product, and check_scan_fits refuses a
-ring whose sums of d such products could overflow int64, so results are
-exact.
+element at once.  Over a prime-power modulus it raises the whole stack to
+those powers; over a composite m, Mk(Z/m) is the product of the Mk(Z/q), q
+the prime powers of m, and every class is decided component by component,
+so each mask is the AND of the same mask of each (much smaller) Mk(Z/q),
+read at every element's component code.  drazin_codes gives the indexes of
+the power-formula Drazin inverses x^(D-1) of a batch of elements, D the
+ring's exponent of drazin_finite, from one stack power.  inverse_scans
+solves the three defining equation systems, and nothing else, for a batch
+of elements: it generates the centraliser of each a (the solutions of
+ab = ba, usually a small fraction of the ring) and tests bab = b and the
+nilpotent defects on those rows only.  Each stage runs once per batch, not
+once per element: one elimination over the stacked commutator matrices per
+prime power of m, one product per group of centralisers with the same
+generator orders, and one pass of the tests over the rows of all the
+centralisers, in blocks of at most _BLOCK matrix entries.  inverse_scan is
+a batch of one.  Entries are integers below m, and a product is reduced
+mod m before it is used again, except that bab = b multiplies b by the
+unreduced ab and reduces once; check_scan_fits refuses a ring where that
+product could overflow int64, so results are exact.
 """
 
 from __future__ import annotations
@@ -98,24 +103,25 @@ def _kernels_mod(
 def check_scan_fits(ring: RingSpec) -> None:
     """Refuse, before allocating, a ring whose stack overflows int64 or memory.
 
-    A matrix product sums d products of entries below m, so d*(m-1)^2 must
-    fit in int64; the stack and its working copies hold size*d*d int64
-    entries each and must fit in SCAN_MEMORY_BUDGET bytes.
+    The widest product is b(ab) with ab unreduced: d products of an entry
+    below m and one below d*(m-1)^2, so d^2*(m-1)^3 must fit in int64; the
+    stack and its working copies hold size*d*d int64 entries each and must
+    fit in SCAN_MEMORY_BUDGET bytes.  The message names each limit exceeded.
     """
     if not ring.is_finite:
         raise InfiniteRingError(f"cannot scan {ring}")
     d, m = _scan_shape(ring)
-    if d * (m - 1) ** 2 > _INT64_MAX:
-        raise PreconditionError(
-            f"{ring} is too large for the scan: sums of products of its entries "
-            "overflow int64"
-        )
+    reasons = []
+    if d * d * (m - 1) ** 3 > _INT64_MAX:
+        reasons.append("its products b(ab), up to d^2 (m-1)^3, overflow int64")
     need = _WORKING_COPIES * ring.size() * d * d * 8
     if need > SCAN_MEMORY_BUDGET:
-        raise PreconditionError(
-            f"{ring} is too large for the scan: about {need >> 20} MiB of working "
-            f"arrays, above the budget of {SCAN_MEMORY_BUDGET >> 20} MiB"
+        reasons.append(
+            f"about {need >> 20} MiB of working arrays, above the budget of "
+            f"{SCAN_MEMORY_BUDGET >> 20} MiB"
         )
+    if reasons:
+        raise PreconditionError(f"{ring} is too large for the scan: " + "; ".join(reasons))
 
 
 class RingScan:
@@ -144,8 +150,7 @@ class RingScan:
         self._bound = nilpotency_bound(ring)
         self._unit_exponent = unit_exponent(ring)
         self._drazin_exponent = ring._drazin_exponent
-        self._nilpotent_mask: np.ndarray | None = None
-        self._tripotent_mask: np.ndarray | None = None
+        self._masks: dict[str, np.ndarray] = {}
         # the d^2 x d^2 matrix a (x) I - I (x) a^T of x -> ax - xa on
         # row-major entries is linear in a: _commutator @ a.ravel()
         eye = np.eye(d, dtype=np.int64)
@@ -153,16 +158,21 @@ class RingScan:
         self._commutator = np.stack(
             [np.kron(u, eye) - np.kron(eye, u.T) for u in units], axis=-1
         ).reshape(k * k, k)
+        factors = [p**e for p, e in factorize(m).pairs]
+        # Mk(Z/q) per prime power q of a composite m, whose masks build ours
+        self._components = [RingSpec(q, ring.dim) for q in factors] if len(factors) > 1 else []
         # (q, e, inverses mod q) per prime power q of m: e = 1 mod q and
         # e = 0 mod m/q; Z/n needs none, its centralisers are the whole ring
         self._crt = [
-            (q, m // q * pow(m // q, -1, q) % m, _inverse_table(q))
-            for q in (p**e for p, e in factorize(m).pairs)
-            if d > 1
+            (q, m // q * pow(m // q, -1, q) % m, _inverse_table(q)) for q in factors if d > 1
         ]
 
+    def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x times y, pair by pair of matrices, not reduced mod m."""
+        return x * y if self.dim == 1 else np.matmul(x, y)
+
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = x * y if self.dim == 1 else np.matmul(x, y)
+        out = self._product(x, y)
         out %= self.modulus
         return out
 
@@ -190,40 +200,72 @@ class RingScan:
 
     def nilpotent_mask(self) -> np.ndarray:
         """Boolean mask over indexes: x^B = 0 with B = nilpotency_bound."""
-        if self._nilpotent_mask is None:
-            self._nilpotent_mask = ~self._power(self.stack, self._bound).any(axis=(1, 2))
-        return self._nilpotent_mask
+        return self._built(("nilpotent",))["nilpotent"]
 
     def _nilpotent_codes(self, values: np.ndarray) -> np.ndarray:
         return self.nilpotent_mask()[self.codes(values)]
 
     def tripotent_mask(self) -> np.ndarray:
         """Boolean mask over indexes: x^3 = x."""
-        if self._tripotent_mask is None:
-            x = self.stack
-            self._tripotent_mask = (self._mul(self._mul(x, x), x) == x).all(axis=(1, 2))
-        return self._tripotent_mask
+        return self._built(("tripotent",))["tripotent"]
 
     def census_masks(self) -> dict[str, np.ndarray]:
-        """Boolean masks over indexes for the six criterion-defined census classes.
+        """Boolean masks over indexes for the six criterion-defined census classes."""
+        return self._built(
+            ("nilpotent", "idempotent", "tripotent", "unit", "strongly_drazin", "hirano")
+        )
 
-        A unit's order divides unit_exponent, so x is a unit iff x^unit_exponent = 1.
+    def _built(self, keys) -> dict[str, np.ndarray]:
+        """The masks named by keys, each built once per scan: from the
+        components when m is composite, else from powers of the stack."""
+        missing = [key for key in keys if key not in self._masks]
+        if missing:
+            build = self._component_masks if self._components else self._power_masks
+            self._masks.update(build(missing))
+        return {key: self._masks[key] for key in keys}
+
+    def _power_masks(self, keys: list[str]) -> dict[str, np.ndarray]:
+        """The masks named by keys, from powers of the whole stack mod m.
+
+        A unit's order divides unit_exponent, so x is a unit iff
+        x^unit_exponent = 1.  The strongly Drazin and Hirano masks look
+        x - x^2 and x - x^3 up in the nilpotent mask.
         """
-        m = self.modulus
-        x = self.stack
+        m, x = self.modulus, self.stack
+        if keys == ["nilpotent"]:
+            return {"nilpotent": ~self._power(x, self._bound).any(axis=(1, 2))}
         x2 = self._mul(x, x)
         x3 = self._mul(x2, x)
+        if keys == ["tripotent"]:
+            return {"tripotent": (x3 == x).all(axis=(1, 2))}
+        nilpotent = self._built(("nilpotent",))["nilpotent"]
         identity = np.eye(self.dim, dtype=np.int64)
-        if self._tripotent_mask is None:
-            self._tripotent_mask = (x3 == x).all(axis=(1, 2))
-        return {
-            "nilpotent": self.nilpotent_mask(),
+        masks = {
+            "nilpotent": nilpotent,
             "idempotent": (x2 == x).all(axis=(1, 2)),
-            "tripotent": self.tripotent_mask(),
+            "tripotent": (x3 == x).all(axis=(1, 2)),
             "unit": (self._power(x, self._unit_exponent) == identity).all(axis=(1, 2)),
-            "strongly_drazin": self._nilpotent_codes((x - x2) % m),
-            "hirano": self._nilpotent_codes((x - x3) % m),
+            "strongly_drazin": nilpotent[self.codes((x - x2) % m)],
+            "hirano": nilpotent[self.codes((x - x3) % m)],
         }
+        return {key: masks[key] for key in keys}
+
+    def _component_masks(self, keys: list[str]) -> dict[str, np.ndarray]:
+        """The masks named by keys, as the AND over the prime powers q of m
+        of the same masks of Mk(Z/q), each read at the component codes
+        (stack mod q) of every element.  By CRT an element is nilpotent, an
+        idempotent, a tripotent or a unit, or x - x^2 or x - x^3 is
+        nilpotent, iff the same holds of each component.  One component's
+        codes are alive at a time."""
+        out = {key: np.ones(self.size, dtype=bool) for key in keys}
+        for ring in self._components:
+            part = RingScan(ring)
+            masks = part._built(keys)
+            codes = part.codes(self.stack % ring.modulus)
+            for key in keys:
+                out[key] &= masks[key][codes]
+            del codes
+        return out
 
     def _generators(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Generators over Z/m (as rows) and their orders of the centralisers
@@ -383,11 +425,11 @@ class RingScan:
         owners, own, rows, codes = (
             column[0] if len(block) == 1 else np.concatenate(column) for column in zip(*block)
         )
-        ab = self._mul(own, rows)
+        ab = self._product(own, rows)
         base = np.flatnonzero((self._mul(rows, ab) == rows).all(axis=(1, 2)))
         if base.size == 0:
             return
-        own, ab = own[base], ab[base]
+        own, ab = own[base], ab[base] % m
         defects = (
             ("hirano", self._mul(own, own) - ab),
             ("strongly_drazin", own - ab),

@@ -5,7 +5,9 @@ defining equations, one Python check at a time.  filtered_inverse_scans is
 a whole-ring numpy filter, as the scan was before RingScan.inverse_scans
 generated centralisers: it tests ab = ba on every element instead.
 kernel_mod is the one-matrix elimination that the batched _kernels_mod
-replaced.
+replaced.  whole_stack_masks raises the whole stack to the census powers
+at the full modulus, as RingScan.census_masks did for every modulus before
+it built a composite modulus's masks from its prime-power components.
 semigroup_profile walks the power orbit of an element, the O(index +
 period) route that drazin_finite and unit_exponent avoid.  brute_force_units
 searches the whole ring for two-sided inverses, where is_unit reads a
@@ -32,7 +34,10 @@ from ringinv.rings import (
     InfiniteRingError,
     NilpotencyWitness,
     PreconditionError,
+    RingSpec,
     VerificationError,
+    nilpotency_bound,
+    unit_exponent,
 )
 
 
@@ -150,6 +155,26 @@ def kernel_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
         v = (v - v[:, c, None] * coef) % q
         orders[c] = gcd
     return (v * (q // orders)).T % q, orders
+
+
+def whole_stack_masks(ring: RingSpec) -> dict[str, np.ndarray]:
+    """The six census masks of ring from powers of its whole stack mod m:
+    x^B = 0 (B = nilpotency_bound), x^2 = x, x^3 = x, x^unit_exponent = 1,
+    and x - x^2, x - x^3 looked up in the nilpotent mask."""
+    scan = RingScan(ring)
+    m, x = scan.modulus, scan.stack
+    x2 = scan._mul(x, x)
+    x3 = scan._mul(x2, x)
+    nilpotent = ~scan._power(x, nilpotency_bound(ring)).any(axis=(1, 2))
+    identity = np.eye(scan.dim, dtype=np.int64)
+    return {
+        "nilpotent": nilpotent,
+        "idempotent": (x2 == x).all(axis=(1, 2)),
+        "tripotent": (x3 == x).all(axis=(1, 2)),
+        "unit": (scan._power(x, unit_exponent(ring)) == identity).all(axis=(1, 2)),
+        "strongly_drazin": nilpotent[scan.codes((x - x2) % m)],
+        "hirano": nilpotent[scan.codes((x - x3) % m)],
+    }
 
 
 # element pairs per chunk of filtered_inverse_scans, times k^2 entries each

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import random
+import time
 import weakref
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from ringinv import (
 from ringinv import _scan, census, gen_inverse
 from ringinv._scan import RingScan, check_scan_fits
 from ringinv.census import _LawContext
+from ringinv.rings import factorize
 
 from conftest import (
     HIRANO_FAILURE,
@@ -45,6 +47,7 @@ from conftest import (
     counting_nilpotency_tests,
     counting_products,
 )
+from oracles import whole_stack_masks
 
 Z3_COUNTS = {
     "total": 3,
@@ -330,12 +333,79 @@ class TestCensusMasks:
         with pytest.raises(PreconditionError, match="int64"):
             check_scan_fits(matrix(modular(2**31 + 11), 2))
 
+    def test_scan_guard_bounds_the_unreduced_row_product(self):
+        # b(ab) with ab unreduced reaches d^2 (m-1)^3: 2^21 fits int64 and
+        # 2^21 + 1 does not, though both stacks fit the memory budget
+        for m in (2**21, 2**21 + 1):
+            assert _scan._WORKING_COPIES * m * 8 <= _scan.SCAN_MEMORY_BUDGET
+        check_scan_fits(modular(2**21))
+        with pytest.raises(PreconditionError, match="int64") as refused:
+            check_scan_fits(modular(2**21 + 1))
+        assert "MiB" not in str(refused.value)
+
     def test_scan_guard_runs_before_census_and_law_oracle(self, monkeypatch):
         monkeypatch.setattr(_scan, "SCAN_MEMORY_BUDGET", 64)
         with pytest.raises(PreconditionError, match="MiB"):
             run_census(modular(9))
         with pytest.raises(PreconditionError, match="MiB"):
             _LawContext(modular(9)).scan
+
+
+COMPOSITE_RINGS = [
+    modular(6), modular(360), modular(5040), matrix(modular(12), 1),
+    matrix(modular(6), 2), matrix(modular(10), 2), matrix(modular(12), 2),
+]
+
+
+class TestComponentMasks:
+    """A composite modulus builds its masks from its prime-power components;
+    whole_stack_masks, the powers of the whole stack at the full modulus, is
+    the oracle."""
+
+    def test_masks_match_the_whole_stack_oracle(self):
+        start = time.perf_counter()
+        for ring in COMPOSITE_RINGS:
+            want = whole_stack_masks(ring)
+            got = RingScan(ring).census_masks()
+            assert list(got) == list(want)
+            for key in want:
+                assert np.array_equal(got[key], want[key]), (ring, key)
+            # each accessor alone, on a scan that has built nothing else
+            assert np.array_equal(RingScan(ring).nilpotent_mask(), want["nilpotent"]), ring
+            assert np.array_equal(RingScan(ring).tripotent_mask(), want["tripotent"]), ring
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize(
+        "ring, q, category, index",
+        [(modular(360), 9, "unit", 2), (modular(360), 5, "tripotent", 2),
+         (matrix(modular(6), 2), 3, "hirano", 40), (matrix(modular(6), 2), 2, "idempotent", 6)],
+        ids=["Z/360 unit", "Z/360 tripotent", "M2(Z/6) hirano", "M2(Z/6) idempotent"],
+    )
+    def test_corrupted_component_mask_is_caught(self, ring, q, category, index, monkeypatch):
+        """A component mask flipped at one index flips the whole-ring mask
+        at the first element with that component code whose other
+        components hold the class; the cross-check names that element."""
+        components = [RingSpec(p**e, ring.dim) for p, e in factorize(ring.modulus).pairs]
+        stack = RingScan(ring).stack
+        codes = {part.modulus: RingScan(part).codes(stack % part.modulus) for part in components}
+        others = np.ones(ring.size(), dtype=bool)
+        for part in components:
+            if part.modulus != q:
+                others &= whole_stack_masks(part)[category][codes[part.modulus]]
+        lifted = int(np.flatnonzero(others & (codes[q] == index))[0])
+        power_masks = RingScan._power_masks
+
+        def corrupted(scan, keys):
+            masks = power_masks(scan, keys)
+            if scan.modulus == q and category in masks:
+                masks[category] = masks[category].copy()
+                masks[category][index] ^= True
+            return masks
+
+        monkeypatch.setattr(RingScan, "_power_masks", corrupted)
+        with pytest.raises(CensusMismatchError, match=category) as caught:
+            run_census(ring)
+        assert f"at element {ring.element_at(lifted)}:" in str(caught.value)
 
 
 class TestTripotentSplits:

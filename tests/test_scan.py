@@ -384,3 +384,22 @@ class TestSharedTripotentMask:
         assert verify_theorem("3.6", matrix(modular(3), 2)).ok
         assert masks and all(mask is masks[0] for mask in masks)
         assert len(np.flatnonzero(masks[0])) == 39
+
+    @pytest.mark.parametrize("ring", [matrix(modular(3), 2), matrix(modular(6), 2)], ids=str)
+    def test_census_masks_are_built_once(self, ring, monkeypatch):
+        """A second census_masks call, and each single-mask accessor after
+        it, returns the first call's arrays and does no stack arithmetic:
+        no product, power, code lookup or component scan."""
+        scan = RingScan(ring)
+        first = scan.census_masks()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached mask was rebuilt")
+
+        for name in ("_product", "_mul", "_power", "codes", "__init__"):
+            monkeypatch.setattr(RingScan, name, refuse)
+        again = scan.census_masks()
+        assert list(again) == list(first)
+        assert all(again[key] is first[key] for key in first)
+        assert scan.nilpotent_mask() is first["nilpotent"]
+        assert scan.tripotent_mask() is first["tripotent"]

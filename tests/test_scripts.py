@@ -49,6 +49,13 @@ def test_bench_pairs_help():
         assert option in result.stdout
 
 
+def test_census_phases_help():
+    result = _run_script("census_phases.py", "--help")
+    assert result.returncode == 0, result.stderr
+    for text in ("CHECKOUT", "--repeats"):
+        assert text in result.stdout
+
+
 def test_cli_battery_help():
     result = _run_script("cli_battery.py", "--help")
     assert result.returncode == 0, result.stderr
