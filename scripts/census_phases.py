@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -32,8 +33,6 @@ FRESH_RINGS = ("M2(Z/30)", "Z/720720", "Z/1000000")
 
 def phases(literal: str) -> dict[str, float]:
     """Seconds per run_census phase on one ring, in this interpreter."""
-    import random
-
     from ringinv import census
     from ringinv._scan import RingScan
     from ringinv.literals import parse_ring

@@ -383,8 +383,8 @@ class TestComponentMasks:
     )
     def test_corrupted_component_mask_is_caught(self, ring, q, category, index, monkeypatch):
         """A component mask flipped at one index flips the whole-ring mask
-        at the first element with that component code whose other
-        components hold the class; the cross-check names that element."""
+        at each element with that component code whose other components
+        hold the class; the cross-check names the first of them."""
         components = [RingSpec(p**e, ring.dim) for p, e in factorize(ring.modulus).pairs]
         stack = RingScan(ring).stack
         codes = {part.modulus: RingScan(part).codes(stack % part.modulus) for part in components}
