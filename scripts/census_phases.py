@@ -4,13 +4,15 @@
     python3 scripts/census_phases.py CHECKOUT [CHECKOUT ...] [--repeats N]
 
 For each checkout, one interpreter with ``CHECKOUT/src`` first on the path
-runs run_census's steps on M2(Z/12) and Z/32768 (the census-sampled rings of
-perfbench) and on M2(Z/30) and Z/1000000, the same way run_census does:
-``RingScan(ring)``, ``census_masks()``, then per chunk of the cross-checked
-indexes (every index up to EXHAUSTIVE_SCAN_CAP, else the seed-0 sample)
-``drazin_codes``, ``inverse_scans`` and the per-element checks.  Each phase's
-median over N repeats, in seconds, is printed as one JSON object per
-checkout.  Then ``census RING --json`` runs on M2(Z/30), Z/720720 and
+runs run_census's steps on M2(Z/7), M3(Z/2) and Z/997 (the census-exhaustive
+rings of perfbench), M2(Z/12) and Z/32768 (its census-sampled rings) and on
+M2(Z/30) and Z/1000000, the same way run_census does: ``RingScan(ring)``,
+``census_masks()``, then per chunk of the cross-checked indexes (every index
+up to EXHAUSTIVE_SCAN_CAP, else the seed-0 sample) ``drazin_codes``,
+``inverse_scans``, the verdicts (the chunk's census masks as lists and the
+scan's verdicts, ``_scan_verdicts``) and the per-element checks.  Each
+phase's median over N repeats, in seconds, is printed as one JSON object per
+checkout.  The checkout must have ``census._scan_verdicts``.  Then ``census RING --json`` runs on M2(Z/30), Z/720720 and
 Z/1000000 in a fresh interpreter each, and its wall time and peak RSS are
 reported as well.
 """
@@ -27,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-PHASE_RINGS = ("M2(Z/12)", "Z/32768", "M2(Z/30)", "Z/1000000")
+PHASE_RINGS = ("M2(Z/7)", "M3(Z/2)", "Z/997", "M2(Z/12)", "Z/32768", "M2(Z/30)", "Z/1000000")
 FRESH_RINGS = ("M2(Z/30)", "Z/720720", "Z/1000000")
 
 
@@ -38,7 +40,8 @@ def phases(literal: str) -> dict[str, float]:
     from ringinv.literals import parse_ring
 
     ring = parse_ring(literal)
-    took = dict.fromkeys(("scan", "masks", "drazin_codes", "inverse_scans", "checks"), 0.0)
+    took = dict.fromkeys(
+        ("scan", "masks", "drazin_codes", "inverse_scans", "verdicts", "checks"), 0.0)
     clock = time.perf_counter
 
     def timed(phase, fn, *args):
@@ -58,8 +61,11 @@ def phases(literal: str) -> dict[str, float]:
         chunk = indexes[start : start + census.SCAN_CHUNK]
         drazin = timed("drazin_codes", scan.drazin_codes, chunk).tolist()
         scanned = timed("inverse_scans", scan.inverse_scans, chunk)
-        for index, found, code in zip(chunk, scanned, drazin):
-            timed("checks", census._cross_check_element, ring, masks, index, found, code)
+        rows, verdicts = timed("verdicts", lambda: (
+            [dict(zip(masks, row)) for row in zip(*(m[chunk].tolist() for m in masks.values()))],
+            census._scan_verdicts(scan, chunk, scanned)))
+        for index, found, code, mask, verdict in zip(chunk, scanned, drazin, rows, verdicts):
+            timed("checks", census._cross_check_element, ring, index, found, code, mask, verdict)
     return took
 
 

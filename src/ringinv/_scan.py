@@ -18,11 +18,13 @@ nilpotent defects on those rows only.  Each stage runs once per batch, not
 once per element: one elimination over the stacked commutator matrices per
 prime power of m, one product per group of centralisers with the same
 generator orders, and one pass of the tests over the rows of all the
-centralisers, in blocks of at most _BLOCK matrix entries.  inverse_scan is
-a batch of one.  Entries are integers below m, and a product is reduced
-mod m before it is used again, except that bab = b multiplies b by the
-unreduced ab and reduces once; check_scan_fits refuses a ring where that
-product could overflow int64, so results are exact.
+centralisers, in blocks of at most _BLOCK matrix entries; whole-ring
+centralisers (every a of Z/n, and the scalars) are tested as (a, b) grids
+of as many a as fit in a block.  inverse_scan is a batch of one.  Entries
+are integers below m, and a product is reduced mod m before it is used
+again, except that bab = b multiplies b by the unreduced ab and reduces
+once; check_scan_fits refuses a ring where that product could overflow
+int64, so results are exact.
 """
 
 from __future__ import annotations
@@ -401,21 +403,28 @@ class RingScan:
     def _pieces(self, a: np.ndarray):
         """Yield each centraliser of the stack a as (owners, own, rows, codes):
         per row, the position of its a in the stack, that a, the row and its
-        index.  A whole-ring centraliser repeats its a as a broadcast view."""
+        index.  Whole-ring centralisers come as (a, b) grids of as many a as
+        fit in _BLOCK // d^2 rows beside the tiled stack, or, where one a's
+        ring exceeds that, as views of its a beside the stack itself."""
         d, n = self.dim, self.size
         whole = np.arange(n)
+        per = _BLOCK // (d * d * n)  # whole rings per grid
+
+        def grid(sub, rows, codes):
+            count = len(codes) // len(sub)
+            return np.repeat(sub, count), np.repeat(a[sub], count, axis=0), rows, codes
+
         for members, rows, codes in self._centralisers(a):
-            if rows is None:
+            if rows is not None:
+                yield grid(members, rows.reshape(-1, d, d), codes.ravel())
+            elif per:
+                stacks, wholes = np.tile(self.stack, (per, 1, 1)), np.tile(whole, per)
+                for lo in range(0, len(members), per):
+                    sub = members[lo : lo + per]
+                    yield grid(sub, stacks[: len(sub) * n], wholes[: len(sub) * n])
+            else:
                 for i in members:
                     yield np.broadcast_to(i, n), np.broadcast_to(a[i], (n, d, d)), self.stack, whole
-            else:
-                count = codes.shape[1]
-                yield (
-                    np.repeat(members, count),
-                    np.repeat(a[members], count, axis=0),
-                    rows.reshape(-1, d, d),
-                    codes.ravel(),
-                )
 
     def _test_rows(self, block: list[tuple], found: list[dict]) -> None:
         """Test bab = b and the three nilpotent defects on a block of

@@ -15,8 +15,12 @@ solves ab = ba by generating the centraliser of a and tests the other
 equations on its rows only, so a checked element costs in proportion to
 its centraliser, not to the ring.  The checked elements are scanned
 SCAN_CHUNK at a time, one batched call per chunk, and each chunk's results
-are checked and dropped before the next; a chunk whose scan raises is
-scanned again one element at a time, so the first element in index order
+are checked and dropped before the next.  Per chunk, numpy computes the
+power formula, the scan, its four verdicts from one stack product a*d
+(_scan_verdicts) and reads the masks out as lists; per element, Python runs
+the predicates, the Hirano lift, the lift's indexes and the comparisons.  A
+chunk whose scan raises is scanned again one element at a time, its
+verdicts computed as each is reached, so the first element in index order
 to fail any check fails the census.  Any disagreement is a hard error
 naming the category and the element; the check is exhaustive on rings of
 at most 10**4 elements and covers a seeded sample of at most 10**4
@@ -169,19 +173,31 @@ class CensusReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
+def _scan_verdicts(scan: RingScan, indexes, scanned) -> list[tuple]:
+    """Per element, (d = 0, a*d = a, d = a, a*d = 1) for its scanned unique
+    Drazin inverse d, from one stack product per batch.  An element without
+    a unique d gets a row that _cross_check_element refuses before reading."""
+    a = scan.stack[np.asarray(indexes, dtype=np.int64)]
+    d = scan.stack[[f["drazin"][0] if len(f["drazin"]) == 1 else 0 for f in scanned]]
+    ad = scan._mul(a, d)
+    pairs = ((d, 0), (ad, a), (d, a), (ad, np.eye(scan.dim, dtype=np.int64)))
+    return list(zip(*((x == y).all(axis=(1, 2)).tolist() for x, y in pairs)))
+
+
 def _cross_check_element(
-    ring: RingSpec, masks: dict, index: int, found: dict, drazin_code: int
+    ring: RingSpec, index: int, found: dict, drazin_code: int, masks: dict, verdicts: tuple
 ) -> None:
-    """Confirm one element's mask verdicts by its criteria and its equation
-    scan found, and check the scan against the constructed inverses.
+    """Confirm one element's mask verdicts (masks, by class in census_masks
+    order) by its criteria and its equation scan found, and check the scan
+    against the constructed inverses.
 
     The scan's Drazin inverse d is unique; it decides the classes that have
-    no inverse system of their own: a is nilpotent iff d = 0, tripotent iff
-    d = a, idempotent iff a*d = a, and a unit iff a*d = 1.  The Hirano lift
-    decides the Hirano and strongly Drazin classes, as in classify; its
-    inverses must lie in the scanned sets and equal d, and drazin_code,
-    the index of the power-formula Drazin inverse a^(m-1)
-    (RingScan.drazin_codes), must be d's.
+    no inverse system of their own (verdicts, from _scan_verdicts): a is
+    nilpotent iff d = 0, idempotent iff a*d = a, tripotent iff d = a, and a
+    unit iff a*d = 1.  The Hirano lift decides the Hirano and strongly
+    Drazin classes, as in classify; its inverses must lie in the scanned
+    sets and the Hirano one must be d, and drazin_code, the index of the
+    power-formula Drazin inverse a^(m-1) (RingScan.drazin_codes), must be d.
     """
     a = ring.element_at(index)
     if len(found["drazin"]) != 1:
@@ -189,37 +205,33 @@ def _cross_check_element(
             f"equation scan in {ring} found {len(found['drazin'])} Drazin inverses "
             f"of {a}, not exactly one"
         )
-    d = ring.element_at(found["drazin"][0])
-    ad = a * d
+    d = found["drazin"][0]
     hir, sd = _hirano_and_strongly_drazin(a)
-    paths = {
-        "nilpotent": (is_nilpotent(a) is not None, d == ring.zero()),
-        "idempotent": (is_idempotent(a), ad == a),
-        "tripotent": (is_tripotent(a), d == a),
-        "unit": (is_unit(a), ad == ring.one()),
-        "strongly_drazin": (sd is not None, bool(found["strongly_drazin"])),
-        "hirano": (hir is not None, bool(found["hirano"])),
-    }
-    for category, (criterion, brute) in paths.items():
-        mask = bool(masks[category][index])
+    criteria = (
+        is_nilpotent(a) is not None, is_idempotent(a), is_tripotent(a), is_unit(a),
+        sd is not None, hir is not None,
+    )
+    scanned = (*verdicts, bool(found["strongly_drazin"]), bool(found["hirano"]))
+    for (category, mask), criterion, brute in zip(masks.items(), criteria, scanned):
         if not mask == criterion == brute:
             raise CensusMismatchError(
                 f"three-path mismatch in {ring} at element {a}: {category} mask says "
                 f"{mask}, criterion says {criterion}, equation scan says {brute}"
             )
-    for name, cert, scanned in (
-        ("Hirano", hir, found["hirano"]),
-        ("strongly Drazin", sd, found["strongly_drazin"]),
+    hir_code, sd_code = (None if cert is None else ring.index_of(cert.b) for cert in (hir, sd))
+    for name, code, inverses in (
+        ("Hirano", hir_code, found["hirano"]),
+        ("strongly Drazin", sd_code, found["strongly_drazin"]),
     ):
-        if cert is not None and ring.index_of(cert.b) not in scanned:
+        if code is not None and code not in inverses:
             raise CensusMismatchError(
                 f"constructed {name} inverse of {a} in {ring} is not in the scanned set"
             )
-    if hir is not None and hir.b != d:
+    if hir is not None and hir_code != d:
         raise CensusMismatchError(
             f"uniqueness failure in {ring}: the Hirano and Drazin inverses of {a} disagree"
         )
-    if drazin_code != found["drazin"][0]:
+    if drazin_code != d:
         raise CensusMismatchError(
             f"power-formula Drazin inverse of {a} in {ring} differs from the scanned one"
         )
@@ -259,12 +271,18 @@ def run_census(
     for start in range(0, len(indexes), SCAN_CHUNK):
         chunk = indexes[start : start + SCAN_CHUNK]
         drazin = scan.drazin_codes(chunk).tolist()
+        rows = (dict(zip(masks, row)) for row in zip(*(m[chunk].tolist() for m in masks.values())))
         try:
             scanned = scan.inverse_scans(chunk)
-        except VerificationError:
-            scanned = map(scan.inverse_scan, chunk)  # lazily, in index order
-        for index, found, code in zip(chunk, scanned, drazin):
-            _cross_check_element(ring, masks, index, found, code)
+        except VerificationError:  # again one at a time, lazily, in index order
+            checked = (
+                (found, _scan_verdicts(scan, [index], [found])[0])
+                for index, found in zip(chunk, map(scan.inverse_scan, chunk))
+            )
+        else:
+            checked = zip(scanned, _scan_verdicts(scan, chunk, scanned))
+        for index, (found, verdicts), code, mask in zip(chunk, checked, drazin, rows):
+            _cross_check_element(ring, index, found, code, mask, verdicts)
     if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
         raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
     hir, sd = masks["hirano"], masks["strongly_drazin"]

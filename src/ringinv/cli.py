@@ -11,6 +11,7 @@ found violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,8 @@ class _UsageError(Exception):
     pass
 
 
-def _build_parser() -> _Parser:
+@functools.cache  # built on the first main call, then shared by every later one
+def _parser() -> _Parser:
     parser = _Parser(prog="ringinv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -191,9 +193,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (_UsageError, ParseError, RingError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,7 +8,10 @@ kernel_mod is the one-matrix elimination that the batched _kernels_mod
 replaced.  whole_stack_masks raises the whole stack to the census powers
 at the full modulus, as RingScan.census_masks did for every modulus before
 it built a composite modulus's masks from its prime-power components.
-semigroup_profile walks the power orbit of an element, the O(index +
+element_verdicts decides the four classes of the census cross-check from
+an element's unique Drazin inverse d with Element arithmetic, as the census
+did per element before census._scan_verdicts read them off a stack product
+per chunk.  semigroup_profile walks the power orbit of an element, the O(index +
 period) route that drazin_finite and unit_exponent avoid.  brute_force_units
 searches the whole ring for two-sided inverses, where is_unit reads a
 determinant.  naive_product is the textbook triple loop that
@@ -175,6 +178,15 @@ def whole_stack_masks(ring: RingSpec) -> dict[str, np.ndarray]:
         "strongly_drazin": nilpotent[scan.codes((x - x2) % m)],
         "hirano": nilpotent[scan.codes((x - x3) % m)],
     }
+
+
+def element_verdicts(ring: RingSpec, index: int, drazin: int) -> tuple[bool, ...]:
+    """For the element a at index and its Drazin inverse d at drazin:
+    (d = 0, a*d = a, d = a, a*d = 1), which decide nilpotent, idempotent,
+    tripotent and unit, by Element products and comparisons."""
+    a, d = ring.element_at(index), ring.element_at(drazin)
+    ad = a * d
+    return (d == ring.zero(), ad == a, d == a, ad == ring.one())
 
 
 # element pairs per chunk of filtered_inverse_scans, times k^2 entries each

@@ -47,7 +47,7 @@ from conftest import (
     counting_nilpotency_tests,
     counting_products,
 )
-from oracles import whole_stack_masks
+from oracles import element_verdicts, whole_stack_masks
 
 Z3_COUNTS = {
     "total": 3,
@@ -582,6 +582,78 @@ class TestPowerFormulaCodes:
         run_census(matrix(modular(3), 2))
         assert drazin == [0] and classified == [0]
         assert not hasattr(census, "classify")
+
+
+class TestScanVerdicts:
+    """census._scan_verdicts, a chunk's four scan verdicts from one stack
+    product, against element_verdicts, the Element arithmetic that the
+    census ran per element before, kept as the oracle."""
+
+    @pytest.mark.parametrize(
+        "ring",
+        [matrix(modular(4), 2), matrix(modular(6), 2), matrix(modular(2), 3), modular(360)],
+        ids=str,
+    )
+    def test_chunk_verdicts_match_element_arithmetic(self, ring):
+        scan = RingScan(ring)
+        seen = set()
+        for start in range(0, ring.size(), census.SCAN_CHUNK):
+            chunk = range(start, min(start + census.SCAN_CHUNK, ring.size()))
+            scanned = scan.inverse_scans(chunk)
+            verdicts = census._scan_verdicts(scan, chunk, scanned)
+            for index, found, got in zip(chunk, scanned, verdicts, strict=True):
+                assert got == element_verdicts(ring, index, found["drazin"][0]), index
+                seen.add(got)
+        # every verdict is met and missed somewhere in the ring
+        assert all(len({row[i] for row in seen}) == 2 for i in range(4))
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["batched", "one at a time"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                {65: [0]},
+                "three-path mismatch in M2(Z/4) at element [[1,0],[0,1]]: nilpotent mask "
+                "says False, criterion says False, equation scan says True",
+            ),
+            (
+                {25: [25]},
+                "three-path mismatch in M2(Z/4) at element [[0,1],[2,1]]: tripotent mask "
+                "says False, criterion says False, equation scan says True",
+            ),
+            (
+                {25: [1]},
+                "uniqueness failure in M2(Z/4): the Hirano and Drazin inverses of "
+                "[[0,1],[2,1]] disagree",
+            ),
+            (
+                {25: [], 65: [0]},
+                "equation scan in M2(Z/4) found 0 Drazin inverses of [[0,1],[2,1]], "
+                "not exactly one",
+            ),
+        ],
+        ids=["zero", "itself", "other", "none"],
+    )
+    def test_corrupted_drazin_inverse_is_caught(self, corrupt, message, fallback, monkeypatch):
+        """The scanned unique Drazin inverse replaced at some indexes: the
+        census fails at the first of them with the message the per-element
+        verdicts gave, batched or rescanned one element at a time."""
+        ring = matrix(modular(4), 2)
+        inverse_scans = RingScan.inverse_scans
+
+        def corrupted(scan, indexes):
+            if fallback and len(indexes) > 1:
+                raise VerificationError("batch refused")
+            found = inverse_scans(scan, indexes)
+            for position, index in enumerate(indexes):
+                if index in corrupt:
+                    found[position]["drazin"] = corrupt[index]
+            return found
+
+        monkeypatch.setattr(RingScan, "inverse_scans", corrupted)
+        with pytest.raises(CensusMismatchError) as caught:
+            run_census(ring)
+        assert str(caught.value) == message
 
 
 class TestVerifyTheorem:

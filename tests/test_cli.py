@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -395,3 +398,37 @@ class TestParsing:
         code, _, err = run(capsys)
         assert code == 1
         assert err != ""
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process: back-to-back calls
+    answer exactly as each call does alone in a fresh interpreter."""
+
+    SEQUENCE = [
+        ("verify", "5.4", "M2(Z/7)", "--samples", "7"),
+        ("verify", "5.4", "M2(Z/7)"),
+        ("census", "Z/9"),
+        ("verify", "9.9", "Z/9"),
+        ("census",),
+        ("--help",),
+        ("verify", "--help"),
+    ]
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to it
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as done:
+                code = done.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ringinv", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv

@@ -186,6 +186,36 @@ class TestCentraliserParity:
             assert single[index] == found, index
 
     @pytest.mark.parametrize(
+        "ring, indexes, first_block",
+        [
+            # 64 // 12 = 5 whole rings per grid
+            (modular(12), range(12), 60),
+            # one whole ring per grid
+            (modular(63), range(63), 63),
+            (modular(64), range(64), 64),
+            # above 64 rows: broadcast views beside the stack, cut at 64 rows
+            (modular(65), range(65), 64),
+            # 16 rows per ring of 2 x 2 matrices: one scalar per grid, beside
+            # a generated centraliser
+            (matrix(modular(2), 2), [0, 9, 6, 9, 0], 16),
+        ],
+        ids=["Z/12", "Z/63", "Z/64", "Z/65", "M2(Z/2) scalars"],
+    )
+    def test_whole_ring_grids_match_batches_of_one(self, ring, indexes, first_block, monkeypatch):
+        """With _BLOCK at 64 entries, each side of the grid's limit: the
+        batched scan equals batches of one and the filter, and its row
+        blocks hold exactly the centralisers, at most 64 // d^2 rows each."""
+        monkeypatch.setattr(_scan, "_BLOCK", 64)
+        scan = RingScan(ring)
+        single = [scan.inverse_scan(i) for i in indexes]
+        blocks = counting_rows(monkeypatch)
+        assert scan.inverse_scans(indexes) == single
+        expected = filtered_inverse_scans(scan, indexes)
+        assert single == [found for _, found in expected]
+        assert sum(blocks) == sum(len(commuting) for commuting, _ in expected)
+        assert blocks[0] == first_block and max(blocks) <= 64 // max(1, ring.dim) ** 2
+
+    @pytest.mark.parametrize(
         "ring",
         [matrix(modular(n), 2) for n in (4, 6, 8, 9)] + [M3Z2],
         ids=str,

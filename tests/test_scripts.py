@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -54,6 +55,22 @@ def test_census_phases_help():
     assert result.returncode == 0, result.stderr
     for text in ("CHECKOUT", "--repeats"):
         assert text in result.stdout
+
+
+def test_census_phases_runs_the_census_steps():
+    """phases() calls run_census's internals in its order, so it breaks when
+    they change; time each phase of a scalar and a matrix ring."""
+    spec = importlib.util.spec_from_file_location(
+        "census_phases", ROOT / "scripts" / "census_phases.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for literal in ("Z/12", "M2(Z/2)"):
+        took = script.phases(literal)
+        assert list(took) == [
+            "scan", "masks", "drazin_codes", "inverse_scans", "verdicts", "checks"
+        ]
+        assert all(seconds > 0 for seconds in took.values()), literal
 
 
 def test_cli_battery_help():
