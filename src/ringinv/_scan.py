@@ -20,7 +20,7 @@ prime power of m, one product per group of centralisers with the same
 generator orders, and one pass of the tests over the rows of all the
 centralisers, in blocks of at most _BLOCK matrix entries; whole-ring
 centralisers (every a of Z/n, and the scalars) are tested as (a, b) grids
-of as many a as fit in a block.  inverse_scan is a batch of one.  Entries
+of as many a as fit in a block, when two or more do.  inverse_scan is a batch of one.  Entries
 are integers below m, and a product is reduced mod m before it is used
 again, except that bab = b multiplies b by the unreduced ab and reduces
 once; check_scan_fits refuses a ring where that product could overflow
@@ -404,8 +404,9 @@ class RingScan:
         """Yield each centraliser of the stack a as (owners, own, rows, codes):
         per row, the position of its a in the stack, that a, the row and its
         index.  Whole-ring centralisers come as (a, b) grids of as many a as
-        fit in _BLOCK // d^2 rows beside the tiled stack, or, where one a's
-        ring exceeds that, as views of its a beside the stack itself."""
+        fit in _BLOCK // d^2 rows beside the tiled stack, or, where fewer
+        than two rings fit, as views of one a beside the stack itself, so
+        no copy of the stack is made per a."""
         d, n = self.dim, self.size
         whole = np.arange(n)
         per = _BLOCK // (d * d * n)  # whole rings per grid
@@ -417,7 +418,7 @@ class RingScan:
         for members, rows, codes in self._centralisers(a):
             if rows is not None:
                 yield grid(members, rows.reshape(-1, d, d), codes.ravel())
-            elif per:
+            elif per > 1:
                 stacks, wholes = np.tile(self.stack, (per, 1, 1)), np.tile(whole, per)
                 for lo in range(0, len(members), per):
                     sub = members[lo : lo + per]

@@ -190,19 +190,22 @@ class TestCentraliserParity:
         [
             # 64 // 12 = 5 whole rings per grid
             (modular(12), range(12), 60),
-            # one whole ring per grid
+            # two whole rings per grid, the fewest a grid holds
+            (modular(32), range(32), 64),
+            # one ring per block: broadcast views beside the stack
+            (modular(33), range(33), 33),
             (modular(63), range(63), 63),
             (modular(64), range(64), 64),
-            # above 64 rows: broadcast views beside the stack, cut at 64 rows
+            # above 64 rows: views cut at 64 rows
             (modular(65), range(65), 64),
-            # 16 rows per ring of 2 x 2 matrices: one scalar per grid, beside
-            # a generated centraliser
+            # 16 rows per ring of 2 x 2 matrices: one scalar per block,
+            # beside a generated centraliser
             (matrix(modular(2), 2), [0, 9, 6, 9, 0], 16),
         ],
-        ids=["Z/12", "Z/63", "Z/64", "Z/65", "M2(Z/2) scalars"],
+        ids=["Z/12", "Z/32", "Z/33", "Z/63", "Z/64", "Z/65", "M2(Z/2) scalars"],
     )
     def test_whole_ring_grids_match_batches_of_one(self, ring, indexes, first_block, monkeypatch):
-        """With _BLOCK at 64 entries, each side of the grid's limit: the
+        """With _BLOCK at 64 entries, on each side of the grid's limits: the
         batched scan equals batches of one and the filter, and its row
         blocks hold exactly the centralisers, at most 64 // d^2 rows each."""
         monkeypatch.setattr(_scan, "_BLOCK", 64)
