@@ -20,11 +20,11 @@ prime power of m, one product per group of centralisers with the same
 generator orders, and one pass of the tests over the rows of all the
 centralisers, in blocks of at most _BLOCK matrix entries; whole-ring
 centralisers (every a of Z/n, and the scalars) are tested as (a, b) grids
-of as many a as fit in a block, when two or more do.  inverse_scan is a batch of one.  Entries
-are integers below m, and a product is reduced mod m before it is used
-again, except that bab = b multiplies b by the unreduced ab and reduces
-once; check_scan_fits refuses a ring where that product could overflow
-int64, so results are exact.
+of as many a as fit in a block, when two or more do.  inverse_scan is a
+batch of one.  Entries are integers below m, and a product is reduced mod
+m before it is used again, except that bab = b multiplies b by the
+unreduced ab and reduces once; check_scan_fits refuses a ring where that
+product could overflow int64, so results are exact.
 """
 
 from __future__ import annotations
