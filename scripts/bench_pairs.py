@@ -8,9 +8,12 @@ Each pair runs ``python3 perfbench/run.py`` once from the root of each
 checkout, with the same workload, seed, run length and trace setting; even
 pairs run the parent first and odd pairs the change, so a drift in host
 speed does not favour one side.  Every run's JSON result is kept.  The
-summary gives, per metric, each side's median and quartiles and in how many
-pairs the change read better, in the direction BENCHMARK.json declares
-(ties count for neither side).
+summary gives, per metric, each side's median and quartiles, the median and
+quartiles of the per-pair change/parent ratio, and in how many pairs the
+change read better, in the direction BENCHMARK.json declares (ties count for
+neither side).  Its ``gate`` holds when a gain may be claimed: the change
+wins at least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's interquartile range.
 
 The block is stored in FILE under the key ``W/seed_S`` (``W/seed_S/trace``
 with ``--trace 1``); other keys already in FILE are kept, so one FILE can
@@ -46,25 +49,39 @@ def directions(checkout: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def spread(values: list[float]) -> dict:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(statistics.median(values), 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = quartiles(values)
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' median and quartiles, and the change's wins."""
+    """Per metric: both sides' median and quartiles, the median and quartiles
+    of the per-pair change/parent ratio (over the pairs whose parent reads
+    nonzero), and, for a metric with a direction, the change's wins and
+    ``gate``: whether a gain may be claimed, that is, the change wins at
+    least nine tenths of the pairs and its median is better than the
+    parent's by more than the parent's interquartile range."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                   for side in ("parent", "change")}
         row = {side: spread(v) for side, v in values.items()}
+        ratios = [c / p for p, c in zip(values["parent"], values["change"]) if p]
+        row["ratio"] = spread(ratios) if ratios else None
         if name in better:
             sign = 1 if better[name] == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             row["change_wins"] = f"{wins} of {len(pairs)} pairs"
+            q1, parent, q3 = quartiles(values["parent"])
+            gain = sign * (statistics.median(values["change"]) - parent)
+            row["gate"] = 10 * wins >= 9 * len(pairs) and gain > q3 - q1
         summary[name] = row
     return summary
 

@@ -12,9 +12,10 @@ up to EXHAUSTIVE_SCAN_CAP, else the seed-0 sample) ``drazin_codes``,
 ``inverse_scans``, the verdicts (the chunk's census masks as lists and the
 scan's verdicts, ``_scan_verdicts``) and the per-element checks.  Each
 phase's median over N repeats, in seconds, is printed as one JSON object per
-checkout.  The checkout must have ``census._scan_verdicts``.  Then ``census RING --json`` runs on M2(Z/30), Z/720720 and
-Z/1000000 in a fresh interpreter each, and its wall time and peak RSS are
-reported as well.
+checkout.  The phases are timed by the checkout's own copy of this script,
+so they follow that checkout's internals; it must have one.  Then
+``census RING --json`` runs on M2(Z/30), Z/720720 and Z/1000000 in a fresh
+interpreter each, and its wall time and peak RSS are reported as well.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def phases(literal: str) -> dict[str, float]:
 
     scan = timed("scan", RingScan, ring)
     masks = timed("masks", scan.census_masks)
+    classes = tuple(masks)
     size = ring.size()
     if size <= census.EXHAUSTIVE_SCAN_CAP:
         indexes = range(size)
@@ -62,10 +64,11 @@ def phases(literal: str) -> dict[str, float]:
         drazin = timed("drazin_codes", scan.drazin_codes, chunk).tolist()
         scanned = timed("inverse_scans", scan.inverse_scans, chunk)
         rows, verdicts = timed("verdicts", lambda: (
-            [dict(zip(masks, row)) for row in zip(*(m[chunk].tolist() for m in masks.values()))],
+            list(zip(*(m[chunk].tolist() for m in masks.values()))),
             census._scan_verdicts(scan, chunk, scanned)))
         for index, found, code, mask, verdict in zip(chunk, scanned, drazin, rows, verdicts):
-            timed("checks", census._cross_check_element, ring, index, found, code, mask, verdict)
+            timed("checks", census._cross_check_element, ring, index, found, code, classes, mask,
+                  verdict)
     return took
 
 
@@ -109,7 +112,8 @@ def main() -> int:
     for checkout in map(Path.resolve, args.checkouts):
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
         done = subprocess.run(
-            [sys.executable, __file__, "--inside", "--repeats", str(args.repeats)],
+            [sys.executable, str(checkout / "scripts" / "census_phases.py"), "--inside",
+             "--repeats", str(args.repeats)],
             cwd=checkout, env=env, capture_output=True, text=True, check=True)
         described = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                                    capture_output=True, text=True)

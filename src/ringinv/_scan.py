@@ -13,18 +13,27 @@ the power-formula Drazin inverses x^(D-1) of a batch of elements, D the
 ring's exponent of drazin_finite, from one stack power.  inverse_scans
 solves the three defining equation systems, and nothing else, for a batch
 of elements: it generates the centraliser of each a (the solutions of
-ab = ba, usually a small fraction of the ring) and tests bab = b and the
-nilpotent defects on those rows only.  Each stage runs once per batch, not
-once per element: one elimination over the stacked commutator matrices per
+ab = ba, usually a small fraction of the ring) and tests bab = b on those
+rows only, in row blocks of at most _BLOCK matrix entries, each the rows of
+one or more centralisers beside their a; whole-ring centralisers (every a
+of Z/n, and the scalars) are broadcast views of the stack.  The rows that
+pass are gathered over the whole call and tested for the three nilpotent
+defects once per _BLOCK // d^2 of them, so a block that passes a row or two
+costs no defect pass of its own.  Each stage runs once per batch, not once
+per element: one elimination over the stacked commutator matrices per
 prime power of m, one product per group of centralisers with the same
-generator orders, and one pass of the tests over the rows of all the
-centralisers, in blocks of at most _BLOCK matrix entries; whole-ring
-centralisers (every a of Z/n, and the scalars) are tested as (a, b) grids
-of as many a as fit in a block, when two or more do.  inverse_scan is a
-batch of one.  Entries are integers below m, and a product is reduced mod
-m before it is used again, except that bab = b multiplies b by the
-unreduced ab and reduces once; check_scan_fits refuses a ring where that
-product could overflow int64, so results are exact.
+generator orders.  inverse_scan is a batch of one.
+
+Entries are integers below m, and a product is reduced mod m before it is
+used again, except that bab = b multiplies b by the unreduced ab and
+reduces once; check_scan_fits refuses a ring where that product could
+overflow int64, so results are exact.  Every reduction by a scalar modulus
+goes through _reduce, which computes x - (x // m) * m in place: numpy
+divides an int64 array by a scalar several times faster than it takes its
+remainder, so this costs about half of x % m on a block.  It works a slice
+of at most _BLOCK entries at a time, so no quotient of a whole stack is
+ever alive, and leaves arrays of at most _REMAINDER_MAX entries, where the
+call overhead of the slices dominates, to x % m.
 """
 
 from __future__ import annotations
@@ -43,6 +52,27 @@ SCAN_MEMORY_BUDGET = 256 * 2**20
 # Whole-ring int64 arrays alive at once while the census masks are built:
 # the stack, x^2, x^3, power operands and matmul temporaries.
 _WORKING_COPIES = 8
+# entries up to which _reduce takes x % m, whose one call costs less than slicing
+_REMAINDER_MAX = 1 << 11
+
+
+def _reduce(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m, in place, for an int64 array x; returns x.
+
+    Computes x - (x // m) * m, floor division as x % m, on slices of at most
+    _BLOCK entries, their quotients in one buffer of a slice.  An array of
+    at most _REMAINDER_MAX entries, or one that is not C-contiguous (no flat
+    view), takes x % m in place instead.
+    """
+    if x.size <= _REMAINDER_MAX or not x.flags.c_contiguous:
+        return np.remainder(x, m, out=x)
+    flat = x.reshape(-1)
+    buffer = np.empty(min(flat.size, _BLOCK), dtype=np.int64)
+    for lo in range(0, flat.size, _BLOCK):
+        part = flat[lo : lo + _BLOCK]
+        quotient = np.floor_divide(part, m, out=buffer[: part.size])
+        part -= np.multiply(quotient, m, out=quotient)
+    return x
 
 
 def _scan_shape(ring: RingSpec) -> tuple[int, int]:
@@ -78,7 +108,7 @@ def _kernels_mod(
     n, k = mats.shape[:2]
     items = np.arange(n)
     gcds = np.gcd(np.arange(q), q)
-    mats = mats % q
+    mats = _reduce(mats.copy(), q)
     v = np.zeros((n, k, k), dtype=np.int64)
     v[:, range(k), range(k)] = 1
     orders = np.full((n, k), q, dtype=np.int64)
@@ -93,13 +123,13 @@ def _kernels_mod(
         coef = row // gcd[:, None] * inverse[row[items, c] // gcd, None] % (q // gcd)[:, None]
         coef[items, c] = 0
         mats -= mats[items, :, c, None] * coef[:, None]
-        mats %= q
+        _reduce(mats, q)
         mats[items, :, c] = 0
         v -= v[items, :, c, None] * coef[:, None]
-        v %= q
+        _reduce(v, q)
         # a live pivot's column still has order q; a finished matrix keeps its own
         orders[items, c] = np.minimum(orders[items, c], gcd)
-    return (v * (q // orders)[:, None]).transpose(0, 2, 1) % q, orders
+    return _reduce(v * (q // orders)[:, None], q).transpose(0, 2, 1), orders
 
 
 def check_scan_fits(ring: RingSpec) -> None:
@@ -141,12 +171,13 @@ class RingScan:
         d, m = _scan_shape(ring)
         self.dim, self.modulus = d, m
         k = d * d
-        codes = np.arange(self.size, dtype=np.int64)
         entries = np.empty((self.size, k), dtype=np.int64)
-        rest = codes
-        for pos in range(k - 1, -1, -1):
-            entries[:, pos] = rest % m
-            rest = rest // m
+        rest = np.arange(self.size, dtype=np.int64)
+        for pos in range(k - 1, -1, -1):  # one division per digit, the digit as scratch
+            digit, quotient = entries[:, pos], rest // m
+            np.multiply(quotient, m, out=digit)
+            np.subtract(rest, digit, out=digit)
+            rest = quotient
         self.stack = entries.reshape(self.size, d, d)
         self._radix = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self._bound = nilpotency_bound(ring)
@@ -174,9 +205,7 @@ class RingScan:
         return x * y if self.dim == 1 else np.matmul(x, y)
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self._product(x, y)
-        out %= self.modulus
-        return out
+        return _reduce(self._product(x, y), self.modulus)
 
     def _power(self, x: np.ndarray, e: int) -> np.ndarray:
         """x^e for every matrix of the stack x (e >= 1), by square-and-multiply."""
@@ -247,8 +276,8 @@ class RingScan:
             "idempotent": (x2 == x).all(axis=(1, 2)),
             "tripotent": (x3 == x).all(axis=(1, 2)),
             "unit": (self._power(x, self._unit_exponent) == identity).all(axis=(1, 2)),
-            "strongly_drazin": nilpotent[self.codes((x - x2) % m)],
-            "hirano": nilpotent[self.codes((x - x3) % m)],
+            "strongly_drazin": nilpotent[self.codes(_reduce(x - x2, m))],
+            "hirano": nilpotent[self.codes(_reduce(x - x3, m))],
         }
         return {key: masks[key] for key in keys}
 
@@ -263,7 +292,7 @@ class RingScan:
         for ring in self._components:
             part = RingScan(ring)
             masks = part._built(keys)
-            codes = part.codes(self.stack % ring.modulus)
+            codes = part.codes(_reduce(self.stack.copy(), ring.modulus))
             for key in keys:
                 out[key] &= masks[key][codes]
             del codes
@@ -282,7 +311,7 @@ class RingScan:
         gens, orders = [], []
         for q, unit, inverse in self._crt:
             g, o = _kernels_mod(commutators, q, inverse)
-            gens.append(g * unit % m)
+            gens.append(_reduce(g * unit, m))
             orders.append(o)
         return np.concatenate(gens, axis=1), np.concatenate(orders, axis=1)
 
@@ -340,7 +369,7 @@ class RingScan:
                 per = max(1, _BLOCK // (len(digits) * k))
                 for lo in range(0, len(members), per):
                     sub = members[lo : lo + per]
-                    flat = np.matmul(digits, g[lo : lo + per]) % m
+                    flat = _reduce(np.matmul(digits, g[lo : lo + per]), m)
                     codes = flat @ self._radix
                     order = (np.arange(len(sub))[:, None], np.argsort(codes, axis=1))
                     flat, codes = flat[order], codes[order]
@@ -366,9 +395,9 @@ class RingScan:
         for members, rows, codes in self._centralisers(p):
             if rows is None:
                 for i in members:
-                    split[self.codes((p[i] + nilpotents) % m)] = True
+                    split[self.codes(_reduce(p[i] + nilpotents, m))] = True
             else:
-                sums = (p[members, None] + rows) % m
+                sums = _reduce(p[members, None] + rows, m)
                 split[self.codes(sums[nilpotent[codes]])] = True
         return split
 
@@ -377,76 +406,76 @@ class RingScan:
         equation systems.
 
         ab = ba is solved by generating the centraliser of each a
-        (_centralisers); bab = b and the respective nilpotent defects are
-        tested on the concatenated rows of all the centralisers, each row
-        beside its own a, in blocks of at most _BLOCK matrix entries.
-        Returns, per index in order, ascending index lists for the Hirano,
-        strongly Drazin and Drazin systems.
+        (_centralisers); bab = b is tested on the rows of all the
+        centralisers, block by block (_row_blocks, _solve_rows), and the
+        respective nilpotent defects on the rows that solve it, gathered
+        over the call and tested at most _BLOCK // d^2 at a time
+        (_test_defects).  Returns, per index in order, ascending index lists
+        for the Hirano, strongly Drazin and Drazin systems.
         """
         a = self.stack[np.asarray(indexes, dtype=np.int64)]
         found = [{"hirano": [], "strongly_drazin": [], "drazin": []} for _ in a]
         limit = max(1, _BLOCK // self.dim**2)
-        block: list[tuple] = []
+        solved: list[tuple] = []
         held = 0
-        for piece in self._pieces(a):
-            for lo in range(0, len(piece[0]), limit):
-                part = tuple(column[lo : lo + limit] for column in piece)
-                if held + len(part[0]) > limit:
-                    self._test_rows(block, found)
-                    block, held = [], 0
-                block.append(part)
-                held += len(part[0])
-        if block:
-            self._test_rows(block, found)
+        for members, rows, codes in self._row_blocks(a):
+            passed = self._solve_rows(a, members, rows, codes)
+            if solved and held + len(passed[0]) > limit:
+                self._test_defects(a, solved, found)
+                solved, held = [], 0
+            solved.append(passed)
+            held += len(passed[0])
+        if solved:
+            self._test_defects(a, solved, found)
         return found
 
-    def _pieces(self, a: np.ndarray):
-        """Yield each centraliser of the stack a as (owners, own, rows, codes):
-        per row, the position of its a in the stack, that a, the row and its
-        index.  Whole-ring centralisers come as (a, b) grids of as many a as
-        fit in _BLOCK // d^2 rows beside the tiled stack, or, where fewer
-        than two rings fit, as views of one a beside the stack itself, so
-        no copy of the stack is made per a."""
+    def _row_blocks(self, a: np.ndarray):
+        """Yield the centralisers of the stack a as row blocks (members, rows,
+        codes) of at most _BLOCK // d^2 rows: rows[i], shape (c, d, d), and
+        codes[i] are rows of the centraliser of a[members[i]] and their
+        indexes, the whole centraliser unless it is larger than a block.
+        Whole-ring centralisers are broadcast views of the stack, as many
+        per block as fit, so the stack is never copied per a."""
         d, n = self.dim, self.size
-        whole = np.arange(n)
-        per = _BLOCK // (d * d * n)  # whole rings per grid
-
-        def grid(sub, rows, codes):
-            count = len(codes) // len(sub)
-            return np.repeat(sub, count), np.repeat(a[sub], count, axis=0), rows, codes
-
+        limit = max(1, _BLOCK // (d * d))
         for members, rows, codes in self._centralisers(a):
-            if rows is not None:
-                yield grid(members, rows.reshape(-1, d, d), codes.ravel())
-            elif per > 1:
-                stacks, wholes = np.tile(self.stack, (per, 1, 1)), np.tile(whole, per)
-                for lo in range(0, len(members), per):
-                    sub = members[lo : lo + per]
-                    yield grid(sub, stacks[: len(sub) * n], wholes[: len(sub) * n])
-            else:
-                for i in members:
-                    yield np.broadcast_to(i, n), np.broadcast_to(a[i], (n, d, d)), self.stack, whole
+            if rows is None:
+                shape = (len(members), n)
+                rows = np.broadcast_to(self.stack, shape + (d, d))
+                codes = np.broadcast_to(np.arange(n), shape)
+            count = codes.shape[1]
+            per = max(1, limit // count)  # centralisers per block
+            for i in range(0, len(members), per):
+                for lo in range(0, count, limit):
+                    cut = (slice(i, i + per), slice(lo, lo + limit))
+                    yield members[cut[0]], rows[cut], codes[cut]
 
-    def _test_rows(self, block: list[tuple], found: list[dict]) -> None:
-        """Test bab = b and the three nilpotent defects on a block of
-        (owners, own, rows, codes) parts, appending the index of each
-        solution b to the lists of its a."""
+    def _solve_rows(self, a, members, rows, codes) -> tuple:
+        """bab = b on one row block, each a broadcast over its own rows:
+        the owners (positions in a), indexes and unreduced products ab of
+        the rows that solve it."""
+        ab = self._product(a[members, None], rows)
+        solved = np.flatnonzero((self._mul(rows, ab) == rows).all(axis=(2, 3)))
+        i, j = np.divmod(solved, codes.shape[1])  # np.nonzero is slow on 2-D masks
+        return members[i], codes[i, j], ab[i, j]
+
+    def _test_defects(self, a: np.ndarray, solved: list[tuple], found: list[dict]) -> None:
+        """Test the three nilpotent defects on the (owners, codes, ab) parts
+        of rows that solve bab = b, appending the index of each solution b
+        to the lists of its a, read from the stack by owner."""
         m = self.modulus
-        owners, own, rows, codes = (
-            column[0] if len(block) == 1 else np.concatenate(column) for column in zip(*block)
-        )
-        ab = self._product(own, rows)
-        base = np.flatnonzero((self._mul(rows, ab) == rows).all(axis=(1, 2)))
-        if base.size == 0:
+        owners, codes, ab = (np.concatenate(column) for column in zip(*solved))
+        if not owners.size:
             return
-        own, ab = own[base], ab[base] % m
+        own = a[owners]
+        _reduce(ab, m)
         defects = (
             ("hirano", self._mul(own, own) - ab),
             ("strongly_drazin", own - ab),
             ("drazin", own - self._mul(own, ab)),
         )
         for key, defect in defects:
-            hits = base[self._nilpotent_codes(defect % m)]
+            hits = self._nilpotent_codes(_reduce(defect, m))
             for owner, code in zip(owners[hits].tolist(), codes[hits].tolist()):
                 found[owner][key].append(code)
 

@@ -17,8 +17,9 @@ its centraliser, not to the ring.  The checked elements are scanned
 SCAN_CHUNK at a time, one batched call per chunk, and each chunk's results
 are checked and dropped before the next.  Per chunk, numpy computes the
 power formula, the scan, its four verdicts from one stack product a*d
-(_scan_verdicts) and reads the masks out as lists; per element, Python runs
-the predicates, the Hirano lift, the lift's indexes and the comparisons.  A
+(_scan_verdicts) and reads the masks out as one tuple per element, the class
+names read once from census_masks; per element, Python runs the
+predicates, the Hirano lift, the lift's indexes and the comparisons.  A
 chunk whose scan raises is scanned again one element at a time, its
 verdicts computed as each is reached, so the first element in index order
 to fail any check fails the census.  Any disagreement is a hard error
@@ -185,11 +186,17 @@ def _scan_verdicts(scan: RingScan, indexes, scanned) -> list[tuple]:
 
 
 def _cross_check_element(
-    ring: RingSpec, index: int, found: dict, drazin_code: int, masks: dict, verdicts: tuple
+    ring: RingSpec,
+    index: int,
+    found: dict,
+    drazin_code: int,
+    classes: tuple,
+    masks: tuple,
+    verdicts: tuple,
 ) -> None:
-    """Confirm one element's mask verdicts (masks, by class in census_masks
-    order) by its criteria and its equation scan found, and check the scan
-    against the constructed inverses.
+    """Confirm one element's mask verdicts (masks, one per class of classes,
+    the census_masks order) by its criteria and its equation scan found,
+    and check the scan against the constructed inverses.
 
     The scan's Drazin inverse d is unique; it decides the classes that have
     no inverse system of their own (verdicts, from _scan_verdicts): a is
@@ -212,7 +219,7 @@ def _cross_check_element(
         sd is not None, hir is not None,
     )
     scanned = (*verdicts, bool(found["strongly_drazin"]), bool(found["hirano"]))
-    for (category, mask), criterion, brute in zip(masks.items(), criteria, scanned):
+    for category, mask, criterion, brute in zip(classes, masks, criteria, scanned):
         if not mask == criterion == brute:
             raise CensusMismatchError(
                 f"three-path mismatch in {ring} at element {a}: {category} mask says "
@@ -257,6 +264,7 @@ def run_census(
         )
     scan = RingScan(ring)
     masks = scan.census_masks()
+    classes = tuple(masks)
     counts = {
         key: size if key in ("total", "drazin") else int(masks[key].sum())
         for key in _COUNT_KEYS
@@ -271,7 +279,7 @@ def run_census(
     for start in range(0, len(indexes), SCAN_CHUNK):
         chunk = indexes[start : start + SCAN_CHUNK]
         drazin = scan.drazin_codes(chunk).tolist()
-        rows = (dict(zip(masks, row)) for row in zip(*(m[chunk].tolist() for m in masks.values())))
+        rows = zip(*(m[chunk].tolist() for m in masks.values()))
         try:
             scanned = scan.inverse_scans(chunk)
         except VerificationError:  # again one at a time, lazily, in index order
@@ -282,7 +290,7 @@ def run_census(
         else:
             checked = zip(scanned, _scan_verdicts(scan, chunk, scanned))
         for index, (found, verdicts), code, mask in zip(chunk, checked, drazin, rows):
-            _cross_check_element(ring, index, found, code, mask, verdicts)
+            _cross_check_element(ring, index, found, code, classes, mask, verdicts)
     if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
         raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
     hir, sd = masks["hirano"], masks["strongly_drazin"]

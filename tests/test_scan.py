@@ -6,7 +6,8 @@ centralisers generated in one batched call must equal the filtered
 commuting sets (a centraliser left unenumerated must be the whole ring),
 and the scan, batched or one element at a time, must return the same three
 index lists.
-The one-matrix elimination kernel_mod is the oracle of the batched one.
+The one-matrix elimination kernel_mod is the oracle of the batched one,
+and x % m the oracle of the in-place reduction kernel _reduce.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from __future__ import annotations
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringinv import (
     CensusMismatchError,
@@ -131,16 +135,25 @@ def commutators(stack: np.ndarray) -> np.ndarray:
     return images.reshape(n, d * d, d * d).transpose(0, 2, 1)
 
 
+# moduli of every kind up to 10**6: primes, prime powers, powers of two, composites
+MODULI = st.one_of(
+    st.sampled_from([2, 3, 7, 997, 999_983, 9, 3**12, 7**7, 4, 1024, 2**19, 6, 12, 30, 720_720, 10**6]),
+    st.integers(2, 10**6),
+)
+REDUCE_SIZES = [0, 1, _scan._BLOCK - 1, _scan._BLOCK, _scan._BLOCK + 1, 3 * _scan._BLOCK + 5]
+
+
 def counting_rows(monkeypatch) -> list[int]:
-    """Patch RingScan._test_rows to record the number of rows of each block it tests."""
-    test_rows = RingScan._test_rows
+    """Patch RingScan._solve_rows to record the number of rows of each block
+    it tests for bab = b."""
+    solve_rows = RingScan._solve_rows
     blocks: list[int] = []
 
-    def counting(self, block, found):
-        blocks.append(sum(len(part[0]) for part in block))
-        return test_rows(self, block, found)
+    def counting(self, a, members, rows, codes):
+        blocks.append(codes.size)
+        return solve_rows(self, a, members, rows, codes)
 
-    monkeypatch.setattr(RingScan, "_test_rows", counting)
+    monkeypatch.setattr(RingScan, "_solve_rows", counting)
     return blocks
 
 
@@ -391,6 +404,66 @@ class TestScanCost:
             scanned.clear()
             assert verify_theorem(law, modular(27)).ok
             assert sorted(scanned) == list(range(27)), law
+
+
+class TestReduce:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=MODULI,
+        d=st.integers(1, 3),
+        size=st.sampled_from(REDUCE_SIZES),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_remainder_in_place(self, m, d, size, strided, seed):
+        """Entries from -d^2 (m-1)^3 to d^2 (m-1)^3, the widest the scan
+        forms, the extremes included; a strided view has no flat view and
+        must be reduced in place all the same, its neighbours untouched."""
+        top = d * d * (m - 1) ** 3
+        values = np.random.default_rng(seed).integers(-top, top, size, endpoint=True)
+        values[:2] = [top, -top][:size]
+        base = np.zeros(2 * size, dtype=np.int64)
+        x = base[::2] if strided else base[:size]
+        x[:] = values
+        assert _scan._reduce(x, m) is x
+        assert np.array_equal(x, values % m)
+        if strided:
+            assert not base[1::2].any()
+
+    def test_keeps_the_shape_of_a_stack(self):
+        x = np.arange(-3 * _scan._BLOCK, 3 * _scan._BLOCK, 3, dtype=np.int64).reshape(-1, 2, 2)
+        want = x % 11
+        assert _scan._reduce(x, 11) is x and np.array_equal(x, want)
+
+
+class TestStackAndMemory:
+    @pytest.mark.parametrize("ring", [matrix(modular(8), 2), matrix(modular(12), 2)], ids=str)
+    def test_scans_leave_the_stack_intact(self, ring):
+        """Every reduction of the stack, such as the component codes of a
+        composite modulus, reduces a copy."""
+        scan = RingScan(ring)
+        before = scan.stack.copy()
+        indexes = sample(ring)
+        scan.census_masks()
+        scan.inverse_scans(indexes)
+        scan.drazin_codes(indexes)
+        scan.tripotent_split_mask()
+        assert np.array_equal(scan.stack, before)
+
+    def test_mask_build_peak_memory(self):
+        """census_masks holds about five whole-ring arrays at its peak (x^2,
+        x^3 and a power's operands and product) beside the stack; a copy of
+        a product per reduction would add a sixth."""
+        scan = RingScan(matrix(modular(13), 2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            scan.census_masks()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * scan.stack.nbytes
 
 
 class TestSharedTripotentMask:

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,13 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
         env=env,
         timeout=120,
     )
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_showcase_runs():
@@ -60,11 +68,7 @@ def test_census_phases_help():
 def test_census_phases_runs_the_census_steps():
     """phases() calls run_census's internals in its order, so it breaks when
     they change; time each phase of a scalar and a matrix ring."""
-    spec = importlib.util.spec_from_file_location(
-        "census_phases", ROOT / "scripts" / "census_phases.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("census_phases")
     for literal in ("Z/12", "M2(Z/2)"):
         took = script.phases(literal)
         assert list(took) == [
@@ -104,3 +108,40 @@ def test_traced_methods_exist_on_their_classes():
     for module_name, cls_name, attr, _ in entries:
         cls = getattr(importlib.import_module("ringinv." + module_name), cls_name)
         assert attr in vars(cls), (module_name, cls_name, attr)
+
+
+def test_bench_pairs_summary_ratios_and_gate():
+    """Ten synthetic pairs: a clear gain passes the gate; a loss, a gain
+    within the parent's interquartile range, and 8 wins in 10 do not."""
+    series = {
+        # name: (parent values, change values)
+        "work": ([100 + i for i in range(10)], [120 + i for i in range(10)]),
+        "latency": ([10.0] * 10, [11.0] * 10),
+        "narrow": ([100 + 4 * i for i in range(10)], [101 + 4 * i for i in range(10)]),
+        "eight_wins": ([100] * 10, [150] * 8 + [90] * 2),
+        "zero": ([0] * 10, [0] * 10),
+        "undirected": ([1] * 10, [2] * 10),
+    }
+    pairs = [
+        {side: {"metrics": {name: {"value": values[j][i]} for name, values in series.items()}}
+         for j, side in enumerate(("parent", "change"))}
+        for i in range(10)
+    ]
+    better = {name: "higher" for name in series if name != "undirected"}
+    better["latency"] = "lower"
+    summary = _load_script("bench_pairs").summarize(pairs, better)
+    work = summary["work"]
+    assert work["parent"] == {"median": 104.5, "q1": 102.25, "q3": 106.75}
+    assert work["change_wins"] == "10 of 10 pairs" and work["gate"] is True
+    assert work["ratio"]["q1"] < work["ratio"]["median"] < work["ratio"]["q3"]
+    assert work["ratio"]["median"] == round(statistics.median(
+        (120 + i) / (100 + i) for i in range(10)), 3)
+    assert summary["latency"]["ratio"]["median"] == 1.1
+    assert summary["latency"]["change_wins"] == "0 of 10 pairs"
+    assert summary["latency"]["gate"] is False
+    assert summary["narrow"]["change_wins"] == "10 of 10 pairs"
+    assert summary["narrow"]["gate"] is False
+    assert summary["eight_wins"]["gate"] is False
+    assert summary["zero"]["ratio"] is None and summary["zero"]["gate"] is False
+    assert summary["undirected"]["ratio"]["median"] == 2.0
+    assert "gate" not in summary["undirected"] and "change_wins" not in summary["undirected"]
