@@ -9,8 +9,9 @@ rings of perfbench), M2(Z/12) and Z/32768 (its census-sampled rings) and on
 M2(Z/30) and Z/1000000, the same way run_census does: ``RingScan(ring)``,
 ``census_masks()``, then per chunk of the cross-checked indexes (every index
 up to EXHAUSTIVE_SCAN_CAP, else the seed-0 sample) ``drazin_codes``,
-``inverse_scans``, the verdicts (the chunk's census masks as lists and the
-scan's verdicts, ``_scan_verdicts``) and the per-element checks.  Each
+``inverse_scans``, the verdicts (the chunk's census masks as one tuple per
+element and the scan's verdicts, ``_scan_verdicts``) and the per-element
+checks.  Each
 phase's median over N repeats, in seconds, is printed as one JSON object per
 checkout.  The phases are timed by the checkout's own copy of this script,
 so they follow that checkout's internals; it must have one.  Then

@@ -186,13 +186,8 @@ def _scan_verdicts(scan: RingScan, indexes, scanned) -> list[tuple]:
 
 
 def _cross_check_element(
-    ring: RingSpec,
-    index: int,
-    found: dict,
-    drazin_code: int,
-    classes: tuple,
-    masks: tuple,
-    verdicts: tuple,
+    ring: RingSpec, index: int, found: dict, drazin_code: int,
+    classes: tuple, masks: tuple, verdicts: tuple,
 ) -> None:
     """Confirm one element's mask verdicts (masks, one per class of classes,
     the census_masks order) by its criteria and its equation scan found,

@@ -137,7 +137,9 @@ def commutators(stack: np.ndarray) -> np.ndarray:
 
 # moduli of every kind up to 10**6: primes, prime powers, powers of two, composites
 MODULI = st.one_of(
-    st.sampled_from([2, 3, 7, 997, 999_983, 9, 3**12, 7**7, 4, 1024, 2**19, 6, 12, 30, 720_720, 10**6]),
+    st.sampled_from(
+        [2, 3, 7, 997, 999_983, 9, 3**12, 7**7, 4, 1024, 2**19, 6, 12, 30, 720_720, 10**6]
+    ),
     st.integers(2, 10**6),
 )
 REDUCE_SIZES = [0, 1, _scan._BLOCK - 1, _scan._BLOCK, _scan._BLOCK + 1, 3 * _scan._BLOCK + 5]
