@@ -6,7 +6,7 @@
 For each checkout, one interpreter with ``CHECKOUT/src`` first on the path
 runs run_census's steps on M2(Z/7), M3(Z/2) and Z/997 (the census-exhaustive
 rings of perfbench), M2(Z/12) and Z/32768 (its census-sampled rings) and on
-M2(Z/30) and Z/1000000, the same way run_census does: ``RingScan(ring)``,
+M2(Z/30), Z/720720 and Z/1000000, the same way run_census does: ``RingScan(ring)``,
 ``census_masks()``, then per chunk of the cross-checked indexes (every index
 up to EXHAUSTIVE_SCAN_CAP, else the seed-0 sample) ``drazin_codes``,
 ``inverse_scans``, the verdicts (the chunk's census masks as one tuple per
@@ -15,8 +15,9 @@ checks.  Each
 phase's median over N repeats, in seconds, is printed as one JSON object per
 checkout.  The phases are timed by the checkout's own copy of this script,
 so they follow that checkout's internals; it must have one.  Then
-``census RING --json`` runs on M2(Z/30), Z/720720 and Z/1000000 in a fresh
-interpreter each, and its wall time and peak RSS are reported as well.
+``census RING --json`` runs on Z/9 (the floor of a fresh census), M2(Z/30),
+Z/720720 and Z/1000000 in a fresh interpreter each, and its wall time and
+peak RSS are reported as well.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ import sys
 import time
 from pathlib import Path
 
-PHASE_RINGS = ("M2(Z/7)", "M3(Z/2)", "Z/997", "M2(Z/12)", "Z/32768", "M2(Z/30)", "Z/1000000")
-FRESH_RINGS = ("M2(Z/30)", "Z/720720", "Z/1000000")
+PHASE_RINGS = (
+    "M2(Z/7)", "M3(Z/2)", "Z/997", "M2(Z/12)", "Z/32768", "M2(Z/30)", "Z/720720", "Z/1000000"
+)
+FRESH_RINGS = ("Z/9", "M2(Z/30)", "Z/720720", "Z/1000000")
 
 
 def phases(literal: str) -> dict[str, float]:

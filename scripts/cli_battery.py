@@ -12,14 +12,16 @@ every argv whose record differs is printed, and the exit code is 1 if any
 does.
 
 The battery: all 17 laws on Z/27 (``--json``), on M2(Z/2), on M2(Z/5)
-sampled (``--samples 200 --seed 4``), and with ``--json --seed 0 --samples
-500`` on M2(Z/7) and Z/27; ``classify`` and ``decompose``, human and
-``--json``, on every element of Z/5, Z/9, Z/25, Z/12, M2(Z/2) and M2(Z/3);
-eight censuses, four of them on composite moduli near the caps; integer
-matrices; laws 3.3 and 3.4 where 2 is not a unit; refused inputs, among
-them numbers of 6 021 digits (2^20000, above Python's default int-string
-limit) and a superscript digit.  That is 722 runs.  A call that raises instead of exiting is recorded with the
-exception's type as its exit code.
+sampled (``--samples 200 --seed 4``), with ``--json --seed 0 --samples
+500`` on M2(Z/7) and Z/27, and on Z/12 (``--json``); ``classify`` and
+``decompose``, human and ``--json``, on every element of Z/5, Z/9, Z/25,
+Z/12, M2(Z/2) and M2(Z/3); eight censuses, four of them on composite moduli
+near the caps; integer matrices; laws 3.3 and 3.4 where 2 is not a unit;
+laws 2.2, 3.1 and 3.6 (``--json``) on M2(Z/6) and Z/360; refused inputs,
+among them numbers of 6 021 digits (2^20000, above Python's default
+int-string limit) and a superscript digit.  That is 745 runs.  A call that
+raises instead of exiting is recorded with the exception's type as its exit
+code.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ LAW_RUNS = (
     ("M2(Z/5)", "--samples", "200", "--seed", "4"),
     ("M2(Z/7)", "--json", "--seed", "0", "--samples", "500"),
     ("Z/27", "--json", "--seed", "0", "--samples", "500"),
+    # a composite modulus, whose scan is lifted from its prime-power components
+    ("Z/12", "--json"),
 )
 
 # 2^20000 in decimal, built without int -> str and its digit limit
@@ -87,6 +91,9 @@ OTHER_RUNS = (
     ("verify", "2.2", "M3(Z/4)"), ("verify", "3.1", "M3(Z/4)"),
     ("verify", "4.1", "M2(Z/7)", "--samples", "0"),
     ("verify", "2.1", "Z"), (),
+    # the laws that read the scan, on composite moduli
+    *(("verify", law, ring, "--json")
+      for ring in ("M2(Z/6)", "Z/360") for law in ("2.2", "3.1", "3.6")),
     ("classify", f"Z/{BIG}", "3"), ("classify", "Z/9", BIG), ("classify", "Z/9", "²"),
 )
 

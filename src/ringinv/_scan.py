@@ -4,40 +4,39 @@ inverses, and the equation scan.
 All work on numpy stacks of ring elements and share no code with the
 per-element criteria in rings and gen_inverse.  census_masks evaluates the
 criteria (x^B = 0, x^unit_exponent = 1, x - x^3 nilpotent, ...) for every
-element at once.  Over a prime-power modulus it raises the whole stack to
-those powers; over a composite m, Mk(Z/m) is the product of the Mk(Z/q), q
-the prime powers of m, and every class is decided component by component,
-so each mask is the AND of the same mask of each (much smaller) Mk(Z/q),
-read at every element's component code.  drazin_codes gives the indexes of
-the power-formula Drazin inverses x^(D-1) of a batch of elements, D the
-ring's exponent of drazin_finite, from one stack power.  inverse_scans
-solves the three defining equation systems, and nothing else, for a batch
-of elements: it generates the centraliser of each a (the solutions of
-ab = ba, usually a small fraction of the ring) and tests bab = b on those
-rows only, in row blocks of at most _BLOCK matrix entries, each the rows of
-one or more centralisers beside their a; whole-ring centralisers (every a
-of Z/n, and the scalars) are broadcast views of the stack.  The rows that
-pass are gathered over the whole call and tested for the three nilpotent
-defects once per _BLOCK // d^2 of them, so a block that passes a row or two
-costs no defect pass of its own.  Each stage runs once per batch, not once
-per element: one elimination over the stacked commutator matrices per
-prime power of m, one product per group of centralisers with the same
-generator orders.  inverse_scan is a batch of one.
+element at once, from powers of the whole stack.  drazin_codes gives the
+indexes of the power-formula Drazin inverses x^(D-1) of a batch of
+elements, D the ring's exponent of drazin_finite, from one stack power.
+inverse_scans solves the three defining equation systems, and nothing else,
+for a batch of elements: it generates the centraliser of each a (the
+solutions of ab = ba, usually a small fraction of the ring) and tests
+bab = b on those rows only, in row blocks of at most _BLOCK matrix entries,
+each the rows of one or more centralisers beside their a; whole-ring
+centralisers (every a of Z/n, and the scalars) are broadcast views of the
+stack.  The rows that pass are gathered over the call and tested for the
+three nilpotent defects once per _BLOCK // d^2 of them.  Each stage runs
+once per batch: one elimination over the stacked commutator matrices, one
+product per group of centralisers with the same generator orders.
+
+Over a composite m, Mk(Z/m) is the product of the Mk(Z/q), q the prime
+powers of m, and each criterion and defining equation holds iff it holds in
+every component.  So a composite scan keeps the scan of each (much smaller)
+Mk(Z/q) and answers from them: a mask is the AND of the components' masks,
+read at every element's component code, and an inverse set is the product
+of the components' sets, each tuple (b_q) lifted to sum e_q b_q mod m, e_q
+the CRT idempotent of q.  Only drazin_codes works at the full modulus.
 
 Entries are integers below m, and a product is reduced mod m before it is
 used again, except that bab = b multiplies b by the unreduced ab and
 reduces once; check_scan_fits refuses a ring where that product could
 overflow int64, so results are exact.  Every reduction by a scalar modulus
-goes through _reduce, which computes x - (x // m) * m in place: numpy
-divides an int64 array by a scalar several times faster than it takes its
-remainder, so this costs about half of x % m on a block.  It works a slice
-of at most _BLOCK entries at a time, so no quotient of a whole stack is
-ever alive, and leaves arrays of at most _REMAINDER_MAX entries, where the
-call overhead of the slices dominates, to x % m.
+goes through _reduce, which computes x - (x // m) * m in place, about half
+the cost of x % m: numpy divides by a scalar faster than it takes a remainder.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -49,8 +48,8 @@ from .rings import factorize, nilpotency_bound, unit_exponent
 _BLOCK = 1 << 14
 _INT64_MAX = int(np.iinfo(np.int64).max)
 SCAN_MEMORY_BUDGET = 256 * 2**20
-# Whole-ring int64 arrays alive at once while the census masks are built:
-# the stack, x^2, x^3, power operands and matmul temporaries.
+# Whole-ring int64 arrays budgeted while the census masks are built: the
+# stack, x^2, x^3, x - x^2, power operands and matmul temporaries.
 _WORKING_COPIES = 8
 # entries up to which _reduce takes x % m: there one % call costs less than
 # the slices (numpy 2.4: 1.5 against 4.5 us at 64 entries, even near 2 048)
@@ -74,10 +73,6 @@ def _reduce(x: np.ndarray, m: int) -> np.ndarray:
         quotient = np.floor_divide(part, m, out=buffer[: part.size])
         part -= np.multiply(quotient, m, out=quotient)
     return x
-
-
-def _scan_shape(ring: RingSpec) -> tuple[int, int]:
-    return max(1, ring.dim), ring.modulus
 
 
 def _inverse_table(q: int) -> np.ndarray:
@@ -143,7 +138,7 @@ def check_scan_fits(ring: RingSpec) -> None:
     """
     if not ring.is_finite:
         raise InfiniteRingError(f"cannot scan {ring}")
-    d, m = _scan_shape(ring)
+    d, m = max(1, ring.dim), ring.modulus
     reasons = []
     if d * d * (m - 1) ** 3 > _INT64_MAX:
         reasons.append("its products b(ab), up to d^2 (m-1)^3, overflow int64")
@@ -169,7 +164,7 @@ class RingScan:
     def __init__(self, ring: RingSpec):
         check_scan_fits(ring)
         self.size = ring.size()
-        d, m = _scan_shape(ring)
+        d, m = max(1, ring.dim), ring.modulus
         self.dim, self.modulus = d, m
         k = d * d
         entries = np.empty((self.size, k), dtype=np.int64)
@@ -193,13 +188,10 @@ class RingScan:
             [np.kron(u, eye) - np.kron(eye, u.T) for u in units], axis=-1
         ).reshape(k * k, k)
         factors = [p**e for p, e in factorize(m).pairs]
-        # Mk(Z/q) per prime power q of a composite m, whose masks build ours
-        self._components = [RingSpec(q, ring.dim) for q in factors] if len(factors) > 1 else []
-        # (q, e, inverses mod q) per prime power q of m: e = 1 mod q and
-        # e = 0 mod m/q; Z/n needs none, its centralisers are the whole ring
-        self._crt = [
-            (q, m // q * pow(m // q, -1, q) % m, _inverse_table(q)) for q in factors if d > 1
-        ]
+        # (scan of Mk(Z/q), e = 1 mod q and 0 mod m/q) per prime power q of a composite m
+        self._parts = [
+            (RingScan(RingSpec(q, ring.dim)), m // q * pow(m // q, -1, q) % m) for q in factors
+        ] if len(factors) > 1 else []
 
     def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x times y, pair by pair of matrices, not reduced mod m."""
@@ -220,8 +212,7 @@ class RingScan:
             x = self._mul(x, x)
 
     def codes(self, stack: np.ndarray) -> np.ndarray:
-        flat = stack.reshape(stack.shape[0], -1)
-        return flat @ self._radix
+        return stack.reshape(-1, self._radix.size) @ self._radix
 
     def drazin_codes(self, indexes) -> np.ndarray:
         """Indexes of x^(D-1), the power-formula Drazin inverses of the
@@ -233,9 +224,6 @@ class RingScan:
     def nilpotent_mask(self) -> np.ndarray:
         """Boolean mask over indexes: x^B = 0 with B = nilpotency_bound."""
         return self._built(("nilpotent",))["nilpotent"]
-
-    def _nilpotent_codes(self, values: np.ndarray) -> np.ndarray:
-        return self.nilpotent_mask()[self.codes(values)]
 
     def tripotent_mask(self) -> np.ndarray:
         """Boolean mask over indexes: x^3 = x."""
@@ -252,7 +240,7 @@ class RingScan:
         components when m is composite, else from powers of the stack."""
         missing = [key for key in keys if key not in self._masks]
         if missing:
-            build = self._component_masks if self._components else self._power_masks
+            build = self._component_masks if self._parts else self._power_masks
             self._masks.update(build(missing))
         return {key: self._masks[key] for key in keys}
 
@@ -261,60 +249,42 @@ class RingScan:
 
         A unit's order divides unit_exponent, so x is a unit iff
         x^unit_exponent = 1.  The strongly Drazin and Hirano masks look
-        x - x^2 and x - x^3 up in the nilpotent mask.
+        x - x^2 and x - x^3 up in the nilpotent mask; x^2 and x^3 come last,
+        so that no power's operands are alive beside them.
         """
         m, x = self.modulus, self.stack
         if keys == ["nilpotent"]:
             return {"nilpotent": ~self._power(x, self._bound).any(axis=(1, 2))}
-        x2 = self._mul(x, x)
-        x3 = self._mul(x2, x)
         if keys == ["tripotent"]:
-            return {"tripotent": (x3 == x).all(axis=(1, 2))}
+            return {"tripotent": (self._mul(self._mul(x, x), x) == x).all(axis=(1, 2))}
         nilpotent = self._built(("nilpotent",))["nilpotent"]
         identity = np.eye(self.dim, dtype=np.int64)
+        unit = (self._power(x, self._unit_exponent) == identity).all(axis=(1, 2))
+        x2 = self._mul(x, x)
+        x3 = self._mul(x2, x)
         masks = {
             "nilpotent": nilpotent,
             "idempotent": (x2 == x).all(axis=(1, 2)),
             "tripotent": (x3 == x).all(axis=(1, 2)),
-            "unit": (self._power(x, self._unit_exponent) == identity).all(axis=(1, 2)),
+            "unit": unit,
             "strongly_drazin": nilpotent[self.codes(_reduce(x - x2, m))],
             "hirano": nilpotent[self.codes(_reduce(x - x3, m))],
         }
         return {key: masks[key] for key in keys}
 
     def _component_masks(self, keys: list[str]) -> dict[str, np.ndarray]:
-        """The masks named by keys, as the AND over the prime powers q of m
-        of the same masks of Mk(Z/q), each read at the component codes
-        (stack mod q) of every element.  By CRT an element is nilpotent, an
-        idempotent, a tripotent or a unit, or x - x^2 or x - x^3 is
-        nilpotent, iff the same holds of each component.  One component's
-        codes are alive at a time."""
+        """The masks named by keys, or the split mask for ["split"], as the
+        AND of the components' same masks, read at every element's component
+        code (stack mod q): by CRT each class holds iff it holds in each."""
         out = {key: np.ones(self.size, dtype=bool) for key in keys}
-        for ring in self._components:
-            part = RingScan(ring)
-            masks = part._built(keys)
-            codes = part.codes(_reduce(self.stack.copy(), ring.modulus))
+        split = keys == ["split"]
+        for part, _ in self._parts:
+            masks = {"split": part.tripotent_split_mask()} if split else part._built(keys)
+            codes = part.codes(_reduce(self.stack.copy(), part.modulus))
             for key in keys:
                 out[key] &= masks[key][codes]
-            del codes
+            del codes  # one component's codes alive at a time
         return out
-
-    def _generators(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Generators over Z/m (as rows) and their orders of the centralisers
-        of a stack a of matrices, shapes (B, n, d*d) and (B, n).
-
-        Per prime power q of m, _kernels_mod solves ax - xa = 0 mod q for
-        the whole stack, and the CRT idempotent of q lifts the generators to
-        Z/m.  A generator of order 1 is zero.
-        """
-        n, k, m = len(a), self.dim**2, self.modulus
-        commutators = (a.reshape(n, k) @ self._commutator.T).reshape(n, k, k)
-        gens, orders = [], []
-        for q, unit, inverse in self._crt:
-            g, o = _kernels_mod(commutators, q, inverse)
-            gens.append(_reduce(np.multiply(g, unit, order="C"), m))  # g is transposed
-            orders.append(o)
-        return np.concatenate(gens, axis=1), np.concatenate(orders, axis=1)
 
     def _check_commuting(self, a: np.ndarray, rows: np.ndarray) -> None:
         """Raise unless every row of rows[i] commutes with a[i]."""
@@ -329,14 +299,15 @@ class RingScan:
     def _centralisers(self, a: np.ndarray):
         """Yield the centralisers of a stack a of matrices as (members, rows, codes).
 
-        members are positions in a.  rows is None when each member's
-        centraliser is the whole ring (every a of Z/n, which is commutative,
-        and every a whose generators all have full order, a scalar); else
-        rows[i] holds the centraliser of a[members[i]] in index order, with
-        codes[i] its indexes.  The kernel is the direct sum of the cyclic
-        groups of the generators, so one product of the mixed-radix
-        coefficient grid with the generators enumerates it, each element
-        once.  Generators are sorted by descending order, and the
+        _kernels_mod solves ax - xa = 0 mod m, a prime power, for a chunk of
+        a at once.  members are positions in a.  rows is None when each
+        member's centraliser is the whole ring (every a of Z/n, which is
+        commutative, and every a whose generators all have full order, a
+        scalar); else rows[i] holds the centraliser of a[members[i]] in
+        index order, with codes[i] its indexes.  The kernel is the direct
+        sum of the cyclic groups of the generators, so one product of the
+        mixed-radix coefficient grid with the generators enumerates it, each
+        element once.  Generators are sorted by descending order, and the
         centralisers whose orders agree are enumerated by one batched
         product, at most _BLOCK matrix entries at a time unless one
         centraliser is larger.  Raises VerificationError unless every
@@ -349,9 +320,11 @@ class RingScan:
             return
         k = d * d
         step = max(1, _BLOCK // (k * k))
+        inverse = _inverse_table(m)
         for start in range(0, n, step):
             part = a[start : start + step]
-            gens, orders = self._generators(part)
+            commutators = (part.reshape(-1, k) @ self._commutator.T).reshape(-1, k, k)
+            gens, orders = _kernels_mod(commutators, m, inverse)
             by_order = np.argsort(-orders, axis=1, kind="stable")
             items = np.arange(len(part))[:, None]
             orders, gens = orders[items, by_order], gens[items, by_order]
@@ -387,7 +360,9 @@ class RingScan:
     def tripotent_split_mask(self) -> np.ndarray:
         """Boolean mask over indexes: a = p + w, p tripotent (tripotent_mask),
         w nilpotent with pw = wp (equivalently ap = pa).  The w are the
-        nilpotent rows of the centraliser of p."""
+        nilpotent rows of the centraliser of p, per component of a composite m."""
+        if self._parts:
+            return self._component_masks(["split"])["split"]
         m = self.modulus
         nilpotent = self.nilpotent_mask()
         split = np.zeros(self.size, dtype=bool)
@@ -411,11 +386,15 @@ class RingScan:
         centralisers, block by block (_row_blocks, _solve_rows), and the
         respective nilpotent defects on the rows that solve it, gathered
         over the call and tested at most _BLOCK // d^2 at a time
-        (_test_defects).  Returns, per index in order, ascending index lists
+        (_test_defects).  Over a composite m the components scan instead
+        (_lift_scans).  Returns, per index in order, ascending index lists
         for the Hirano, strongly Drazin and Drazin systems.
         """
         a = self.stack[np.asarray(indexes, dtype=np.int64)]
         found = [{"hirano": [], "strongly_drazin": [], "drazin": []} for _ in a]
+        if self._parts:
+            self._lift_scans(a, found)
+            return found
         limit = max(1, _BLOCK // self.dim**2)
         solved: list[tuple] = []
         held = 0
@@ -429,6 +408,26 @@ class RingScan:
         if solved:
             self._test_defects(a, solved, found)
         return found
+
+    def _lift_scans(self, a: np.ndarray, found: list[dict]) -> None:
+        """Append to found, per system, the product of the components' sets
+        of each a: every tuple (b_q) of the component indexes, lifted to sum
+        e_q b_q mod m in one step for the batch, and sorted per a."""
+        scans = [
+            part.inverse_scans(part.codes(_reduce(a.copy(), part.modulus)))
+            for part, _ in self._parts
+        ]
+        for key in ("hirano", "strongly_drazin", "drazin"):
+            rows = [
+                (owner, *b)
+                for owner, sets in enumerate(zip(*([one[key] for one in scan] for scan in scans)))
+                for b in itertools.product(*sets)
+            ]
+            owners, *picks = np.array(rows, dtype=np.int64).reshape(-1, len(scans) + 1).T
+            lifted = sum(e * part.stack[b] for (part, e), b in zip(self._parts, picks))
+            codes = self.codes(_reduce(lifted, self.modulus))
+            for owner, code in sorted(zip(owners.tolist(), codes.tolist())):
+                found[owner][key].append(code)
 
     def _row_blocks(self, a: np.ndarray):
         """Yield the centralisers of the stack a as row blocks (members, rows,
@@ -476,8 +475,9 @@ class RingScan:
             ("strongly_drazin", own - ab),
             ("drazin", own - self._mul(own, ab)),
         )
+        nilpotent = self.nilpotent_mask()
         for key, defect in defects:
-            hits = self._nilpotent_codes(_reduce(defect, m))
+            hits = nilpotent[self.codes(_reduce(defect, m))]
             for owner, code in zip(owners[hits].tolist(), codes[hits].tolist()):
                 found[owner][key].append(code)
 

@@ -227,10 +227,11 @@ def filtered_inverse_scans(scan: RingScan, indexes) -> list[tuple[list[int], dic
         ab = scan._mul(pa, pb)
         keep = (scan._mul(pb, ab) == pb).all(axis=(1, 2))
         which, b, pa, ab = which[keep], b[keep], pa[keep], ab[keep]
+        nilpotent = scan.nilpotent_mask()
         defects = (
-            scan._nilpotent_codes((scan._mul(pa, pa) - ab) % m),
-            scan._nilpotent_codes((pa - ab) % m),
-            scan._nilpotent_codes((pa - scan._mul(pa, ab)) % m),
+            nilpotent[scan.codes((scan._mul(pa, pa) - ab) % m)],
+            nilpotent[scan.codes((pa - ab) % m)],
+            nilpotent[scan.codes((pa - scan._mul(pa, ab)) % m)],
         )
         for j, commuting in enumerate(shared):
             mine = which == j

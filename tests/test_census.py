@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import random
+import re
 import time
 import weakref
 from pathlib import Path
@@ -47,7 +48,7 @@ from conftest import (
     counting_nilpotency_tests,
     counting_products,
 )
-from oracles import element_verdicts, whole_stack_masks
+from oracles import element_verdicts, filtered_inverse_scans, whole_stack_masks
 
 Z3_COUNTS = {
     "total": 3,
@@ -159,10 +160,6 @@ SPLIT_RINGS = SMALL_RINGS + [
     matrix(modular(7), 2),
     modular(360),
 ]
-Z12_UNSPLIT = (
-    "every-element-Hirano is True but every-element-splits is False; "
-    "first element without a split: 2"
-)
 # 262 144 elements, above ORACLE_RING_CAP: the laws that read the scan refuse it
 M3Z4 = matrix(modular(4), 3)
 M3Z4_OVERSIZED = "M3(Z/4) is too large for the whole-ring law (cap 65536)"
@@ -205,17 +202,19 @@ def walk_census(ring):
     return counts, first_hirano_not_sd, first_not_hirano
 
 
-def walk_split(ring):
+def walk_split(ring, tripotent=is_tripotent, nilpotent=lambda w: is_nilpotent(w) is not None):
     """Whether each element is p + w, p tripotent, w nilpotent, ap = pa.
 
     This is the per-element search law 3.6 ran before its pair scan, kept as
     an independent oracle for RingScan.tripotent_split_mask.  The old law
     tried every tripotent p against a; here the inner loop runs over the
     nilpotents w and looks p = a - w up among the tripotents, which asks the
-    same question (aw = wa iff ap = pa) in a fraction of the pairs.
+    same question (aw = wa iff ap = pa) in a fraction of the pairs.  The
+    tripotent and nilpotent predicates may be narrowed, as a faulty mask
+    would narrow them.
     """
-    tripotents = {p for p in ring.elements() if is_tripotent(p)}
-    nilpotents = [w for w in ring.elements() if is_nilpotent(w) is not None]
+    tripotents = {p for p in ring.elements() if tripotent(p)}
+    nilpotents = [w for w in ring.elements() if nilpotent(w)]
     return [
         any(a - w in tripotents and a * w == w * a for w in nilpotents)
         for a in ring.elements()
@@ -408,6 +407,66 @@ class TestComponentMasks:
         assert f"at element {ring.element_at(lifted)}:" in str(caught.value)
 
 
+# every composite ring above, and every composite ring of the census golden file
+COMPONENT_SCAN_RINGS = list({
+    str(ring): ring
+    for ring in COMPOSITE_RINGS + GOLDEN_CENSUS_RINGS
+    if len(factorize(ring.modulus).pairs) > 1
+}.values())
+
+
+class TestComponentScans:
+    """A composite modulus lifts its inverse sets from its prime-power
+    components; filtered_inverse_scans, the whole-ring filter at the full
+    modulus, is the oracle."""
+
+    @pytest.mark.parametrize("ring", COMPONENT_SCAN_RINGS, ids=str)
+    def test_lifted_sets_match_the_filter(self, ring):
+        """Every element of a ring of at most 10^4 elements, and 200
+        seeded ones above that."""
+        size = ring.size()
+        indexes = range(size)
+        if size > 10**4:
+            indexes = sorted(random.Random(0).sample(indexes, 200))
+        scan = RingScan(ring)
+        expected = filtered_inverse_scans(scan, indexes)
+        lifted = scan.inverse_scans(indexes)
+        for index, found, (_, want) in zip(indexes, lifted, expected, strict=True):
+            assert found == want, index
+
+    @pytest.mark.parametrize(
+        "ring, q, index, key, message",
+        [
+            (matrix(modular(6), 2), 3, 40, "hirano",
+             "hirano mask says True, criterion says True, equation scan says False"),
+            (modular(360), 8, 3, "drazin", "found 0 Drazin inverses"),
+        ],
+        ids=["M2(Z/6) hirano", "Z/360 drazin"],
+    )
+    def test_corrupted_component_set_is_caught(self, ring, q, index, key, message, monkeypatch):
+        """The scan of the component Mk(Z/q) loses the inverses of one
+        key for the element at index.  Each element of the ring with that
+        component code that has such an inverse loses it too, and the census
+        names the first of them."""
+        inverse_scans = RingScan.inverse_scans
+
+        def corrupted(scan, indexes):
+            found = inverse_scans(scan, indexes)
+            if scan.modulus == q:
+                for i, one in zip(indexes, found):
+                    if i == index:
+                        one[key] = []
+            return found
+
+        has = whole_stack_masks(ring)["hirano"] if key == "hirano" else np.ones(ring.size(), bool)
+        codes = RingScan(RingSpec(q, ring.dim)).codes(RingScan(ring).stack % q)
+        lifted = ring.element_at(int(np.flatnonzero(has & (codes == index))[0]))
+        monkeypatch.setattr(RingScan, "inverse_scans", corrupted)
+        with pytest.raises(CensusMismatchError, match=re.escape(message)) as caught:
+            run_census(ring)
+        assert re.search(rf"(of|at element) {re.escape(str(lifted))}[ ,:]", str(caught.value))
+
+
 class TestTripotentSplits:
     @pytest.mark.parametrize("ring", SPLIT_RINGS, ids=str)
     def test_tripotent_indexes_match_the_walk(self, ring):
@@ -421,24 +480,49 @@ class TestTripotentSplits:
         assert split == walk_split(ring)
         assert split == [has_hirano(a) for a in ring.elements()]
 
+    @staticmethod
+    def z12_unsplit(split4, split3):
+        """Law 3.6's detail on Z/12 = Z/4 x Z/3 (every element Hirano) when
+        its components split as the walks split4 and split3 say: the first
+        element with a component that does not split."""
+        first = next(a for a in range(12) if not (split4[a % 4] and split3[a % 3]))
+        return (
+            "every-element-Hirano is True but every-element-splits is False; "
+            f"first element without a split: {first}"
+        )
+
     def test_idempotents_alone_leave_elements_unsplit(self, monkeypatch):
-        ring = modular(12)
-        idempotents = [is_idempotent(p) for p in ring.elements()]
-        monkeypatch.setattr(RingScan, "tripotent_mask", lambda scan: np.array(idempotents))
-        report = verify_theorem("3.6", ring)
-        assert [(v.inputs, v.detail) for v in report.violations] == [((), Z12_UNSPLIT)]
+        """Z/3's tripotent mask cut to its idempotents: -1 of Z/3 no longer
+        splits, nor does any element of Z/12 with that component."""
+        z3 = modular(3)
+        idempotents = np.array([is_idempotent(p) for p in z3.elements()])
+        tripotent_mask = RingScan.tripotent_mask
+        monkeypatch.setattr(
+            RingScan, "tripotent_mask",
+            lambda scan: idempotents if scan.modulus == 3 else tripotent_mask(scan),
+        )
+        report = verify_theorem("3.6", modular(12))
+        detail = self.z12_unsplit(walk_split(modular(4)), walk_split(z3, is_idempotent))
+        assert [(v.inputs, v.detail) for v in report.violations] == [((), detail)]
 
     def test_missing_nilpotent_is_caught(self, monkeypatch):
+        """Z/4's nilpotent mask without 2: 2 of Z/4 no longer splits, nor
+        does any element of Z/12 with that component."""
         nilpotent_mask = RingScan.nilpotent_mask
 
-        def without_six(scan):
-            mask = nilpotent_mask(scan).copy()
-            mask[6] = False
+        def without_two(scan):
+            mask = nilpotent_mask(scan)
+            if scan.modulus == 4:
+                mask = mask.copy()
+                mask[2] = False
             return mask
 
-        monkeypatch.setattr(RingScan, "nilpotent_mask", without_six)
+        monkeypatch.setattr(RingScan, "nilpotent_mask", without_two)
         report = verify_theorem("3.6", modular(12))
-        assert [(v.inputs, v.detail) for v in report.violations] == [((), Z12_UNSPLIT)]
+        z4 = modular(4)
+        split4 = walk_split(z4, nilpotent=lambda w: w == z4.zero())
+        detail = self.z12_unsplit(split4, walk_split(modular(3)))
+        assert [(v.inputs, v.detail) for v in report.violations] == [((), detail)]
 
     def test_multiplications_are_bounded(self, monkeypatch):
         ring = matrix(modular(7), 2)

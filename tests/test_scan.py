@@ -3,9 +3,10 @@
 The whole-ring filter in tests/oracles.py is the oracle: on every element
 of the small rings, and on a seeded sample of the larger ones, the
 centralisers generated in one batched call must equal the filtered
-commuting sets (a centraliser left unenumerated must be the whole ring),
-and the scan, batched or one element at a time, must return the same three
-index lists.
+commuting sets over a prime power (a centraliser left unenumerated must be
+the whole ring; a composite modulus generates none of its own), and the
+scan, batched or one element at a time, must return the same three index
+lists.
 The one-matrix elimination kernel_mod is the oracle of the batched one,
 and x % m the oracle of the in-place reduction kernel _reduce.
 """
@@ -168,15 +169,20 @@ class TestCentraliserParity:
         ids=[str(r) for r in EXHAUSTIVE_RINGS] + [f"{r} sample" for r in SAMPLED_RINGS],
     )
     def test_generated_scan_matches_the_filter(self, ring, indexes):
+        """The centraliser rows are compared over a prime power only: a
+        composite modulus generates none of its own, and its scan lifts its
+        components' sets."""
         scan = scan_of(ring)
         batched = scan.inverse_scans(indexes)
         assert len(batched) == len(indexes)
-        centralisers = generated(scan, indexes)
+        prime_power = len(factorize(ring.modulus).pairs) == 1
+        centralisers = generated(scan, indexes) if prime_power else {}
         whole_ring = list(range(ring.size()))
         expected = oracle(ring, tuple(indexes))
         for index, one, (commuting, found) in zip(indexes, batched, expected, strict=True):
-            rows = centralisers[index]
-            assert (whole_ring if rows is None else rows) == commuting, index
+            if prime_power:
+                rows = centralisers[index]
+                assert (whole_ring if rows is None else rows) == commuting, index
             assert scan.inverse_scan(index) == found, index
             assert one == found, index
 
@@ -203,21 +209,21 @@ class TestCentraliserParity:
     @pytest.mark.parametrize(
         "ring, indexes, first_block",
         [
-            # 64 // 12 = 5 whole rings per grid
-            (modular(12), range(12), 60),
+            # 64 // 13 = 4 whole rings per grid
+            (modular(13), range(13), 52),
             # two whole rings per grid, the fewest a grid holds
             (modular(32), range(32), 64),
             # one ring per block: broadcast views beside the stack
-            (modular(33), range(33), 33),
-            (modular(63), range(63), 63),
+            (modular(49), range(49), 49),
+            (modular(61), range(61), 61),
             (modular(64), range(64), 64),
             # above 64 rows: views cut at 64 rows
-            (modular(65), range(65), 64),
+            (modular(67), range(67), 64),
             # 16 rows per ring of 2 x 2 matrices: one scalar per block,
             # beside a generated centraliser
             (matrix(modular(2), 2), [0, 9, 6, 9, 0], 16),
         ],
-        ids=["Z/12", "Z/32", "Z/33", "Z/63", "Z/64", "Z/65", "M2(Z/2) scalars"],
+        ids=["Z/13", "Z/32", "Z/49", "Z/61", "Z/64", "Z/67", "M2(Z/2) scalars"],
     )
     def test_whole_ring_grids_match_batches_of_one(self, ring, indexes, first_block, monkeypatch):
         """With _BLOCK at 64 entries, on each side of the grid's limits: the
@@ -232,6 +238,17 @@ class TestCentraliserParity:
         assert single == [found for _, found in expected]
         assert sum(blocks) == sum(len(commuting) for commuting, _ in expected)
         assert blocks[0] == first_block and max(blocks) <= 64 // max(1, ring.dim) ** 2
+
+    def test_composite_grids_match_batches_of_one(self, monkeypatch):
+        """Z/65 = Z/5 x Z/13 scans its components' grids, each below the
+        64-entry limits: the batched scan equals batches of one and the
+        filter."""
+        monkeypatch.setattr(_scan, "_BLOCK", 64)
+        ring = modular(65)
+        scan = RingScan(ring)
+        single = [scan.inverse_scan(i) for i in range(65)]
+        assert scan.inverse_scans(range(65)) == single
+        assert single == [found for _, found in filtered_inverse_scans(scan, range(65))]
 
     @pytest.mark.parametrize(
         "ring",
@@ -313,6 +330,39 @@ class TestCentraliserSelfCheck:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is CensusMismatchError
         assert any("non-commuting" in v.detail for v in outcomes[0][2].violations)
+
+
+class TestPrimePowersOnly:
+    @pytest.mark.parametrize("ring", [matrix(modular(6), 2), modular(360)], ids=str)
+    def test_elimination_sees_only_prime_powers(self, ring, monkeypatch):
+        """A composite modulus reaches _centralisers and _kernels_mod only
+        through its components, in the census and in the laws that read the
+        scan."""
+        kernels_mod, centralisers = _scan._kernels_mod, RingScan._centralisers
+        moduli = {"_kernels_mod": set(), "_centralisers": set()}
+
+        def prime_power(name, q):
+            assert len(factorize(q).pairs) == 1, (name, q)
+            moduli[name].add(q)
+
+        def checked_kernels(mats, q, inverse):
+            prime_power("_kernels_mod", q)
+            return kernels_mod(mats, q, inverse)
+
+        def checked_centralisers(scan, a):
+            prime_power("_centralisers", scan.modulus)
+            return centralisers(scan, a)
+
+        monkeypatch.setattr(_scan, "_kernels_mod", checked_kernels)
+        monkeypatch.setattr(RingScan, "_centralisers", checked_centralisers)
+        run_census(ring)
+        for law in ("2.2", "3.6"):
+            assert verify_theorem(law, ring).ok, law
+        components = {p**e for p, e in factorize(ring.modulus).pairs}
+        assert moduli == {
+            "_kernels_mod": components if ring.dim else set(),
+            "_centralisers": components,
+        }
 
 
 class TestScanCost:
@@ -453,9 +503,10 @@ class TestStackAndMemory:
         assert np.array_equal(scan.stack, before)
 
     def test_mask_build_peak_memory(self):
-        """census_masks holds about five whole-ring arrays at its peak (x^2,
-        x^3 and a power's operands and product) beside the stack; a copy of
-        a product per reduction would add a sixth."""
+        """census_masks holds under four whole-ring arrays at its peak beside
+        the stack: x^2 and x^3 are made after the nilpotent and unit powers,
+        so neither is alive beside a power's operands and product (5.24
+        stack sizes when they were made first)."""
         scan = RingScan(matrix(modular(13), 2))
         tracemalloc.start()
         try:
@@ -465,7 +516,7 @@ class TestStackAndMemory:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * scan.stack.nbytes
+        assert peak < 4 * scan.stack.nbytes
 
 
 class TestSharedTripotentMask:
