@@ -7,7 +7,7 @@ For each checkout, one interpreter with ``CHECKOUT/src`` first on the path
 runs run_census's steps on M2(Z/7), M3(Z/2) and Z/997 (the census-exhaustive
 rings of perfbench), M2(Z/12) and Z/32768 (its census-sampled rings) and on
 M2(Z/30), Z/720720 and Z/1000000, the same way run_census does: ``RingScan(ring)``,
-``census_masks()``, then per chunk of the cross-checked indexes (every index
+its ``masks`` table, then per chunk of the cross-checked indexes (every index
 up to EXHAUSTIVE_SCAN_CAP, else the seed-0 sample) ``drazin_codes``,
 ``inverse_scans``, the verdicts (the chunk's census masks as one tuple per
 element and the scan's verdicts, ``_scan_verdicts``) and the per-element
@@ -56,7 +56,7 @@ def phases(literal: str) -> dict[str, float]:
         return out
 
     scan = timed("scan", RingScan, ring)
-    masks = timed("masks", scan.census_masks)
+    masks = timed("masks", lambda: scan.masks)
     classes = tuple(masks)
     size = ring.size()
     if size <= census.EXHAUSTIVE_SCAN_CAP:

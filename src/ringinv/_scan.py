@@ -2,9 +2,11 @@
 inverses, and the equation scan.
 
 All work on numpy stacks of ring elements and share no code with the
-per-element criteria in rings and gen_inverse.  census_masks evaluates the
+per-element criteria in rings and gen_inverse.  A RingScan keeps two
+whole-ring tables, each built once, on first read: masks evaluates the
 criteria (x^B = 0, x^unit_exponent = 1, x - x^3 nilpotent, ...) for every
-element at once, from powers of the whole stack.  drazin_codes gives the
+element at once, from powers of the whole stack, and split_mask marks every
+tripotent plus a nilpotent of its centraliser.  drazin_codes gives the
 indexes of the power-formula Drazin inverses x^(D-1) of a batch of
 elements, D the ring's exponent of drazin_finite, from one stack power.
 inverse_scans solves the three defining equation systems, and nothing else,
@@ -21,10 +23,11 @@ product per group of centralisers with the same generator orders.
 Over a composite m, Mk(Z/m) is the product of the Mk(Z/q), q the prime
 powers of m, and each criterion and defining equation holds iff it holds in
 every component.  So a composite scan keeps the scan of each (much smaller)
-Mk(Z/q) and answers from them: a mask is the AND of the components' masks,
-read at every element's component code, and an inverse set is the product
-of the components' sets, each tuple (b_q) lifted to sum e_q b_q mod m, e_q
-the CRT idempotent of q.  Only drazin_codes works at the full modulus.
+Mk(Z/q) and answers from them: each mask of either table is the AND of the
+components' same mask, read at every element's component code
+(_from_components), and an inverse set is the product of the components'
+sets, each tuple (b_q) lifted to sum e_q b_q mod m, e_q the CRT idempotent
+of q.  Only drazin_codes works at the full modulus.
 
 Entries are integers below m, and a product is reduced mod m before it is
 used again, except that bab = b multiplies b by the unreduced ab and
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -179,7 +183,6 @@ class RingScan:
         self._bound = nilpotency_bound(ring)
         self._unit_exponent = unit_exponent(ring)
         self._drazin_exponent = ring._drazin_exponent
-        self._masks: dict[str, np.ndarray] = {}
         # the d^2 x d^2 matrix a (x) I - I (x) a^T of x -> ax - xa on
         # row-major entries is linear in a: _commutator @ a.ravel()
         eye = np.eye(d, dtype=np.int64)
@@ -221,48 +224,27 @@ class RingScan:
         x = self.stack[np.asarray(indexes, dtype=np.int64)]
         return self.codes(self._power(x, self._drazin_exponent - 1))
 
-    def nilpotent_mask(self) -> np.ndarray:
-        """Boolean mask over indexes: x^B = 0 with B = nilpotency_bound."""
-        return self._built(("nilpotent",))["nilpotent"]
-
-    def tripotent_mask(self) -> np.ndarray:
-        """Boolean mask over indexes: x^3 = x."""
-        return self._built(("tripotent",))["tripotent"]
-
-    def census_masks(self) -> dict[str, np.ndarray]:
-        """Boolean masks over indexes for the six criterion-defined census classes."""
-        return self._built(
-            ("nilpotent", "idempotent", "tripotent", "unit", "strongly_drazin", "hirano")
-        )
-
-    def _built(self, keys) -> dict[str, np.ndarray]:
-        """The masks named by keys, each built once per scan: from the
-        components when m is composite, else from powers of the stack."""
-        missing = [key for key in keys if key not in self._masks]
-        if missing:
-            build = self._component_masks if self._parts else self._power_masks
-            self._masks.update(build(missing))
-        return {key: self._masks[key] for key in keys}
-
-    def _power_masks(self, keys: list[str]) -> dict[str, np.ndarray]:
-        """The masks named by keys, from powers of the whole stack mod m.
+    @cached_property
+    def masks(self) -> dict[str, np.ndarray]:
+        """Boolean masks over indexes for the six criterion-defined census
+        classes, from powers of the stack mod m, or from the components
+        when m is composite.
 
         A unit's order divides unit_exponent, so x is a unit iff
         x^unit_exponent = 1.  The strongly Drazin and Hirano masks look
         x - x^2 and x - x^3 up in the nilpotent mask; x^2 and x^3 come last,
         so that no power's operands are alive beside them.
         """
+        if self._parts:
+            masks = self._from_components(lambda part: part.masks.values())
+            return dict(zip(self._parts[0][0].masks, masks))
         m, x = self.modulus, self.stack
-        if keys == ["nilpotent"]:
-            return {"nilpotent": ~self._power(x, self._bound).any(axis=(1, 2))}
-        if keys == ["tripotent"]:
-            return {"tripotent": (self._mul(self._mul(x, x), x) == x).all(axis=(1, 2))}
-        nilpotent = self._built(("nilpotent",))["nilpotent"]
+        nilpotent = ~self._power(x, self._bound).any(axis=(1, 2))
         identity = np.eye(self.dim, dtype=np.int64)
         unit = (self._power(x, self._unit_exponent) == identity).all(axis=(1, 2))
         x2 = self._mul(x, x)
         x3 = self._mul(x2, x)
-        masks = {
+        return {
             "nilpotent": nilpotent,
             "idempotent": (x2 == x).all(axis=(1, 2)),
             "tripotent": (x3 == x).all(axis=(1, 2)),
@@ -270,20 +252,17 @@ class RingScan:
             "strongly_drazin": nilpotent[self.codes(_reduce(x - x2, m))],
             "hirano": nilpotent[self.codes(_reduce(x - x3, m))],
         }
-        return {key: masks[key] for key in keys}
 
-    def _component_masks(self, keys: list[str]) -> dict[str, np.ndarray]:
-        """The masks named by keys, or the split mask for ["split"], as the
-        AND of the components' same masks, read at every element's component
-        code (stack mod q): by CRT each class holds iff it holds in each."""
-        out = {key: np.ones(self.size, dtype=bool) for key in keys}
-        split = keys == ["split"]
+    def _from_components(self, table) -> list[np.ndarray]:
+        """The masks of the list table(part) of each component scan, each
+        ANDed over the components as read at every element's component code
+        (stack mod q): by CRT each class holds iff it holds in each."""
+        out = None
         for part, _ in self._parts:
-            masks = {"split": part.tripotent_split_mask()} if split else part._built(keys)
             codes = part.codes(_reduce(self.stack.copy(), part.modulus))
-            for key in keys:
-                out[key] &= masks[key][codes]
-            del codes  # one component's codes alive at a time
+            got = [mask[codes] for mask in table(part)]
+            out = got if out is None else [np.logical_and(x, y, out=x) for x, y in zip(out, got)]
+            del codes, got  # one component's codes alive at a time
         return out
 
     def _check_commuting(self, a: np.ndarray, rows: np.ndarray) -> None:
@@ -357,16 +336,17 @@ class RingScan:
                     self._check_commuting(part[sub], rows)
                     yield start + sub, rows, codes
 
-    def tripotent_split_mask(self) -> np.ndarray:
-        """Boolean mask over indexes: a = p + w, p tripotent (tripotent_mask),
-        w nilpotent with pw = wp (equivalently ap = pa).  The w are the
-        nilpotent rows of the centraliser of p, per component of a composite m."""
+    @cached_property
+    def split_mask(self) -> np.ndarray:
+        """Boolean mask over indexes: a = p + w, p tripotent, w nilpotent
+        with pw = wp (equivalently ap = pa).  The w are the nilpotent rows
+        of the centraliser of p, per component of a composite m."""
         if self._parts:
-            return self._component_masks(["split"])["split"]
+            return self._from_components(lambda part: [part.split_mask])[0]
         m = self.modulus
-        nilpotent = self.nilpotent_mask()
+        nilpotent = self.masks["nilpotent"]
         split = np.zeros(self.size, dtype=bool)
-        p = self.stack[self.tripotent_mask()]
+        p = self.stack[self.masks["tripotent"]]
         nilpotents = self.stack[nilpotent]
         for members, rows, codes in self._centralisers(p):
             if rows is None:
@@ -475,7 +455,7 @@ class RingScan:
             ("strongly_drazin", own - ab),
             ("drazin", own - self._mul(own, ab)),
         )
-        nilpotent = self.nilpotent_mask()
+        nilpotent = self.masks["nilpotent"]
         for key, defect in defects:
             hits = nilpotent[self.codes(_reduce(defect, m))]
             for owner, code in zip(owners[hits].tolist(), codes[hits].tolist()):

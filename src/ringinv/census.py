@@ -2,7 +2,7 @@
 
 run_census counts nilpotents, idempotents, tripotents, units, and the
 three generalized-inverse classes across a finite ring from whole-ring
-numpy masks (RingScan.census_masks: x - x^3 nilpotent for Hirano, x - x^2
+numpy masks (RingScan.masks: x - x^3 nilpotent for Hirano, x - x^2
 nilpotent for strongly Drazin, x^unit_exponent = 1 for units, ...).  Each
 checked element's mask verdicts are confirmed by two independent paths:
 the per-element predicates and the Hirano lift, as one path (the lift's
@@ -18,14 +18,12 @@ SCAN_CHUNK at a time, one batched call per chunk, and each chunk's results
 are checked and dropped before the next.  Per chunk, numpy computes the
 power formula, the scan, its four verdicts from one stack product a*d
 (_scan_verdicts) and reads the masks out as one tuple per element, the class
-names read once from census_masks; per element, Python runs the
+names read once from RingScan.masks; per element, Python runs the
 predicates, the Hirano lift, the lift's indexes and the comparisons.  A
-chunk whose scan raises is scanned again one element at a time, its
-verdicts computed as each is reached, so the first element in index order
-to fail any check fails the census.  Any disagreement is a hard error
-naming the category and the element; the check is exhaustive on rings of
-at most 10**4 elements and covers a seeded sample of at most 10**4
-elements above that.
+scan that raises (its elimination failed a self-check) fails the census.
+Any disagreement is a hard error naming the category and the element; the
+check is exhaustive on rings of at most 10**4 elements and covers a seeded
+sample of at most 10**4 elements above that.
 
 verify_theorem drives the law registry: each law id names a fixed
 checkable statement about one ring, run exhaustively when size**arity
@@ -68,9 +66,9 @@ the certificates it hands out, with that construction's checks.  Law
 
 Law 3.6 (every element Hirano iff every element is a tripotent plus a
 commuting nilpotent) compares two independent paths: the per-element
-criterion has_hirano walked over the ring, and the split mask
-RingScan.tripotent_split_mask, which enumerates every pair p + w with p
-tripotent and w a nilpotent in the generated centraliser of p.
+criterion has_hirano walked over the ring, and RingScan.split_mask, which
+enumerates every pair p + w with p tripotent and w a nilpotent in the
+generated centraliser of p.
 """
 
 from __future__ import annotations
@@ -190,16 +188,17 @@ def _cross_check_element(
     classes: tuple, masks: tuple, verdicts: tuple,
 ) -> None:
     """Confirm one element's mask verdicts (masks, one per class of classes,
-    the census_masks order) by its criteria and its equation scan found,
+    the RingScan.masks order) by its criteria and its equation scan found,
     and check the scan against the constructed inverses.
 
     The scan's Drazin inverse d is unique; it decides the classes that have
     no inverse system of their own (verdicts, from _scan_verdicts): a is
     nilpotent iff d = 0, idempotent iff a*d = a, tripotent iff d = a, and a
     unit iff a*d = 1.  The Hirano lift decides the Hirano and strongly
-    Drazin classes, as in classify; its inverses must lie in the scanned
-    sets and the Hirano one must be d, and drazin_code, the index of the
-    power-formula Drazin inverse a^(m-1) (RingScan.drazin_codes), must be d.
+    Drazin classes, as in classify; each inverse it constructs must be the
+    one member of its scanned set (the inverses are unique) and the Hirano
+    one must be d, and drazin_code, the index of the power-formula Drazin
+    inverse a^(m-1) (RingScan.drazin_codes), must be d.
     """
     a = ring.element_at(index)
     if len(found["drazin"]) != 1:
@@ -220,16 +219,16 @@ def _cross_check_element(
                 f"three-path mismatch in {ring} at element {a}: {category} mask says "
                 f"{mask}, criterion says {criterion}, equation scan says {brute}"
             )
-    hir_code, sd_code = (None if cert is None else ring.index_of(cert.b) for cert in (hir, sd))
-    for name, code, inverses in (
-        ("Hirano", hir_code, found["hirano"]),
-        ("strongly Drazin", sd_code, found["strongly_drazin"]),
+    for name, cert, inverses in (
+        ("Hirano", hir, found["hirano"]),
+        ("strongly Drazin", sd, found["strongly_drazin"]),
     ):
-        if code is not None and code not in inverses:
+        if cert is not None and inverses != [ring.index_of(cert.b)]:
             raise CensusMismatchError(
-                f"constructed {name} inverse of {a} in {ring} is not in the scanned set"
+                f"equation scan in {ring} found the {name} inverses {inverses} of {a}, "
+                "not exactly the constructed one"
             )
-    if hir is not None and hir_code != d:
+    if hir is not None and found["hirano"] != [d]:
         raise CensusMismatchError(
             f"uniqueness failure in {ring}: the Hirano and Drazin inverses of {a} disagree"
         )
@@ -258,7 +257,7 @@ def run_census(
             f"{ring} has {size} elements, above the cap {RING_SIZE_CAP}"
         )
     scan = RingScan(ring)
-    masks = scan.census_masks()
+    masks = scan.masks
     classes = tuple(masks)
     counts = {
         key: size if key in ("total", "drazin") else int(masks[key].sum())
@@ -275,17 +274,10 @@ def run_census(
         chunk = indexes[start : start + SCAN_CHUNK]
         drazin = scan.drazin_codes(chunk).tolist()
         rows = zip(*(m[chunk].tolist() for m in masks.values()))
-        try:
-            scanned = scan.inverse_scans(chunk)
-        except VerificationError:  # again one at a time, lazily, in index order
-            checked = (
-                (found, _scan_verdicts(scan, [index], [found])[0])
-                for index, found in zip(chunk, map(scan.inverse_scan, chunk))
-            )
-        else:
-            checked = zip(scanned, _scan_verdicts(scan, chunk, scanned))
-        for index, (found, verdicts), code, mask in zip(chunk, checked, drazin, rows):
-            _cross_check_element(ring, index, found, code, classes, mask, verdicts)
+        scanned = scan.inverse_scans(chunk)
+        verdicts = _scan_verdicts(scan, chunk, scanned)
+        for index, found, code, mask, verdict in zip(chunk, scanned, drazin, rows, verdicts):
+            _cross_check_element(ring, index, found, code, classes, mask, verdict)
     if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
         raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
     hir, sd = masks["hirano"], masks["strongly_drazin"]
@@ -503,7 +495,7 @@ def _law_inverse_of_inverse(ctx: _LawContext, a: Element) -> None:
 def _law_tripotent_split(ctx: _LawContext, a: Element) -> None:
     d = tripotent_decomposition(a)
     if ctx.ring.size() <= 100:
-        tripotents = np.flatnonzero(ctx.scan.tripotent_mask()).tolist()
+        tripotents = np.flatnonzero(ctx.scan.masks["tripotent"]).tolist()
         matches = [
             p
             for p in map(ctx.ring.element_at, tripotents)
@@ -526,7 +518,7 @@ def _law_sd_difference_converse(ctx: _LawContext, b: Element, c: Element) -> Non
 def _law_all_hirano_ring(ctx: _LawContext) -> None:
     ring = ctx.ring
     all_hirano = all(has_hirano(a) for a in ring.elements())
-    unsplit = np.flatnonzero(~ctx.scan.tripotent_split_mask())
+    unsplit = np.flatnonzero(~ctx.scan.split_mask)
     all_split = unsplit.size == 0
     if all_hirano != all_split:
         who = "" if all_split else (

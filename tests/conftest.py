@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import signal
 
 import pytest
@@ -15,6 +16,7 @@ from ringinv import (
     modular,
     rings,
 )
+from ringinv._scan import RingScan
 
 SMALL_MODULAR = [modular(n) for n in range(2, 17)]
 SMALL_MATRIX = [
@@ -122,6 +124,15 @@ def counting_products(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(rings.RingSpec, "_product", property(counting_kernel))
     return calls
+
+
+def altering_masks(monkeypatch, alter) -> None:
+    """Patch RingScan.masks to alter(scan, masks), the masks it builds,
+    still built once per scan."""
+    build = RingScan.masks.func
+    masks = functools.cached_property(lambda scan: alter(scan, build(scan)))
+    masks.__set_name__(RingScan, "masks")
+    monkeypatch.setattr(RingScan, "masks", masks)
 
 
 @pytest.fixture

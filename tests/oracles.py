@@ -6,7 +6,7 @@ a whole-ring numpy filter, as the scan was before RingScan.inverse_scans
 generated centralisers: it tests ab = ba on every element instead.
 kernel_mod is the one-matrix elimination that the batched _kernels_mod
 replaced.  whole_stack_masks raises the whole stack to the census powers
-at the full modulus, as RingScan.census_masks did for every modulus before
+at the full modulus, as RingScan.masks did for every modulus before
 it built a composite modulus's masks from its prime-power components.
 element_verdicts decides the four classes of the census cross-check from
 an element's unique Drazin inverse d with Element arithmetic, as the census
@@ -193,7 +193,7 @@ def element_verdicts(ring: RingSpec, index: int, drazin: int) -> tuple[bool, ...
 _PAIR_ENTRIES = 1 << 20
 
 
-def filtered_inverse_scans(scan: RingScan, indexes) -> list[tuple[list[int], dict]]:
+def filtered_inverse_scans(scan: RingScan, indexes) -> list[tuple[np.ndarray, dict]]:
     """RingScan.inverse_scans by filtering the whole ring for ab = ba, bab = b
     and each nilpotent defect, for a chunk of indexes at a time.
 
@@ -205,8 +205,8 @@ def filtered_inverse_scans(scan: RingScan, indexes) -> list[tuple[list[int], dic
     of its k^2 quotients, all >= 0, sum to 0.  bab = b and the defects are
     tested on the commuting pairs only.
 
-    Returns, per index, the indexes of the elements commuting with it and
-    the three index lists of inverse_scan.
+    Returns, per index, the indexes of the elements commuting with it (an
+    array) and the three index lists of inverse_scan.
     """
     m, n, k = scan.modulus, scan.size, scan.dim
     assert k * k * m * m < 2**53
@@ -222,22 +222,26 @@ def filtered_inverse_scans(scan: RingScan, indexes) -> list[tuple[list[int], dic
         fractions = (flat @ cols) / m
         fractions -= np.floor(fractions)
         shared = (fractions.reshape(-1, k * k) @ np.ones(k * k) == 0).reshape(n, -1).T
-        which, b = np.nonzero(shared)
-        pa, pb = a[which], scan.stack[b]
+        pairs, commuting = np.nonzero(shared)
+        pa, pb = a[pairs], scan.stack[commuting]
         ab = scan._mul(pa, pb)
         keep = (scan._mul(pb, ab) == pb).all(axis=(1, 2))
-        which, b, pa, ab = which[keep], b[keep], pa[keep], ab[keep]
-        nilpotent = scan.nilpotent_mask()
+        which, b, pa, ab = pairs[keep], commuting[keep], pa[keep], ab[keep]
+        nilpotent = scan.masks["nilpotent"]
         defects = (
             nilpotent[scan.codes((scan._mul(pa, pa) - ab) % m)],
             nilpotent[scan.codes((pa - ab) % m)],
             nilpotent[scan.codes((pa - scan._mul(pa, ab)) % m)],
         )
-        for j, commuting in enumerate(shared):
-            mine = which == j
-            hirano, sdrazin, drazin = (b[mine & flag].tolist() for flag in defects)
+        # np.nonzero walks shared row by row, so the pairs of each a, kept
+        # or not, are one slice between its bounds
+        owners = np.arange(len(a) + 1)
+        shared_at, solved_at = np.searchsorted(pairs, owners), np.searchsorted(which, owners)
+        for j in range(len(a)):
+            mine = slice(solved_at[j], solved_at[j + 1])
+            hirano, sdrazin, drazin = (b[mine][flag[mine]].tolist() for flag in defects)
             lists = {"hirano": hirano, "strongly_drazin": sdrazin, "drazin": drazin}
-            found.append((np.flatnonzero(commuting).tolist(), lists))
+            found.append((commuting[shared_at[j] : shared_at[j + 1]], lists))
     return found
 
 

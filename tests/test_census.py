@@ -44,6 +44,7 @@ from conftest import (
     HIRANO_FAILURE,
     SMALL_MODULAR,
     SMALL_RINGS,
+    altering_masks,
     counting_calls,
     counting_nilpotency_tests,
     counting_products,
@@ -206,7 +207,7 @@ def walk_split(ring, tripotent=is_tripotent, nilpotent=lambda w: is_nilpotent(w)
     """Whether each element is p + w, p tripotent, w nilpotent, ap = pa.
 
     This is the per-element search law 3.6 ran before its pair scan, kept as
-    an independent oracle for RingScan.tripotent_split_mask.  The old law
+    an independent oracle for RingScan.split_mask.  The old law
     tried every tripotent p against a; here the inner loop runs over the
     nilpotents w and looks p = a - w up among the tripotents, which asks the
     same question (aw = wa iff ap = pa) in a fraction of the pairs.  The
@@ -264,12 +265,12 @@ class TestCensusMasks:
 
     @pytest.mark.parametrize("ring", SMALL_RINGS, ids=str)
     def test_unit_mask_matches_is_unit(self, ring):
-        mask = RingScan(ring).census_masks()["unit"]
+        mask = RingScan(ring).masks["unit"]
         assert mask.tolist() == [is_unit(a) for a in ring.elements()]
 
     def test_unit_mask_matches_is_unit_in_dimension_four(self):
         ring = matrix(modular(2), 4)
-        mask = RingScan(ring).census_masks()["unit"]
+        mask = RingScan(ring).masks["unit"]
         indexes = random.Random(0).sample(range(ring.size()), 500)
         assert [bool(mask[i]) for i in indexes] == [
             is_unit(ring.element_at(i)) for i in indexes
@@ -297,18 +298,25 @@ class TestCensusMasks:
     def test_corrupted_mask_entry_is_caught(self, category, monkeypatch):
         ring = matrix(modular(2), 2)
         index = 9
-        census_masks = RingScan.census_masks
 
-        def corrupted(scan):
-            masks = census_masks(scan)
+        def corrupted(scan, masks):
             masks[category] = masks[category].copy()
             masks[category][index] ^= True
             return masks
 
-        monkeypatch.setattr(RingScan, "census_masks", corrupted)
-        with pytest.raises(CensusMismatchError, match=category) as caught:
+        altering_masks(monkeypatch, corrupted)
+        with pytest.raises(CensusMismatchError) as caught:
             run_census(ring)
-        assert str(ring.element_at(index)) in str(caught.value)
+        if category == "nilpotent":
+            # the scan's defect tests read the same mask, so an earlier
+            # element's scanned Hirano set gains a second member
+            assert str(caught.value) == (
+                "equation scan in M2(Z/2) found the Hirano inverses [0, 6] of "
+                "[[0,1],[1,0]], not exactly the constructed one"
+            )
+        else:
+            assert category in str(caught.value)
+            assert str(ring.element_at(index)) in str(caught.value)
 
     @pytest.mark.parametrize(
         "ring", [modular(999_983), modular(1_000_000), matrix(modular(31), 2),
@@ -365,13 +373,10 @@ class TestComponentMasks:
         start = time.perf_counter()
         for ring in COMPOSITE_RINGS:
             want = whole_stack_masks(ring)
-            got = RingScan(ring).census_masks()
+            got = RingScan(ring).masks
             assert list(got) == list(want)
             for key in want:
                 assert np.array_equal(got[key], want[key]), (ring, key)
-            # each accessor alone, on a scan that has built nothing else
-            assert np.array_equal(RingScan(ring).nilpotent_mask(), want["nilpotent"]), ring
-            assert np.array_equal(RingScan(ring).tripotent_mask(), want["tripotent"]), ring
         assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize(
@@ -392,16 +397,14 @@ class TestComponentMasks:
             if part.modulus != q:
                 others &= whole_stack_masks(part)[category][codes[part.modulus]]
         lifted = int(np.flatnonzero(others & (codes[q] == index))[0])
-        power_masks = RingScan._power_masks
 
-        def corrupted(scan, keys):
-            masks = power_masks(scan, keys)
-            if scan.modulus == q and category in masks:
+        def corrupted(scan, masks):
+            if scan.modulus == q:
                 masks[category] = masks[category].copy()
                 masks[category][index] ^= True
             return masks
 
-        monkeypatch.setattr(RingScan, "_power_masks", corrupted)
+        altering_masks(monkeypatch, corrupted)
         with pytest.raises(CensusMismatchError, match=category) as caught:
             run_census(ring)
         assert f"at element {ring.element_at(lifted)}:" in str(caught.value)
@@ -472,11 +475,11 @@ class TestTripotentSplits:
     def test_tripotent_indexes_match_the_walk(self, ring):
         # the is_tripotent walk over the whole ring is the oracle for the mask
         walk = [i for i, p in enumerate(ring.elements()) if is_tripotent(p)]
-        assert RingScan(ring).tripotent_mask().nonzero()[0].tolist() == walk
+        assert RingScan(ring).masks["tripotent"].nonzero()[0].tolist() == walk
 
     @pytest.mark.parametrize("ring", SPLIT_RINGS, ids=str)
     def test_split_mask_matches_the_walk_and_the_criterion(self, ring):
-        split = RingScan(ring).tripotent_split_mask().tolist()
+        split = RingScan(ring).split_mask.tolist()
         assert split == walk_split(ring)
         assert split == [has_hirano(a) for a in ring.elements()]
 
@@ -496,11 +499,13 @@ class TestTripotentSplits:
         splits, nor does any element of Z/12 with that component."""
         z3 = modular(3)
         idempotents = np.array([is_idempotent(p) for p in z3.elements()])
-        tripotent_mask = RingScan.tripotent_mask
-        monkeypatch.setattr(
-            RingScan, "tripotent_mask",
-            lambda scan: idempotents if scan.modulus == 3 else tripotent_mask(scan),
-        )
+
+        def cut(scan, masks):
+            if scan.modulus == 3:
+                masks["tripotent"] = idempotents
+            return masks
+
+        altering_masks(monkeypatch, cut)
         report = verify_theorem("3.6", modular(12))
         detail = self.z12_unsplit(walk_split(modular(4)), walk_split(z3, is_idempotent))
         assert [(v.inputs, v.detail) for v in report.violations] == [((), detail)]
@@ -508,16 +513,13 @@ class TestTripotentSplits:
     def test_missing_nilpotent_is_caught(self, monkeypatch):
         """Z/4's nilpotent mask without 2: 2 of Z/4 no longer splits, nor
         does any element of Z/12 with that component."""
-        nilpotent_mask = RingScan.nilpotent_mask
-
-        def without_two(scan):
-            mask = nilpotent_mask(scan)
+        def without_two(scan, masks):
             if scan.modulus == 4:
-                mask = mask.copy()
-                mask[2] = False
-            return mask
+                masks["nilpotent"] = masks["nilpotent"].copy()
+                masks["nilpotent"][2] = False
+            return masks
 
-        monkeypatch.setattr(RingScan, "nilpotent_mask", without_two)
+        altering_masks(monkeypatch, without_two)
         report = verify_theorem("3.6", modular(12))
         z4 = modular(4)
         split4 = walk_split(z4, nilpotent=lambda w: w == z4.zero())
@@ -608,44 +610,35 @@ class TestPowerFormulaCodes:
         for i in indexes:
             assert codes[i] == ring.index_of(gen_inverse.drazin_finite(ring.element_at(i)).b)
 
-    @pytest.mark.parametrize("fallback", [False, True], ids=["batched", "one at a time"])
-    def test_corrupted_code_is_caught(self, fallback, monkeypatch):
+    @pytest.mark.parametrize("chunk", [census.SCAN_CHUNK, 1], ids=["batched", "chunks of one"])
+    def test_corrupted_code_is_caught(self, chunk, monkeypatch):
         ring = matrix(modular(3), 2)
         index = 40
         drazin_codes = RingScan.drazin_codes
 
         def corrupted(scan, indexes):
             codes = drazin_codes(scan, indexes)
-            codes[list(indexes).index(index)] += 1
+            if index in indexes:
+                codes[list(indexes).index(index)] += 1
             return codes
 
         monkeypatch.setattr(RingScan, "drazin_codes", corrupted)
-        if fallback:
-            # a batch of more than one raises, so each chunk is scanned
-            # again one element at a time
-            inverse_scans = RingScan.inverse_scans
-
-            def one_at_a_time(scan, indexes):
-                if len(indexes) > 1:
-                    raise VerificationError("batch refused")
-                return inverse_scans(scan, indexes)
-
-            monkeypatch.setattr(RingScan, "inverse_scans", one_at_a_time)
+        monkeypatch.setattr(census, "SCAN_CHUNK", chunk)
         with pytest.raises(CensusMismatchError, match="power-formula") as caught:
             run_census(ring)
         assert f"Drazin inverse of {ring.element_at(index)} in" in str(caught.value)
 
     def test_lifted_inverse_other_than_the_scanned_drazin_is_caught(self, monkeypatch):
-        # the lift hands out another scanned Hirano candidate for a = 1
+        # the scan and the lift agree on another Hirano inverse of a = 1
         ring = matrix(modular(3), 2)
         one, other = ring.index_of(ring.one()), 5
         inverse_scans = RingScan.inverse_scans
         lift = census._hirano_and_strongly_drazin
 
-        def extra_candidate(scan, indexes):
+        def other_candidate(scan, indexes):
             found = inverse_scans(scan, indexes)
             if one in indexes:
-                found[list(indexes).index(one)]["hirano"].append(other)
+                found[list(indexes).index(one)]["hirano"] = [other]
             return found
 
         def other_inverse(a):
@@ -654,11 +647,34 @@ class TestPowerFormulaCodes:
                 hir = dataclasses.replace(hir, b=ring.element_at(other))
             return hir, sd
 
-        monkeypatch.setattr(RingScan, "inverse_scans", extra_candidate)
+        monkeypatch.setattr(RingScan, "inverse_scans", other_candidate)
         monkeypatch.setattr(census, "_hirano_and_strongly_drazin", other_inverse)
         with pytest.raises(CensusMismatchError, match="uniqueness failure") as caught:
             run_census(ring)
         assert f"inverses of {ring.one()} disagree" in str(caught.value)
+
+    @pytest.mark.parametrize("ring", [modular(9), matrix(modular(3), 2)], ids=str)
+    def test_second_scanned_candidate_is_caught(self, ring, monkeypatch):
+        """A Hirano or strongly Drazin inverse is unique, so a scanned set
+        with two members fails the census, though it holds the constructed
+        inverse; the zero element, first in index order, fails first."""
+        inverse_scans = RingScan.inverse_scans
+
+        def second_candidate(scan, indexes):
+            found = inverse_scans(scan, indexes)
+            for one in found:
+                for key in ("hirano", "strongly_drazin"):
+                    if one[key]:
+                        one[key].append((one[key][0] + 1) % scan.size)
+            return found
+
+        monkeypatch.setattr(RingScan, "inverse_scans", second_candidate)
+        with pytest.raises(CensusMismatchError) as caught:
+            run_census(ring)
+        assert str(caught.value) == (
+            f"equation scan in {ring} found the Hirano inverses [0, 1] of {ring.zero()}, "
+            "not exactly the constructed one"
+        )
 
     def test_census_runs_no_per_element_power(self, monkeypatch):
         drazin = counting_calls(monkeypatch, [gen_inverse, census], "drazin_finite")
@@ -691,7 +707,7 @@ class TestScanVerdicts:
         # every verdict is met and missed somewhere in the ring
         assert all(len({row[i] for row in seen}) == 2 for i in range(4))
 
-    @pytest.mark.parametrize("fallback", [False, True], ids=["batched", "one at a time"])
+    @pytest.mark.parametrize("chunk", [census.SCAN_CHUNK, 1], ids=["batched", "chunks of one"])
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -718,16 +734,14 @@ class TestScanVerdicts:
         ],
         ids=["zero", "itself", "other", "none"],
     )
-    def test_corrupted_drazin_inverse_is_caught(self, corrupt, message, fallback, monkeypatch):
+    def test_corrupted_drazin_inverse_is_caught(self, corrupt, message, chunk, monkeypatch):
         """The scanned unique Drazin inverse replaced at some indexes: the
         census fails at the first of them with the message the per-element
-        verdicts gave, batched or rescanned one element at a time."""
+        verdicts gave, whatever the chunk."""
         ring = matrix(modular(4), 2)
         inverse_scans = RingScan.inverse_scans
 
         def corrupted(scan, indexes):
-            if fallback and len(indexes) > 1:
-                raise VerificationError("batch refused")
             found = inverse_scans(scan, indexes)
             for position, index in enumerate(indexes):
                 if index in corrupt:
@@ -735,6 +749,7 @@ class TestScanVerdicts:
             return found
 
         monkeypatch.setattr(RingScan, "inverse_scans", corrupted)
+        monkeypatch.setattr(census, "SCAN_CHUNK", chunk)
         with pytest.raises(CensusMismatchError) as caught:
             run_census(ring)
         assert str(caught.value) == message

@@ -61,7 +61,7 @@ def scan_of(ring) -> RingScan:
 
 # holds the last ring's oracle answers, so the cost test reuses M4(Z/2)'s sample
 @functools.lru_cache(maxsize=1)
-def oracle(ring, indexes: tuple[int, ...]) -> list[tuple[list[int], dict]]:
+def oracle(ring, indexes: tuple[int, ...]) -> list[tuple[np.ndarray, dict]]:
     return filtered_inverse_scans(scan_of(ring), indexes)
 
 
@@ -182,7 +182,7 @@ class TestCentraliserParity:
         for index, one, (commuting, found) in zip(indexes, batched, expected, strict=True):
             if prime_power:
                 rows = centralisers[index]
-                assert (whole_ring if rows is None else rows) == commuting, index
+                assert (whole_ring if rows is None else rows) == commuting.tolist(), index
             assert scan.inverse_scan(index) == found, index
             assert one == found, index
 
@@ -306,10 +306,11 @@ class TestCentraliserSelfCheck:
 
     def test_failing_batch_reports_as_one_element_at_a_time(self, monkeypatch):
         """Every generator set loses one generator, and the centraliser of
-        the last element also gets a non-commuting one.  A batch that raises
-        is rescanned one element at a time, so the census fails at the same
-        element, with the same error, and law 2.2 records the same
-        violations, as with chunks of one element."""
+        the last element also gets a non-commuting one.  Law 2.2 rescans a
+        batch that raises one element at a time, so it records the same
+        violations as with chunks of one element.  The census fails either
+        way: a batch on the self-check it raises, a chunk of one at its
+        first element that lost a generator."""
         ring = matrix(modular(3), 2)
         late = commutators(RingScan(ring).stack[-1:])[0]
         kernels_mod = _scan._kernels_mod
@@ -326,10 +327,11 @@ class TestCentraliserSelfCheck:
             monkeypatch.setattr(census, "SCAN_CHUNK", chunk)
             with pytest.raises(VerificationError) as failure:
                 run_census(ring)
-            outcomes.append((type(failure.value), str(failure.value), verify_theorem("2.2", ring)))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] is CensusMismatchError
-        assert any("non-commuting" in v.detail for v in outcomes[0][2].violations)
+            outcomes.append((failure.value, verify_theorem("2.2", ring)))
+        (batched, law_batched), (single, law_single) = outcomes
+        assert law_batched == law_single
+        assert any("non-commuting" in v.detail for v in law_batched.violations)
+        assert "non-commuting" in str(batched) and type(single) is CensusMismatchError
 
 
 class TestPrimePowersOnly:
@@ -373,7 +375,7 @@ class TestScanCost:
         scan = scan_of(M4Z2)
         ctx = _LawContext(M4Z2)
         ctx.scan = scan
-        scan.nilpotent_mask()  # whole-ring set-up, built once per scan object
+        scan.masks  # whole-ring set-up, built once per scan object
         indexes = sample(M4Z2)
         mul = RingScan._mul
         widest = 0
@@ -408,7 +410,7 @@ class TestScanCost:
     def test_law_3_6_split_rows_are_the_tripotent_centralisers(self, monkeypatch):
         ctx = _LawContext(M4Z2)
         scan = ctx.scan
-        scan.nilpotent_mask()  # whole-ring set-up, built once per scan object
+        scan.masks  # whole-ring set-up, built once per scan object
         centralisers = RingScan._centralisers
         touched = 0
 
@@ -419,9 +421,9 @@ class TestScanCost:
                 yield members, rows, codes
 
         monkeypatch.setattr(RingScan, "_centralisers", counting_centralisers)
-        scan.tripotent_split_mask()
+        scan.split_mask
         monkeypatch.undo()
-        tripotents = np.flatnonzero(scan.tripotent_mask())
+        tripotents = np.flatnonzero(scan.masks["tripotent"])
         assert touched == sum(centraliser_size_mod2(p) for p in scan.stack[tripotents])
         assert touched < 0.05 * len(tripotents) * M4Z2.size()
 
@@ -496,14 +498,14 @@ class TestStackAndMemory:
         scan = RingScan(ring)
         before = scan.stack.copy()
         indexes = sample(ring)
-        scan.census_masks()
+        scan.masks
         scan.inverse_scans(indexes)
         scan.drazin_codes(indexes)
-        scan.tripotent_split_mask()
+        scan.split_mask
         assert np.array_equal(scan.stack, before)
 
     def test_mask_build_peak_memory(self):
-        """census_masks holds under four whole-ring arrays at its peak beside
+        """masks holds under four whole-ring arrays at its peak beside
         the stack: x^2 and x^3 are made after the nilpotent and unit powers,
         so neither is alive beside a power's operands and product (5.24
         stack sizes when they were made first)."""
@@ -512,7 +514,7 @@ class TestStackAndMemory:
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            scan.census_masks()
+            scan.masks
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -520,45 +522,18 @@ class TestStackAndMemory:
 
 
 class TestSharedTripotentMask:
-    def test_census_masks_reuse_the_tripotent_mask(self):
-        scan = RingScan(matrix(modular(3), 2))
-        assert scan.census_masks()["tripotent"] is scan.tripotent_mask()
-        fresh = RingScan(matrix(modular(3), 2))
-        mask = fresh.tripotent_mask()
-        assert fresh.census_masks()["tripotent"] is mask
-
-    def test_law_context_builds_no_other_mask(self, monkeypatch):
-        def refuse(scan):
-            raise AssertionError("census_masks built for the tripotents alone")
-
-        tripotent_mask = RingScan.tripotent_mask
-        masks = []
-
-        def recording_mask(scan):
-            masks.append(tripotent_mask(scan))
-            return masks[-1]
-
-        monkeypatch.setattr(RingScan, "census_masks", refuse)
-        monkeypatch.setattr(RingScan, "tripotent_mask", recording_mask)
-        assert verify_theorem("3.6", matrix(modular(3), 2)).ok
-        assert masks and all(mask is masks[0] for mask in masks)
-        assert len(np.flatnonzero(masks[0])) == 39
-
     @pytest.mark.parametrize("ring", [matrix(modular(3), 2), matrix(modular(6), 2)], ids=str)
     def test_census_masks_are_built_once(self, ring, monkeypatch):
-        """A second census_masks call, and each single-mask accessor after
-        it, returns the first call's arrays and does no stack arithmetic:
-        no product, power, code lookup or component scan."""
+        """A second read of masks or split_mask returns the first read's
+        arrays and does no stack arithmetic: no product, power, code
+        lookup, centraliser or component scan."""
         scan = RingScan(ring)
-        first = scan.census_masks()
+        masks, split = scan.masks, scan.split_mask
 
         def refuse(*args, **kwargs):
             raise AssertionError("a cached mask was rebuilt")
 
-        for name in ("_product", "_mul", "_power", "codes", "__init__"):
+        for name in ("_product", "_mul", "_power", "codes", "_centralisers", "__init__"):
             monkeypatch.setattr(RingScan, name, refuse)
-        again = scan.census_masks()
-        assert list(again) == list(first)
-        assert all(again[key] is first[key] for key in first)
-        assert scan.nilpotent_mask() is first["nilpotent"]
-        assert scan.tripotent_mask() is first["tripotent"]
+        assert scan.masks is masks
+        assert scan.split_mask is split
