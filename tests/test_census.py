@@ -653,8 +653,13 @@ class TestPowerFormulaCodes:
             run_census(ring)
         assert f"inverses of {ring.one()} disagree" in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "keys, name",
+        [(("hirano", "strongly_drazin"), "Hirano"), (("strongly_drazin",), "strongly Drazin")],
+        ids=["both", "strongly Drazin"],
+    )
     @pytest.mark.parametrize("ring", [modular(9), matrix(modular(3), 2)], ids=str)
-    def test_second_scanned_candidate_is_caught(self, ring, monkeypatch):
+    def test_second_scanned_candidate_is_caught(self, ring, keys, name, monkeypatch):
         """A Hirano or strongly Drazin inverse is unique, so a scanned set
         with two members fails the census, though it holds the constructed
         inverse; the zero element, first in index order, fails first."""
@@ -663,7 +668,7 @@ class TestPowerFormulaCodes:
         def second_candidate(scan, indexes):
             found = inverse_scans(scan, indexes)
             for one in found:
-                for key in ("hirano", "strongly_drazin"):
+                for key in keys:
                     if one[key]:
                         one[key].append((one[key][0] + 1) % scan.size)
             return found
@@ -672,7 +677,7 @@ class TestPowerFormulaCodes:
         with pytest.raises(CensusMismatchError) as caught:
             run_census(ring)
         assert str(caught.value) == (
-            f"equation scan in {ring} found the Hirano inverses [0, 1] of {ring.zero()}, "
+            f"equation scan in {ring} found the {name} inverses [0, 1] of {ring.zero()}, "
             "not exactly the constructed one"
         )
 
