@@ -18,7 +18,9 @@ centralisers (every a of Z/n, and the scalars) are broadcast views of the
 stack.  The rows that pass are gathered over the call and tested for the
 three nilpotent defects once per _BLOCK // d^2 of them.  Each stage runs
 once per batch: one elimination over the stacked commutator matrices, one
-product per group of centralisers with the same generator orders.
+product per group of centralisers with the same generator orders.  The
+products ab that a generated centraliser's self-check ab = ba forms are
+the ones bab = b is then tested with.
 
 Over a composite m, Mk(Z/m) is the product of the Mk(Z/q), q the prime
 powers of m, and each criterion and defining equation holds iff it holds in
@@ -215,6 +217,10 @@ class RingScan:
             x = self._mul(x, x)
 
     def codes(self, stack: np.ndarray) -> np.ndarray:
+        """The index of each matrix of stack: over Z/n the entry itself, as a
+        view of stack that callers only read."""
+        if self._radix.size == 1:
+            return stack.reshape(-1)
         return stack.reshape(-1, self._radix.size) @ self._radix
 
     def drazin_codes(self, indexes) -> np.ndarray:
@@ -265,25 +271,31 @@ class RingScan:
             del codes, got  # one component's codes alive at a time
         return out
 
-    def _check_commuting(self, a: np.ndarray, rows: np.ndarray) -> None:
-        """Raise unless every row of rows[i] commutes with a[i]."""
+    def _check_commuting(self, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """a[i] times each row of rows[i], mod m; raises unless every row of
+        rows[i] commutes with a[i]."""
         a = a[:, None]
-        bad = ~(self._mul(a, rows) == self._mul(rows, a)).all(axis=(1, 2, 3))
+        ab = self._mul(a, rows)
+        bad = ~(ab == self._mul(rows, a)).all(axis=(1, 2, 3))
         if bad.any():
             raise VerificationError(
                 f"generated centraliser of {a[bad.argmax(), 0].tolist()} holds a "
                 "non-commuting element"
             )
+        return ab
 
     def _centralisers(self, a: np.ndarray):
-        """Yield the centralisers of a stack a of matrices as (members, rows, codes).
+        """Yield the centralisers of a stack a of matrices as (members, rows,
+        codes, ab).
 
         _kernels_mod solves ax - xa = 0 mod m, a prime power, for a chunk of
         a at once.  members are positions in a.  rows is None when each
         member's centraliser is the whole ring (every a of Z/n, which is
         commutative, and every a whose generators all have full order, a
         scalar); else rows[i] holds the centraliser of a[members[i]] in
-        index order, with codes[i] its indexes.  The kernel is the direct
+        index order, with codes[i] its indexes and ab[i] the products of
+        a[members[i]] with them, mod m, which the commuting self-check
+        computes (ab is None with rows).  The kernel is the direct
         sum of the cyclic groups of the generators, so one product of the
         mixed-radix coefficient grid with the generators enumerates it, each
         element once.  Generators are sorted by descending order, and the
@@ -295,7 +307,7 @@ class RingScan:
         """
         n, d, m = len(a), self.dim, self.modulus
         if d == 1:
-            yield np.arange(n), None, None
+            yield np.arange(n), None, None, None
             return
         k = d * d
         step = max(1, _BLOCK // (k * k))
@@ -316,7 +328,7 @@ class RingScan:
                 g = gens[members, : len(kept)]
                 if math.prod(kept) == self.size:
                     self._check_commuting(part[members], g.reshape(len(members), -1, d, d))
-                    yield start + members, None, None
+                    yield start + members, None, None, None
                     continue
                 digits = np.indices(kept).reshape(len(kept), -1).T
                 per = max(1, _BLOCK // (len(digits) * k))
@@ -333,8 +345,7 @@ class RingScan:
                             "repeats an element"
                         )
                     rows = flat.reshape(len(sub), -1, d, d)
-                    self._check_commuting(part[sub], rows)
-                    yield start + sub, rows, codes
+                    yield start + sub, rows, codes, self._check_commuting(part[sub], rows)
 
     @cached_property
     def split_mask(self) -> np.ndarray:
@@ -348,7 +359,7 @@ class RingScan:
         split = np.zeros(self.size, dtype=bool)
         p = self.stack[self.masks["tripotent"]]
         nilpotents = self.stack[nilpotent]
-        for members, rows, codes in self._centralisers(p):
+        for members, rows, codes, _ in self._centralisers(p):
             if rows is None:
                 for i in members:
                     split[self.codes(_reduce(p[i] + nilpotents, m))] = True
@@ -378,8 +389,8 @@ class RingScan:
         limit = max(1, _BLOCK // self.dim**2)
         solved: list[tuple] = []
         held = 0
-        for members, rows, codes in self._row_blocks(a):
-            passed = self._solve_rows(a, members, rows, codes)
+        for block in self._row_blocks(a):
+            passed = self._solve_rows(a, *block)
             if solved and held + len(passed[0]) > limit:
                 self._test_defects(a, solved, found)
                 solved, held = [], 0
@@ -411,14 +422,15 @@ class RingScan:
 
     def _row_blocks(self, a: np.ndarray):
         """Yield the centralisers of the stack a as row blocks (members, rows,
-        codes) of at most _BLOCK // d^2 rows: rows[i], shape (c, d, d), and
-        codes[i] are rows of the centraliser of a[members[i]] and their
-        indexes, the whole centraliser unless it is larger than a block.
-        Whole-ring centralisers are broadcast views of the stack, as many
-        per block as fit, so the stack is never copied per a."""
+        codes, ab) of at most _BLOCK // d^2 rows: rows[i], shape (c, d, d),
+        and codes[i] are rows of the centraliser of a[members[i]] and their
+        indexes, the whole centraliser unless it is larger than a block, and
+        ab[i] their products with a[members[i]], or None for a whole-ring
+        centraliser.  Whole-ring centralisers are broadcast views of the
+        stack, as many per block as fit, so the stack is never copied per a."""
         d, n = self.dim, self.size
         limit = max(1, _BLOCK // (d * d))
-        for members, rows, codes in self._centralisers(a):
+        for members, rows, codes, ab in self._centralisers(a):
             if rows is None:
                 shape = (len(members), n)
                 rows = np.broadcast_to(self.stack, shape + (d, d))
@@ -428,13 +440,15 @@ class RingScan:
             for i in range(0, len(members), per):
                 for lo in range(0, count, limit):
                     cut = (slice(i, i + per), slice(lo, lo + limit))
-                    yield members[cut[0]], rows[cut], codes[cut]
+                    yield members[cut[0]], rows[cut], codes[cut], None if ab is None else ab[cut]
 
-    def _solve_rows(self, a, members, rows, codes) -> tuple:
-        """bab = b on one row block, each a broadcast over its own rows:
-        the owners (positions in a), indexes and unreduced products ab of
-        the rows that solve it."""
-        ab = self._product(a[members, None], rows)
+    def _solve_rows(self, a, members, rows, codes, ab) -> tuple:
+        """bab = b on one row block, each a broadcast over its own rows, with
+        ab the block's products (formed here, unreduced, when None): the
+        owners (positions in a), indexes and products ab of the rows that
+        solve it."""
+        if ab is None:
+            ab = self._product(a[members, None], rows)
         passing = np.flatnonzero((self._mul(rows, ab) == rows).all(axis=(2, 3)))
         i, j = np.divmod(passing, codes.shape[1])  # np.nonzero is slow on 2-D masks
         return members[i], codes[i, j], ab[i, j]

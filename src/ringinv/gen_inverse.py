@@ -18,6 +18,13 @@ re-verifies its defining equations before it is returned.  In a finite ring
 the Drazin inverse is a power of a whose exponent comes from the ring alone
 (unit_exponent and nilpotency_bound) and is computed once per ring, so no
 power orbit is walked.
+
+The construction, the equation checks and the two criteria run on entry
+tuples, and build elements only for the lift's subject a^2 and for what a
+certificate holds.  The construction computes a^2 once, for the lift, for
+w = a^2 - e and for the defect a^2 - ab.  The strongly Drazin verdict then
+tests only the defect a - ab of the Hirano inverse b: ab = ba and bab = b
+are the equations the construction has checked for the same b.
 """
 
 from __future__ import annotations
@@ -34,9 +41,13 @@ from .rings import (
     Element,
     NilpotencyWitness,
     PreconditionError,
+    RingMismatchError,
+    RingSpec,
     VerificationError,
+    _element,
+    _nilpotency,
+    _unipotent_inverse,
     is_nilpotent,
-    inverse_of_unipotent,
 )
 
 
@@ -71,31 +82,56 @@ class DrazinCertificate:
     index: int
 
 
-def _nilpotent_defect(
-    a: Element, b: Element, defect_of
-) -> tuple[Element, NilpotencyWitness] | None:
-    """(defect, witness) when ab = ba, bab = b and defect_of(ab) is nilpotent."""
-    ab = a * b
-    if ab != b * a or b * ab != b:
-        return None
-    defect = defect_of(ab)
-    witness = is_nilpotent(defect)
-    return None if witness is None else (defect, witness)
+def _commuting_product(a: Element, b: Element) -> tuple | None:
+    """The entries of ab when ab = ba and bab = b, else None."""
+    ring = a.ring
+    if b.ring is not ring and b.ring != ring:
+        raise RingMismatchError(f"mixed rings: {ring} and {b.ring}")
+    product, m = ring._product, ring.modulus
+    x, y = a.entries, b.entries
+    ab = product(x, y, m)
+    return ab if ab == product(y, x, m) and product(y, ab, m) == y else None
+
+
+def _nilpotent_defect(ring: RingSpec, defect: tuple) -> tuple[Element, NilpotencyWitness] | None:
+    """(defect, witness) when the entry tuple defect is nilpotent, else None."""
+    witness = _nilpotency(ring, defect)
+    return None if witness is None else (_element(ring, defect), witness)
+
+
+def _square(a: Element) -> tuple:
+    ring = a.ring
+    return ring._product(a.entries, a.entries, ring.modulus)
 
 
 def check_hirano(a: Element, b: Element) -> HiranoCertificate | None:
     """Certificate when b satisfies the Hirano equations for a, else None."""
-    found = _nilpotent_defect(a, b, lambda ab: a * a - ab)
+    ab = _commuting_product(a, b)
+    if ab is None:
+        return None
+    ring = a.ring
+    found = _nilpotent_defect(ring, ring._sub(_square(a), ab, ring.modulus))
     return None if found is None else HiranoCertificate(a, b, *found)
 
 
 def check_strongly_drazin(a: Element, b: Element) -> SDrazinCertificate | None:
-    found = _nilpotent_defect(a, b, lambda ab: a - ab)
+    ab = _commuting_product(a, b)
+    return None if ab is None else _strongly_drazin_defect(a, b, ab)
+
+
+def _strongly_drazin_defect(a: Element, b: Element, ab: tuple) -> SDrazinCertificate | None:
+    """The certificate when a - ab is nilpotent, for b with ab = ba and bab = b."""
+    ring = a.ring
+    found = _nilpotent_defect(ring, ring._sub(a.entries, ab, ring.modulus))
     return None if found is None else SDrazinCertificate(a, b, *found)
 
 
 def _drazin_axioms(a: Element, b: Element) -> tuple[Element, NilpotencyWitness] | None:
-    return _nilpotent_defect(a, b, lambda ab: a - a * ab)
+    ab = _commuting_product(a, b)
+    if ab is None:
+        return None
+    ring, x, m = a.ring, a.entries, a.ring.modulus
+    return _nilpotent_defect(ring, ring._sub(x, ring._product(x, ab, m), m))
 
 
 def _drazin_with_index(
@@ -118,12 +154,14 @@ def check_drazin(a: Element, b: Element, index: int) -> DrazinCertificate | None
 
 def has_hirano(a: Element) -> bool:
     """Existence criterion: a - a^3 nilpotent."""
-    return is_nilpotent(a - a ** 3) is not None
+    ring, x, m = a.ring, a.entries, a.ring.modulus
+    return _nilpotency(ring, ring._sub(x, ring._product(_square(a), x, m), m)) is not None
 
 
 def has_strongly_drazin(a: Element) -> bool:
     """Existence criterion: a - a^2 nilpotent."""
-    return is_nilpotent(a - a * a) is not None
+    ring = a.ring
+    return _nilpotency(ring, ring._sub(a.entries, _square(a), ring.modulus)) is not None
 
 
 def _hirano_inverse(a: Element) -> HiranoCertificate | None:
@@ -132,19 +170,24 @@ def _hirano_inverse(a: Element) -> HiranoCertificate | None:
     Lift a^2 to an idempotent e, write a^2 = e + w with w nilpotent, and
     take b = a * (1 + w)^-1 * e.  Everything in sight is a polynomial in a.
     The lift's own test is the criterion: its defect a^2 - a^4 = a(a - a^3)
-    is nilpotent exactly when a - a^3 is, as both lie in Z[a].
+    is nilpotent exactly when a - a^3 is, as both lie in Z[a].  The work
+    runs on entry tuples, and a^2 is computed once, for the lift, for w and
+    for the defect a^2 - ab.
     """
+    ring = a.ring
+    product, sub, m = ring._product, ring._sub, ring.modulus
+    x = a.entries
+    square = _square(a)
     try:
-        e = lift_idempotent(a * a).element
+        e = lift_idempotent(_element(ring, square)).element.entries
     except PreconditionError:
         return None
-    w = a * a - e
-    one = a.ring.one()
-    b = a * (inverse_of_unipotent(one + w) * e)
-    cert = check_hirano(a, b)
-    if cert is None:
+    b = _element(ring, product(x, product(_unipotent_inverse(ring, sub(square, e, m)), e, m), m))
+    ab = _commuting_product(a, b)
+    found = None if ab is None else _nilpotent_defect(ring, sub(square, ab, m))
+    if found is None:
         raise VerificationError("constructed Hirano inverse failed its equations")
-    return cert
+    return HiranoCertificate(a, b, *found)
 
 
 def hirano(a: Element) -> HiranoCertificate:
@@ -160,9 +203,13 @@ def _hirano_and_strongly_drazin(
 ) -> tuple[HiranoCertificate | None, SDrazinCertificate | None]:
     """The Hirano and strongly Drazin inverses of a, None for each it lacks.
     A strongly Drazin inverse is the Hirano inverse (see strongly_drazin),
-    so one lift and a check of its equations decide both."""
+    so one lift decides both.  ab = ba and bab = b are the equations the
+    Hirano inverse b has passed, so only the defect a - ab is tested."""
     hir = _hirano_inverse(a)
-    return hir, None if hir is None else check_strongly_drazin(a, hir.b)
+    if hir is None:
+        return None, None
+    ring, b = a.ring, hir.b
+    return hir, _strongly_drazin_defect(a, b, ring._product(a.entries, b.entries, ring.modulus))
 
 
 def strongly_drazin(a: Element) -> SDrazinCertificate:

@@ -10,7 +10,9 @@ for commutation: anything commuting with x commutes with e.
 
 The iteration and the certificate's evaluation are chains of products on
 one ring: they run the ring's kernels on entry tuples and build one element
-each, for their result.  The integer polynomials stay exact.
+each, for their result.  lift_idempotent works on x's entries throughout,
+and tests its two nilpotent defects there.  The integer polynomials stay
+exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .rings import Element, PreconditionError, VerificationError, _element, is_nilpotent
+from .rings import Element, PreconditionError, VerificationError, _element, _nilpotency
 
 Poly = tuple[int, ...]  # integer coefficients, constant term first
 
@@ -127,19 +129,19 @@ def lift_idempotent(x: Element) -> LiftedIdempotent:
 
     Convergence takes at most ceil(log2 m) steps for defect index m; the cap
     below adds slack, and hitting it means the precondition check was fooled,
-    which is reported as a defect rather than looping forever.
+    which is reported as a defect rather than looping forever.  x^2 serves
+    both the defect x - x^2 and the loop's first test.
     """
-    defect = x - x * x
-    witness = is_nilpotent(defect)
+    ring = x.ring
+    product, sub, m = ring._product, ring._sub, ring.modulus
+    t = x.entries
+    square = product(t, t, m)
+    witness = _nilpotency(ring, sub(t, square, m))
     if witness is None:
         raise PreconditionError("cannot lift: x - x^2 is not nilpotent")
     cap = (witness.index - 1).bit_length() + 2
-    ring = x.ring
-    product, m = ring._product, ring.modulus
-    t = x.entries
     poly: Poly = (0, 1)
     steps = 0
-    square = product(t, t, m)
     while square != t:
         if steps >= cap:
             raise VerificationError("idempotent refinement did not converge within its cap")
@@ -149,8 +151,7 @@ def lift_idempotent(x: Element) -> LiftedIdempotent:
         poly = poly_sub(poly_scale(psquare, 3), poly_scale(poly_mul(psquare, poly), 2))
         steps += 1
         square = product(t, t, m)
-    t = _element(ring, t)
     cert = PolynomialCertificate(poly, x)
-    if cert.evaluate() != t or is_nilpotent(x - t) is None:
+    if cert.evaluate().entries != t or _nilpotency(ring, sub(x.entries, t, m)) is None:
         raise VerificationError("idempotent lift failed its own certificate checks")
-    return LiftedIdempotent(t, cert)
+    return LiftedIdempotent(_element(ring, t), cert)

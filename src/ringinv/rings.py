@@ -28,7 +28,11 @@ be any size.
 
 A chain of products on one ring (a power, a nilpotency test, the series
 that inverts a unipotent) runs the kernels on entry tuples and builds one
-element, for its result, instead of one element per link.
+element, for its result, instead of one element per link.  The nilpotency
+test and the unipotent series are cores on entry tuples, _nilpotency and
+_unipotent_inverse: is_nilpotent and inverse_of_unipotent wrap them, and
+lifting and gen_inverse call them on entries they computed, so testing a
+defect builds no element.
 """
 
 from __future__ import annotations
@@ -198,7 +202,7 @@ class RingSpec:
 
     def index_of(self, x: "Element") -> int:
         """Position of ``x`` in the ``elements()`` order; inverts ``element_at``."""
-        if x.ring != self:
+        if x.ring is not self and x.ring != self:
             raise RingMismatchError(f"mixed rings: {x.ring} and {self}")
         if not self.is_finite:
             raise InfiniteRingError(f"cannot index elements of {self}")
@@ -410,11 +414,14 @@ def _element(ring: RingSpec, entries: tuple) -> Element:
 
 
 def is_idempotent(x: Element) -> bool:
-    return x * x == x
+    ring, e = x.ring, x.entries
+    return ring._product(e, e, ring.modulus) == e
 
 
 def is_tripotent(x: Element) -> bool:
-    return x * x * x == x
+    ring, e = x.ring, x.entries
+    product, m = ring._product, ring.modulus
+    return product(product(e, e, m), e, m) == e
 
 
 @dataclass(frozen=True)
@@ -587,42 +594,56 @@ def unit_exponent(ring: RingSpec) -> int:
     return out
 
 
-def is_nilpotent(x: Element) -> NilpotencyWitness | None:
-    """Return a witness holding the minimal vanishing exponent, or None."""
-    ring = x.ring
-    zero = ring.zero().entries
+def _nilpotency(ring: RingSpec, x: tuple) -> NilpotencyWitness | None:
+    """The nilpotency test on the entry tuple x of an element of ring: a
+    witness holding the minimal vanishing exponent, or None.  Powers up to
+    the ring's nilpotency bound are taken on entry tuples."""
+    zero = ring._zero.entries
     bound = ring._nilpotency_bound
-    product, m, base = ring._product, ring.modulus, x.entries
-    power = base
+    product, m = ring._product, ring.modulus
+    power = x
     for index in range(1, bound + 1):
         if power == zero:
             return NilpotencyWitness(index)
         if index < bound:
-            power = product(power, base, m)
+            power = product(power, x, m)
     return None
+
+
+def is_nilpotent(x: Element) -> NilpotencyWitness | None:
+    """Return a witness holding the minimal vanishing exponent, or None."""
+    return _nilpotency(x.ring, x.entries)
+
+
+def _unipotent_inverse(ring: RingSpec, w: tuple) -> tuple:
+    """The entries of (1 + w)^-1, for the entry tuple w of an element of ring,
+    by the series of inverse_of_unipotent; 1 + w is multiplied by the result
+    on both sides to check it."""
+    product, add, sub, m = ring._product, ring._add, ring._sub, ring.modulus
+    one = ring._one.entries
+    u = add(one, w, m)
+    witness = _nilpotency(ring, w)
+    if witness is None:
+        raise PreconditionError(f"{_element(ring, u)} is not unipotent: u - 1 is not nilpotent")
+    acc = power = one
+    for j in range(1, witness.index):
+        power = product(power, w, m)
+        acc = sub(acc, power, m) if j % 2 else add(acc, power, m)
+    if product(u, acc, m) != one or product(acc, u, m) != one:
+        raise VerificationError("unipotent inversion failed; the nilpotency witness is invalid")
+    return acc
 
 
 def inverse_of_unipotent(u: Element) -> Element:
     """Invert u = 1 + w with w nilpotent via the finite alternating series.
 
     With w^m = 0 the inverse is 1 - w + w^2 - ... +- w^(m-1).  The product
-    is re-checked; a failure means the nilpotency witness was wrong.
+    is re-checked on both sides; a failure means the nilpotency witness was
+    wrong.
     """
     ring = u.ring
-    one = ring.one()
-    w = u - one
-    witness = is_nilpotent(w)
-    if witness is None:
-        raise PreconditionError(f"{u} is not unipotent: u - 1 is not nilpotent")
-    product, add, sub, m = ring._product, ring._add, ring._sub, ring.modulus
-    acc = power = one.entries
-    for j in range(1, witness.index):
-        power = product(power, w.entries, m)
-        acc = sub(acc, power, m) if j % 2 else add(acc, power, m)
-    acc = _element(ring, acc)
-    if u * acc != one or acc * u != one:
-        raise VerificationError("unipotent inversion failed; the nilpotency witness is invalid")
-    return acc
+    w = ring._sub(u.entries, ring._one.entries, ring.modulus)
+    return _element(ring, _unipotent_inverse(ring, w))
 
 
 def _int_matmul(a: list, b: list, k: int) -> list:

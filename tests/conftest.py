@@ -81,9 +81,11 @@ def hirano_fails_at_two(monkeypatch):
 
 
 def counting_nilpotency_tests(monkeypatch) -> list[int]:
-    """Patch is_nilpotent in every module that imports it; the one-item list
-    counts the calls."""
-    return counting_calls(monkeypatch, [rings, lifting, gen_inverse, census], "is_nilpotent")
+    """Patch the nilpotency test on entry tuples, rings._nilpotency, in every
+    module that imports it; the one-item list counts the calls.  is_nilpotent
+    is a wrapper over it, so each of its calls, from any module, counts once
+    as well."""
+    return counting_calls(monkeypatch, [rings, lifting, gen_inverse], "_nilpotency")
 
 
 def counting_calls(monkeypatch, modules, name) -> list[int]:

@@ -21,6 +21,12 @@ element_power, element_is_nilpotent, element_inverse_of_unipotent,
 horner_evaluate and newton_lift are the chains of Element products that
 the entry-tuple chains of rings and lifting replaced, with naive_poly_add
 and naive_poly_mul the coefficient loops behind the old lift's certificate.
+element_check_hirano, element_check_strongly_drazin, element_drazin_axioms,
+element_has_hirano, element_has_strongly_drazin, element_hirano_inverse and
+element_hirano_and_strongly_drazin are the Hirano construction, its
+equation checks and the two existence criteria on Elements, as gen_inverse
+ran them before they moved to entry tuples, built on the Element chains
+above.
 """
 
 from __future__ import annotations
@@ -30,7 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ringinv._scan import RingScan
-from ringinv.gen_inverse import _drazin_axioms, check_hirano, check_strongly_drazin
+from ringinv.gen_inverse import (
+    HiranoCertificate,
+    SDrazinCertificate,
+    _drazin_axioms,
+    check_hirano,
+    check_strongly_drazin,
+)
 from ringinv.lifting import LiftedIdempotent, Poly, PolynomialCertificate, _trim, poly_scale
 from ringinv.rings import (
     Element,
@@ -346,3 +358,56 @@ def newton_lift(x: Element) -> LiftedIdempotent:
     if horner_evaluate(cert) != t or element_is_nilpotent(x - t) is None:
         raise VerificationError("idempotent lift failed its own certificate checks")
     return LiftedIdempotent(t, cert)
+
+
+def element_nilpotent_defect(a: Element, b: Element, defect_of):
+    """(defect, witness) when ab = ba, bab = b and defect_of(ab) is nilpotent."""
+    ab = a * b
+    if ab != b * a or b * ab != b:
+        return None
+    defect = defect_of(ab)
+    witness = element_is_nilpotent(defect)
+    return None if witness is None else (defect, witness)
+
+
+def element_check_hirano(a: Element, b: Element) -> HiranoCertificate | None:
+    found = element_nilpotent_defect(a, b, lambda ab: a * a - ab)
+    return None if found is None else HiranoCertificate(a, b, *found)
+
+
+def element_check_strongly_drazin(a: Element, b: Element) -> SDrazinCertificate | None:
+    found = element_nilpotent_defect(a, b, lambda ab: a - ab)
+    return None if found is None else SDrazinCertificate(a, b, *found)
+
+
+def element_drazin_axioms(a: Element, b: Element):
+    return element_nilpotent_defect(a, b, lambda ab: a - a * ab)
+
+
+def element_has_hirano(a: Element) -> bool:
+    return element_is_nilpotent(a - element_power(a, 3)) is not None
+
+
+def element_has_strongly_drazin(a: Element) -> bool:
+    return element_is_nilpotent(a - a * a) is not None
+
+
+def element_hirano_inverse(a: Element) -> HiranoCertificate | None:
+    """_hirano_inverse on Elements: lift a^2 to e, then b = a (1 + w)^-1 e
+    with w = a^2 - e, checked by element_check_hirano."""
+    try:
+        e = newton_lift(a * a).element
+    except PreconditionError:
+        return None
+    w = a * a - e
+    one = a.ring.one()
+    b = a * (element_inverse_of_unipotent(one + w) * e)
+    cert = element_check_hirano(a, b)
+    if cert is None:
+        raise VerificationError("constructed Hirano inverse failed its equations")
+    return cert
+
+
+def element_hirano_and_strongly_drazin(a: Element):
+    hir = element_hirano_inverse(a)
+    return hir, None if hir is None else element_check_strongly_drazin(a, hir.b)

@@ -2,9 +2,12 @@
 chains they replaced (tests/oracles.py): powers, nilpotency tests, the
 unipotent series, certificate evaluation and the Newton lift give the same
 elements, witnesses, certificates and raised errors, over Z, Z/n, Mk(Z/n)
-and Mk(Z), with k = 9 above the compiled kernels' cap."""
+and Mk(Z), with k = 9 above the compiled kernels' cap.  So do the Hirano
+construction, the equation checks and the two existence criteria."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +18,28 @@ from ringinv import (
     RingError,
     Z,
     inverse_of_unipotent,
+    check_hirano,
+    check_strongly_drazin,
+    has_hirano,
+    has_strongly_drazin,
     is_nilpotent,
     lift_idempotent,
     matrix,
     modular,
     rings,
 )
+from ringinv.gen_inverse import _drazin_axioms, _hirano_and_strongly_drazin
 from ringinv.lifting import poly_add, poly_mul
+from ringinv.rings import factorize
 
-from conftest import counting_products
+from conftest import SMALL_RINGS, counting_products
 from oracles import (
+    element_check_hirano,
+    element_check_strongly_drazin,
+    element_drazin_axioms,
+    element_has_hirano,
+    element_has_strongly_drazin,
+    element_hirano_and_strongly_drazin,
     element_inverse_of_unipotent,
     element_is_nilpotent,
     element_power,
@@ -48,20 +63,30 @@ chain_rings = st.one_of(
 )
 
 
+# the diagonal entries of each triangular shape of chain_elements
+DIAGONALS = {"nilpotent": [0], "liftable": [0, 1], "hirano": [-1, 0, 1]}
+
+
 @st.composite
-def chain_elements(draw, rings=chain_rings):
+def chain_elements(draw, rings=chain_rings, shapes=("any", "nilpotent", "liftable")):
     """An element drawn as any matrix, a strictly upper triangular one
-    (nilpotent) or an upper triangular one with a 0/1 diagonal (x - x^2 is
-    nilpotent), conjugated by an elementary matrix."""
+    (nilpotent), an upper triangular one with a 0/1 diagonal (x - x^2 is
+    nilpotent) or one with a -1/0/1 diagonal (x - x^3 is nilpotent, so it
+    is Hirano invertible), conjugated by an elementary matrix.  A
+    triangular scalar of Z/n is its diagonal entry plus a multiple of the
+    radical of n, which is nilpotent."""
     ring = draw(rings)
     k = max(1, ring.dim)
     entry = st.integers(0, ring.modulus - 1) if ring.is_finite else st.integers(-3, 3)
-    shape = draw(st.sampled_from(["any", "nilpotent", "liftable"]))
+    shape = draw(st.sampled_from(shapes))
     rows = [[draw(entry) for _ in range(k)] for _ in range(k)]
     if shape != "any":
         for i in range(k):
             rows[i][:i] = [0] * i
-            rows[i][i] = 0 if shape == "nilpotent" else draw(st.integers(0, 1))
+            rows[i][i] = draw(st.sampled_from(DIAGONALS[shape]))
+        if ring.is_finite and not ring.is_matrix:
+            radical = math.prod(p for p, _ in factorize(ring.modulus).pairs)
+            rows[0][0] += radical * draw(entry)
     if not ring.is_matrix:
         return ring.element(rows[0][0])
     x = ring.element(rows)
@@ -151,3 +176,38 @@ class TestAgainstElementChains:
         p, q = tuple(p), tuple(q)
         assert poly_add(p, q) == naive_poly_add(p, q)
         assert poly_mul(p, q) == naive_poly_mul(p, q)
+
+
+# every small ring, and rings where the lift takes several Newton steps
+# (Z/2^15, Z/2187, M2(Z/9)) or runs over Z
+HIRANO_RINGS = SMALL_RINGS + [
+    Z, matrix(Z, 2), matrix(Z, 3), modular(2**15), modular(2187), matrix(modular(9), 2)
+]
+
+
+@pytest.mark.parametrize("ring", HIRANO_RINGS, ids=str)
+class TestHiranoAgainstElementOracle:
+    """Elements drawn as any matrix or Hirano invertible by construction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_construction_and_criteria(self, ring, data):
+        a = data.draw(chain_elements(st.just(ring), shapes=("any", "hirano")))
+        found = outcome(_hirano_and_strongly_drazin, a)
+        assert found == outcome(element_hirano_and_strongly_drazin, a)
+        hir, sd = found
+        for x in (a, a * a):
+            assert outcome(lift_idempotent, x) == outcome(newton_lift, x)
+        assert has_hirano(a) == element_has_hirano(a) == (hir is not None)
+        assert has_strongly_drazin(a) == element_has_strongly_drazin(a) == (sd is not None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equation_checks(self, ring, data):
+        """Each check on a drawn b, and on a's Hirano inverse when it has one."""
+        a, b = (data.draw(chain_elements(st.just(ring), shapes=("any", "hirano"))) for _ in "ab")
+        hir = _hirano_and_strongly_drazin(a)[0]
+        for b in (b,) if hir is None else (b, hir.b):
+            assert check_hirano(a, b) == element_check_hirano(a, b)
+            assert check_strongly_drazin(a, b) == element_check_strongly_drazin(a, b)
+            assert _drazin_axioms(a, b) == element_drazin_axioms(a, b)

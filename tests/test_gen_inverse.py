@@ -627,10 +627,10 @@ class TestClassify:
         """Over Z the Drazin axioms (and their nilpotent defect) are tested
         once, and the index is read off the defect's witness."""
         a = matrix(Z, 2).element([[1, 0], [0, 0]])
-        calls = counting_calls(monkeypatch, [gen_inverse], "is_nilpotent")
+        calls = counting_calls(monkeypatch, [gen_inverse], "_nilpotency")
         report = classify(a)
         assert report.drazin.b == a and report.drazin.index == 1
-        # check_hirano, check_strongly_drazin, and the Drazin defect once
+        # the Hirano defect, the strongly Drazin defect and the Drazin defect once
         assert calls[0] == 3
 
     def test_integer_drazin_index_matches_the_search(self):

@@ -74,7 +74,7 @@ def generated(scan: RingScan, indexes) -> dict[int, list[int] | None]:
     None for a whole-ring centraliser, which is not enumerated."""
     indexes = list(indexes)
     found = {}
-    for members, _, codes in scan._centralisers(scan.stack[indexes]):
+    for members, _, codes, _ in scan._centralisers(scan.stack[indexes]):
         for i, member in enumerate(members.tolist()):
             found[indexes[member]] = None if codes is None else codes[i].tolist()
     return found
@@ -152,9 +152,9 @@ def counting_rows(monkeypatch) -> list[int]:
     solve_rows = RingScan._solve_rows
     blocks: list[int] = []
 
-    def counting(self, a, members, rows, codes):
+    def counting(self, a, members, rows, codes, ab):
         blocks.append(codes.size)
-        return solve_rows(self, a, members, rows, codes)
+        return solve_rows(self, a, members, rows, codes, ab)
 
     monkeypatch.setattr(RingScan, "_solve_rows", counting)
     return blocks
@@ -416,9 +416,9 @@ class TestScanCost:
 
         def counting_centralisers(self, a):
             nonlocal touched
-            for members, rows, codes in centralisers(self, a):
+            for members, rows, codes, ab in centralisers(self, a):
                 touched += len(members) * (self.size if rows is None else rows.shape[1])
-                yield members, rows, codes
+                yield members, rows, codes, ab
 
         monkeypatch.setattr(RingScan, "_centralisers", counting_centralisers)
         scan.split_mask
@@ -491,10 +491,15 @@ class TestReduce:
 
 
 class TestStackAndMemory:
-    @pytest.mark.parametrize("ring", [matrix(modular(8), 2), matrix(modular(12), 2)], ids=str)
+    @pytest.mark.parametrize(
+        "ring",
+        [matrix(modular(8), 2), matrix(modular(12), 2), modular(243), modular(360)],
+        ids=str,
+    )
     def test_scans_leave_the_stack_intact(self, ring):
         """Every reduction of the stack, such as the component codes of a
-        composite modulus, reduces a copy."""
+        composite modulus, reduces a copy; over Z/n the codes are views of
+        the entries, and no scan writes into them."""
         scan = RingScan(ring)
         before = scan.stack.copy()
         indexes = sample(ring)
