@@ -116,10 +116,10 @@ def check_hirano(a: Element, b: Element) -> HiranoCertificate | None:
 
 def check_strongly_drazin(a: Element, b: Element) -> SDrazinCertificate | None:
     ab = _commuting_product(a, b)
-    return None if ab is None else _strongly_drazin_defect(a, b, ab)
+    return None if ab is None else _strongly_drazin_certificate(a, b, ab)
 
 
-def _strongly_drazin_defect(a: Element, b: Element, ab: tuple) -> SDrazinCertificate | None:
+def _strongly_drazin_certificate(a: Element, b: Element, ab: tuple) -> SDrazinCertificate | None:
     """The certificate when a - ab is nilpotent, for b with ab = ba and bab = b."""
     ring = a.ring
     found = _nilpotent_defect(ring, ring._sub(a.entries, ab, ring.modulus))
@@ -209,7 +209,8 @@ def _hirano_and_strongly_drazin(
     if hir is None:
         return None, None
     ring, b = a.ring, hir.b
-    return hir, _strongly_drazin_defect(a, b, ring._product(a.entries, b.entries, ring.modulus))
+    ab = ring._product(a.entries, b.entries, ring.modulus)
+    return hir, _strongly_drazin_certificate(a, b, ab)
 
 
 def strongly_drazin(a: Element) -> SDrazinCertificate:
