@@ -22,16 +22,19 @@ power orbit is walked.
 The construction, the equation checks and the two criteria run on entry
 tuples, and build elements only for the lift's subject a^2 and for what a
 certificate holds.  The construction computes a^2 once, for the lift, for
-w = a^2 - e and for the defect a^2 - ab.  The strongly Drazin verdict then
+w = a^2 - e and for the defect a^2 - ab, and tests w for nilpotency once:
+the lift's witness for a^2 - e is w's.  The strongly Drazin verdict then
 tests only the defect a - ab of the Hirano inverse b: ab = ba and bab = b
 are the equations the construction has checked for the same b.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .lifting import (
+    Poly,
     PolynomialCertificate,
     lift_idempotent,
     poly_compose,
@@ -172,17 +175,20 @@ def _hirano_inverse(a: Element) -> HiranoCertificate | None:
     The lift's own test is the criterion: its defect a^2 - a^4 = a(a - a^3)
     is nilpotent exactly when a - a^3 is, as both lie in Z[a].  The work
     runs on entry tuples, and a^2 is computed once, for the lift, for w and
-    for the defect a^2 - ab.
+    for the defect a^2 - ab.  The lift's witness for a^2 - e serves the
+    series that inverts 1 + w.
     """
     ring = a.ring
     product, sub, m = ring._product, ring._sub, ring.modulus
     x = a.entries
     square = _square(a)
     try:
-        e = lift_idempotent(_element(ring, square)).element.entries
+        lifted = lift_idempotent(_element(ring, square))
     except PreconditionError:
         return None
-    b = _element(ring, product(x, product(_unipotent_inverse(ring, sub(square, e, m)), e, m), m))
+    e = lifted.element.entries
+    inverse = _unipotent_inverse(ring, sub(square, e, m), lifted.witness)
+    b = _element(ring, product(x, product(inverse, e, m), m))
     ab = _commuting_product(a, b)
     found = None if ab is None else _nilpotent_defect(ring, sub(square, ab, m))
     if found is None:
@@ -338,6 +344,18 @@ def _half_exact(x: Element) -> Element | None:
     return Element(x.ring, tuple(v // 2 for v in x.entries))
 
 
+@functools.lru_cache(maxsize=32)
+def _split_certificates(plus: Poly, minus: Poly, u: int, c: int) -> tuple[Poly, Poly, Poly]:
+    """The coefficients of e, f and p = e - f as polynomials in a, from the
+    certificates plus and minus of the lifts of g = c a^2 + (u + c) a and
+    h = c a^2 - c a.  A lift's certificate depends only on its step count,
+    so these depend only on the two step counts and the modulus, and are
+    composed once for each and kept in a small memo."""
+    e = poly_compose(plus, (0, u + c, c))
+    f = poly_compose(minus, (0, -c, c))
+    return e, f, poly_sub(e, f)
+
+
 def _validate_decomposition(d: TripotentDecomposition) -> None:
     a, p, w = d.subject, d.tripotent, d.nilpotent_part
     ok = p ** 3 == p and a == p + w and p * w == w * p
@@ -412,13 +430,12 @@ def tripotent_decomposition(a: Element) -> TripotentDecomposition:
     witness = is_nilpotent(w)
     if witness is None:
         raise VerificationError("tripotent decomposition produced a non-nilpotent remainder")
-    cert_e = PolynomialCertificate(
-        poly_compose(lifted_g.certificate.coefficients, (0, u + c, c)), a
+    plus, minus, difference = _split_certificates(
+        lifted_g.certificate.coefficients, lifted_h.certificate.coefficients, u, c
     )
-    cert_f = PolynomialCertificate(
-        poly_compose(lifted_h.certificate.coefficients, (0, -c, c)), a
-    )
-    cert_p = PolynomialCertificate(poly_sub(cert_e.coefficients, cert_f.coefficients), a)
+    cert_e = PolynomialCertificate(plus, a)
+    cert_f = PolynomialCertificate(minus, a)
+    cert_p = PolynomialCertificate(difference, a)
     decomp = TripotentDecomposition(
         subject=a,
         tripotent=p,

@@ -13,14 +13,27 @@ one ring: they run the ring's kernels on entry tuples and build one element
 each, for their result.  lift_idempotent works on x's entries throughout,
 and tests its two nilpotent defects there.  The integer polynomials stay
 exact.
+
+The certificate starts at t and applies 3t^2 - 2t^3 once per step, so it
+is that map iterated ``steps`` times and depends on the step count alone:
+_newton_certificate builds it once per step count and keeps it in a small
+memo.  Each lift still evaluates it at its own x and checks the value.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
-from .rings import Element, PreconditionError, VerificationError, _element, _nilpotency
+from .rings import (
+    Element,
+    NilpotencyWitness,
+    PreconditionError,
+    VerificationError,
+    _element,
+    _nilpotency,
+)
 
 Poly = tuple[int, ...]  # integer coefficients, constant term first
 
@@ -120,8 +133,24 @@ class PolynomialCertificate:
 
 @dataclass(frozen=True)
 class LiftedIdempotent:
+    """e idempotent, the certificate placing e in Z[x], and the witness
+    that x - e is nilpotent."""
+
     element: Element
     certificate: PolynomialCertificate
+    witness: NilpotencyWitness
+
+
+@functools.lru_cache(maxsize=16)
+def _newton_certificate(steps: int) -> Poly:
+    """t <- 3t^2 - 2t^3 applied ``steps`` times to t, over Z: the certificate
+    of every lift that takes that many steps.  Its degree is 3^steps, so a
+    step count that fits a lift's time is small (3.8 MB at 8 steps)."""
+    if steps == 0:
+        return (0, 1)
+    poly = _newton_certificate(steps - 1)
+    square = poly_mul(poly, poly)
+    return poly_sub(poly_scale(square, 3), poly_scale(poly_mul(square, poly), 2))
 
 
 def lift_idempotent(x: Element) -> LiftedIdempotent:
@@ -130,7 +159,9 @@ def lift_idempotent(x: Element) -> LiftedIdempotent:
     Convergence takes at most ceil(log2 m) steps for defect index m; the cap
     below adds slack, and hitting it means the precondition check was fooled,
     which is reported as a defect rather than looping forever.  x^2 serves
-    both the defect x - x^2 and the loop's first test.
+    both the defect x - x^2 and the loop's first test.  The certificate is
+    _newton_certificate(steps); its value at x must be e, and the witness of
+    x - e is returned with the lift.
     """
     ring = x.ring
     product, sub, m = ring._product, ring._sub, ring.modulus
@@ -140,18 +171,16 @@ def lift_idempotent(x: Element) -> LiftedIdempotent:
     if witness is None:
         raise PreconditionError("cannot lift: x - x^2 is not nilpotent")
     cap = (witness.index - 1).bit_length() + 2
-    poly: Poly = (0, 1)
     steps = 0
     while square != t:
         if steps >= cap:
             raise VerificationError("idempotent refinement did not converge within its cap")
         step = [3 * s - 2 * c for s, c in zip(square, product(square, t, m))]
         t = tuple(step) if m is None else tuple([v % m for v in step])
-        psquare = poly_mul(poly, poly)
-        poly = poly_sub(poly_scale(psquare, 3), poly_scale(poly_mul(psquare, poly), 2))
         steps += 1
         square = product(t, t, m)
-    cert = PolynomialCertificate(poly, x)
-    if cert.evaluate().entries != t or _nilpotency(ring, sub(x.entries, t, m)) is None:
+    cert = PolynomialCertificate(_newton_certificate(steps), x)
+    lift_witness = _nilpotency(ring, sub(x.entries, t, m))
+    if cert.evaluate().entries != t or lift_witness is None:
         raise VerificationError("idempotent lift failed its own certificate checks")
-    return LiftedIdempotent(_element(ring, t), cert)
+    return LiftedIdempotent(_element(ring, t), cert, lift_witness)

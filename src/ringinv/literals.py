@@ -13,6 +13,7 @@ sys.get_int_max_str_digits() of them.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 from .rings import Element, RingSpec, Z, matrix, modular
@@ -110,6 +111,20 @@ def _parse_scalar_ring(cur: _Cursor) -> RingSpec:
 
 
 def parse_ring(text: str) -> RingSpec:
+    """The ring a literal names, memoised on the text.
+
+    Requests that name the same literal share one RingSpec, so its kernels
+    and per-ring constants are built once per process; the memo holds at
+    most 64 literals, the least recently used leaving first.  The memo is
+    also keyed on sys.get_int_max_str_digits(), which decides whether a
+    long number is refused.  A refused literal is not memoised: it raises
+    its positioned ParseError on every call.
+    """
+    return _parse_ring(text, sys.get_int_max_str_digits())
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_ring(text: str, digit_limit: int) -> RingSpec:
     cur = _Cursor(_normalize(text))
     cur.skip_ws()
     if cur.peek() == "M":

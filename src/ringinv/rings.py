@@ -32,7 +32,8 @@ element, for its result, instead of one element per link.  The nilpotency
 test and the unipotent series are cores on entry tuples, _nilpotency and
 _unipotent_inverse: is_nilpotent and inverse_of_unipotent wrap them, and
 lifting and gen_inverse call them on entries they computed, so testing a
-defect builds no element.
+defect builds no element.  The series takes w's nilpotency witness from its
+caller, so a w already tested is not tested again.
 """
 
 from __future__ import annotations
@@ -133,7 +134,9 @@ class RingSpec:
         return self._one
 
     # Per-ring constants, built on first use and stored on the instance, so
-    # they live exactly as long as the ring does.
+    # they live exactly as long as the ring does.  A ring from parse_ring
+    # also lives in that function's memo, so its constants outlast the
+    # request that parsed it and serve every later request for its literal.
     @functools.cached_property
     def _zero(self) -> "Element":
         return _element(self, (0,) * max(1, self.dim) ** 2)
@@ -615,16 +618,14 @@ def is_nilpotent(x: Element) -> NilpotencyWitness | None:
     return _nilpotency(x.ring, x.entries)
 
 
-def _unipotent_inverse(ring: RingSpec, w: tuple) -> tuple:
-    """The entries of (1 + w)^-1, for the entry tuple w of an element of ring,
-    by the series of inverse_of_unipotent; 1 + w is multiplied by the result
-    on both sides to check it."""
+def _unipotent_inverse(ring: RingSpec, w: tuple, witness: NilpotencyWitness) -> tuple:
+    """The entries of (1 + w)^-1, for the entry tuple w of an element of ring
+    and the witness that w is nilpotent, by the series of
+    inverse_of_unipotent; 1 + w is multiplied by the result on both sides to
+    check it, which also checks the witness."""
     product, add, sub, m = ring._product, ring._add, ring._sub, ring.modulus
     one = ring._one.entries
     u = add(one, w, m)
-    witness = _nilpotency(ring, w)
-    if witness is None:
-        raise PreconditionError(f"{_element(ring, u)} is not unipotent: u - 1 is not nilpotent")
     acc = power = one
     for j in range(1, witness.index):
         power = product(power, w, m)
@@ -643,7 +644,10 @@ def inverse_of_unipotent(u: Element) -> Element:
     """
     ring = u.ring
     w = ring._sub(u.entries, ring._one.entries, ring.modulus)
-    return _element(ring, _unipotent_inverse(ring, w))
+    witness = _nilpotency(ring, w)
+    if witness is None:
+        raise PreconditionError(f"{u} is not unipotent: u - 1 is not nilpotent")
+    return _element(ring, _unipotent_inverse(ring, w, witness))
 
 
 def _int_matmul(a: list, b: list, k: int) -> list:

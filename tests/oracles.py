@@ -335,7 +335,8 @@ def naive_poly_mul(p: Poly, q: Poly) -> Poly:
 
 def newton_lift(x: Element) -> LiftedIdempotent:
     """lift_idempotent by t <- 3t^2 - 2t^3 on Elements, with its certificate
-    from naive_poly_add and naive_poly_mul, and the same checks."""
+    from naive_poly_add and naive_poly_mul built step by step, and the same
+    checks; the witness of x - e is returned with the lift."""
     defect = x - x * x
     witness = element_is_nilpotent(defect)
     if witness is None:
@@ -355,9 +356,10 @@ def newton_lift(x: Element) -> LiftedIdempotent:
         steps += 1
         square = t * t
     cert = PolynomialCertificate(poly, x)
-    if horner_evaluate(cert) != t or element_is_nilpotent(x - t) is None:
+    lift_witness = element_is_nilpotent(x - t)
+    if horner_evaluate(cert) != t or lift_witness is None:
         raise VerificationError("idempotent lift failed its own certificate checks")
-    return LiftedIdempotent(t, cert)
+    return LiftedIdempotent(t, cert, lift_witness)
 
 
 def element_nilpotent_defect(a: Element, b: Element, defect_of):

@@ -3,11 +3,14 @@ chains they replaced (tests/oracles.py): powers, nilpotency tests, the
 unipotent series, certificate evaluation and the Newton lift give the same
 elements, witnesses, certificates and raised errors, over Z, Z/n, Mk(Z/n)
 and Mk(Z), with k = 9 above the compiled kernels' cap.  So do the Hirano
-construction, the equation checks and the two existence criteria."""
+construction, the equation checks and the two existence criteria.  The
+memoised Newton certificate matches the one built step by step, and lifts
+and decompositions read the same from a cold memo and a warm one."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +30,10 @@ from ringinv import (
     matrix,
     modular,
     rings,
+    tripotent_decomposition,
 )
-from ringinv.gen_inverse import _drazin_axioms, _hirano_and_strongly_drazin
-from ringinv.lifting import poly_add, poly_mul
+from ringinv.gen_inverse import _drazin_axioms, _hirano_and_strongly_drazin, _split_certificates
+from ringinv.lifting import _newton_certificate, poly_add, poly_mul, poly_scale
 from ringinv.rings import factorize
 
 from conftest import SMALL_RINGS, counting_products
@@ -176,6 +180,50 @@ class TestAgainstElementChains:
         p, q = tuple(p), tuple(q)
         assert poly_add(p, q) == naive_poly_add(p, q)
         assert poly_mul(p, q) == naive_poly_mul(p, q)
+
+
+class TestNewtonMemo:
+    """_newton_certificate(s) is t <- 3t^2 - 2t^3 applied s times to t,
+    memoised; the decomposition's compositions are memoised beside it."""
+
+    def test_memo_matches_the_stepwise_oracle(self):
+        _newton_certificate.cache_clear()
+        stepwise = [(0, 1)]
+        for _ in range(6):
+            poly = stepwise[-1]
+            square = naive_poly_mul(poly, poly)
+            cube = naive_poly_mul(square, poly)
+            stepwise.append(naive_poly_add(poly_scale(square, 3), poly_scale(cube, -2)))
+        # s = 6 cold fills the memo for 0..5; each is then read warm
+        assert _newton_certificate(6) == stepwise[6]
+        for steps, poly in enumerate(stepwise):
+            assert _newton_certificate(steps) == poly
+            assert len(poly) == 3 ** steps + 1
+        assert _newton_certificate.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize(
+        "ring", [modular(2187), matrix(modular(9), 2), modular(2**15)], ids=str
+    )
+    def test_cold_and_warm_memos_agree(self, ring):
+        """Seeded elements and their squares lift, and the elements
+        decompose, to dataclass-equal results with both memos cleared first
+        and again with both warm; the lifts also match newton_lift."""
+        def results(a, lift=lift_idempotent):
+            return [outcome(lift, a), outcome(lift, a * a), outcome(tripotent_decomposition, a)]
+
+        draw = random.Random(35)
+        steps = set()
+        for _ in range(12):
+            a = ring.element_at(draw.randrange(ring.size()))
+            _newton_certificate.cache_clear()
+            _split_certificates.cache_clear()
+            cold = results(a)
+            assert cold == results(a), a
+            assert cold[:2] == results(a, newton_lift)[:2], a
+            steps.update(len(lifted.certificate.coefficients) for lifted in cold[:2]
+                         if not isinstance(lifted, tuple))
+        # the draw reaches lifts of more than one step count
+        assert len(steps) > 1
 
 
 # every small ring, and rings where the lift takes several Newton steps

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -13,6 +15,7 @@ from ringinv import (
     parse_element,
     parse_ring,
 )
+from ringinv.literals import _parse_ring
 
 from conftest import ring_elements
 
@@ -197,3 +200,42 @@ class TestNumbers:
     def test_no_limit_admits_any_length(self, digit_limit):
         digit_limit(0)
         assert parse_element(modular(9), "1" + "0" * 6020) == modular(9).element(1)
+
+
+class TestParseRingMemo:
+    """parse_ring is memoised on its text and the digit limit; refusals are not."""
+
+    @pytest.mark.parametrize("text", ["Z", "Z/9", "M2(Z/9)", "M3(Z)", " M2( Z/5 ) "])
+    def test_same_text_same_ring(self, text):
+        assert parse_ring(text) is parse_ring(text)
+
+    @pytest.mark.parametrize("text", ["Z/\u00b2", "Z/1", "M0(Z)", "M2(Z/3"])
+    def test_refused_literal_raises_the_same_error_every_time(self, text):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_ring(text)
+            errors.append((str(err.value), err.value.position))
+        assert errors[0] == errors[1]
+
+    def test_memoised_ring_round_trips(self):
+        ring = parse_ring("M2(Z/9)")
+        a = ring.element([[1, 2], [3, 4]])
+        for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring), copy.copy(ring)):
+            assert copied == ring and hash(copied) == hash(ring)
+            assert copied.element([[1, 2], [3, 4]]) * a == a * a
+        assert parse_ring("M2(Z/9)") is ring
+
+    def test_memo_is_bounded(self):
+        maxsize = _parse_ring.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(2, maxsize + 12):
+            parse_ring(f"Z/{n}")
+        assert _parse_ring.cache_info().currsize <= maxsize
+
+    def test_digit_limit_is_part_of_the_key(self, digit_limit):
+        text = "Z/1" + "0" * 640
+        assert parse_ring(text) == modular(10**640)
+        digit_limit(640)
+        with pytest.raises(ParseError, match="641 digits, above the limit of 640"):
+            parse_ring(text)

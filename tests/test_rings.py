@@ -344,7 +344,8 @@ class TestTrustedConstruction:
                 assert y.ring.element(y.payload) == x
 
     def test_equal_but_distinct_rings_mix(self):
-        first, second = parse_ring("M2(Z/9)"), parse_ring("M2(Z/9)")
+        # parse_ring would return one memoised ring for both
+        first, second = RingSpec(9, 2), RingSpec(9, 2)
         assert first is not second
         a, b = first.element([[1, 2], [3, 4]]), second.element([[5, 6], [7, 8]])
         assert a * b == first.element([[19, 22], [43, 50]])
