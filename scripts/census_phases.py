@@ -11,7 +11,7 @@ its ``masks`` table, then per chunk of the cross-checked indexes (every index
 up to EXHAUSTIVE_SCAN_CAP, else the seed-0 sample) ``drazin_codes``,
 ``inverse_scans``, the verdicts (the chunk's census masks as one tuple per
 element and the scan's verdicts, ``_scan_verdicts``) and the per-element
-checks.  Each
+checks, each element decoded as run_census decodes it (untimed).  Each
 phase's median over N repeats, in seconds, is printed as one JSON object per
 checkout.  The phases are timed by the checkout's own copy of this script,
 so they follow that checkout's internals; it must have one.  Then
@@ -23,6 +23,7 @@ peak RSS are reported as well.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -61,8 +62,10 @@ def phases(literal: str) -> dict[str, float]:
     size = ring.size()
     if size <= census.EXHAUSTIVE_SCAN_CAP:
         indexes = range(size)
+        elements = ring.elements()
     else:
         indexes = sorted(random.Random(0).sample(range(size), census.CROSS_CHECK_SAMPLES))
+        elements = map(ring.element_at, indexes)
     for start in range(0, len(indexes), census.SCAN_CHUNK):
         chunk = indexes[start : start + census.SCAN_CHUNK]
         drazin = timed("drazin_codes", scan.drazin_codes, chunk).tolist()
@@ -70,8 +73,9 @@ def phases(literal: str) -> dict[str, float]:
         rows, verdicts = timed("verdicts", lambda: (
             list(zip(*(m[chunk].tolist() for m in masks.values()))),
             census._scan_verdicts(scan, chunk, scanned)))
-        for index, found, code, mask, verdict in zip(chunk, scanned, drazin, rows, verdicts):
-            timed("checks", census._cross_check_element, ring, index, found, code, classes, mask,
+        chunk_elements = itertools.islice(elements, len(chunk))
+        for a, found, code, mask, verdict in zip(chunk_elements, scanned, drazin, rows, verdicts):
+            timed("checks", census._cross_check_element, ring, a, found, code, classes, mask,
                   verdict)
     return took
 

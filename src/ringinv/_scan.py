@@ -37,22 +37,41 @@ reduces once; check_scan_fits refuses a ring where that product could
 overflow int64, so results are exact.  Every reduction by a scalar modulus
 goes through _reduce, which computes x - (x // m) * m in place, about half
 the cost of x % m: numpy divides by a scalar faster than it takes a remainder.
+
+numpy is imported at the first read of an attribute of np, not with this
+module, so a process that never scans (classify, decompose) never runs it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+import types
 from functools import cached_property
-
-import numpy as np
 
 from .rings import InfiniteRingError, PreconditionError, RingSpec, VerificationError
 from .rings import factorize, nilpotency_bound, unit_exponent
 
 # matrix entries per batch of scan work: elimination, enumeration, row tests
 _BLOCK = 1 << 14
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
+
+
+class _LazyNumpy(types.ModuleType):
+    """numpy, imported at the first attribute read and each attribute then
+    kept here.  The import system's module lock makes a first read from two
+    threads wait for one import (importlib.util.LazyLoader does not before
+    Python 3.12.3: a second reader sees the half-run module)."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        setattr(self, name, getattr(numpy, name))
+        return getattr(self, name)
+
+
+np = sys.modules.get("numpy") or _LazyNumpy("numpy")
 SCAN_MEMORY_BUDGET = 256 * 2**20
 # Whole-ring int64 arrays budgeted while the census masks are built: the
 # stack, x^2, x^3, x - x^2, power operands and matmul temporaries.

@@ -79,9 +79,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-import numpy as np
-
-from ._scan import RingScan
+from ._scan import RingScan, np
 from .calculus import (
     cline,
     commuting_product,
@@ -184,10 +182,10 @@ def _scan_verdicts(scan: RingScan, indexes, scanned) -> list[tuple]:
 
 
 def _cross_check_element(
-    ring: RingSpec, index: int, found: dict, drazin_code: int,
+    ring: RingSpec, a: Element, found: dict, drazin_code: int,
     classes: tuple, masks: tuple, verdicts: tuple,
 ) -> None:
-    """Confirm one element's mask verdicts (masks, one per class of classes,
+    """Confirm element a's mask verdicts (masks, one per class of classes,
     the RingScan.masks order) by its criteria and its equation scan found,
     and check the scan against the constructed inverses.
 
@@ -200,7 +198,6 @@ def _cross_check_element(
     one must be d, and drazin_code, the index of the power-formula Drazin
     inverse a^(m-1) (RingScan.drazin_codes), must be d.
     """
-    a = ring.element_at(index)
     if len(found["drazin"]) != 1:
         raise CensusMismatchError(
             f"equation scan in {ring} found {len(found['drazin'])} Drazin inverses "
@@ -265,10 +262,12 @@ def run_census(
     }
     if size <= EXHAUSTIVE_SCAN_CAP:
         indexes = range(size)
+        elements = ring.elements()
         info = CrossCheckInfo(strategy="exhaustive", seed=None, checked=size)
     else:
         rng = random.Random(seed)
         indexes = sorted(rng.sample(range(size), min(samples, size)))
+        elements = map(ring.element_at, indexes)
         info = CrossCheckInfo(strategy="sampled", seed=seed, checked=len(indexes))
     for start in range(0, len(indexes), SCAN_CHUNK):
         chunk = indexes[start : start + SCAN_CHUNK]
@@ -276,8 +275,9 @@ def run_census(
         rows = zip(*(m[chunk].tolist() for m in masks.values()))
         scanned = scan.inverse_scans(chunk)
         verdicts = _scan_verdicts(scan, chunk, scanned)
-        for index, found, code, mask, verdict in zip(chunk, scanned, drazin, rows, verdicts):
-            _cross_check_element(ring, index, found, code, classes, mask, verdict)
+        chunk_elements = itertools.islice(elements, len(chunk))
+        for a, found, code, mask, verdict in zip(chunk_elements, scanned, drazin, rows, verdicts):
+            _cross_check_element(ring, a, found, code, classes, mask, verdict)
     if not counts["strongly_drazin"] <= counts["hirano"] <= counts["drazin"] == size:
         raise VerificationError(f"census hierarchy violated in {ring}: {counts}")
     hir, sd = masks["hirano"], masks["strongly_drazin"]

@@ -190,7 +190,8 @@ class RingSpec:
         """Every element exactly once, in the fixed lexicographic element_at order."""
         if not self.is_finite:
             raise InfiniteRingError(f"cannot enumerate {self}")
-        return map(self.element_at, range(self.size()))
+        digits = itertools.product(range(self.modulus), repeat=max(1, self.dim) ** 2)
+        return map(functools.partial(_element, self), digits)
 
     def element_at(self, index: int) -> "Element":
         """Random access into the ``elements()`` order (mixed-radix decode)."""

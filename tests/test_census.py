@@ -350,6 +350,9 @@ class TestCensusMasks:
             check_scan_fits(modular(2**21 + 1))
         assert "MiB" not in str(refused.value)
 
+    def test_int64_limit_is_numpys(self):
+        assert _scan._INT64_MAX == int(np.iinfo(np.int64).max)
+
     def test_scan_guard_runs_before_census_and_law_oracle(self, monkeypatch):
         monkeypatch.setattr(_scan, "SCAN_MEMORY_BUDGET", 64)
         with pytest.raises(PreconditionError, match="MiB"):

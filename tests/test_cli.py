@@ -432,3 +432,68 @@ class TestParserReuse:
             assert (code, captured.out, captured.err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr
             ), argv
+
+
+class TestColdImport:
+    """numpy runs only in a process that scans: classify and decompose
+    through cli.main leave it unimported, and a census imports it."""
+
+    @staticmethod
+    def fresh(code: str) -> str:
+        """stdout of code in a new isolated interpreter that sees src/ alone."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        prelude = (
+            "import sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"sys.path.insert(0, {src!r})\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", prelude + code],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_classify_and_decompose_never_run_numpy(self):
+        out = self.fresh(
+            "import ringinv.cli\n"
+            "loaded = {'ringinv.census', 'ringinv._scan'} <= set(sys.modules)\n"
+            "ringinv.cli.main(['classify', 'M2(Z/9)', '[[1,2],[3,4]]'])\n"
+            "ringinv.cli.main(['decompose', 'Z/2187', '5', '--json'])\n"
+            "print(loaded, 'numpy' in sys.modules)\n"
+        )
+        assert out.endswith("True False\n")
+
+    def test_census_imports_numpy(self):
+        out = self.fresh(
+            "import ringinv.cli\n"
+            "ringinv.cli.main(['census', 'Z/9'])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert "strongly 2-nil-clean: yes" in out and out.endswith("True\n")
+
+    def test_an_imported_numpy_is_used_as_it_is(self):
+        out = self.fresh(
+            "import numpy\n"
+            "from ringinv import _scan, census\n"
+            "print(_scan.np is numpy is census.np)\n"
+        )
+        assert out == "True\n"
+
+    def test_two_threads_share_the_first_import(self):
+        """Both first reads of np wait for the one import: neither sees a
+        half-run numpy module."""
+        out = self.fresh(
+            "import threading\n"
+            "from ringinv import modular\n"
+            "from ringinv._scan import RingScan, np\n"
+            "start, sums = threading.Barrier(2), []\n"
+            "def first_read():\n"
+            "    start.wait()\n"
+            "    sums.append(int(np.asarray([1, 2]).sum()))\n"
+            "threads = [threading.Thread(target=first_read) for _ in range(2)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(sums, int(RingScan(modular(9)).masks['hirano'].sum()))\n"
+        )
+        assert out == "[3, 3] 9\n"

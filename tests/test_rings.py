@@ -103,6 +103,15 @@ class TestRingSpec:
         assert listed == ring.element_at(index)
         assert ring.index_of(listed) == index
 
+    @pytest.mark.parametrize("ring", SMALL_RINGS, ids=str)
+    def test_elements_walk_the_element_at_order(self, ring):
+        assert list(ring.elements()) == [ring.element_at(i) for i in range(ring.size())]
+
+    def test_infinite_rings_are_not_enumerated(self):
+        for ring in (Z, matrix(Z, 2)):
+            with pytest.raises(InfiniteRingError, match="cannot enumerate"):
+                ring.elements()
+
     def test_element_at_bounds(self):
         with pytest.raises(IndexError):
             modular(5).element_at(5)
