@@ -37,9 +37,6 @@ reduces once; check_scan_fits refuses a ring where that product could
 overflow int64, so results are exact.  Every reduction by a scalar modulus
 goes through _reduce, which computes x - (x // m) * m in place, about half
 the cost of x % m: numpy divides by a scalar faster than it takes a remainder.
-
-numpy is imported at the first read of an attribute of np, not with this
-module, so a process that never scans (classify, decompose) never runs it.
 """
 
 from __future__ import annotations
@@ -53,16 +50,12 @@ from functools import cached_property
 from .rings import InfiniteRingError, PreconditionError, RingSpec, VerificationError
 from .rings import factorize, nilpotency_bound, unit_exponent
 
-# matrix entries per batch of scan work: elimination, enumeration, row tests
-_BLOCK = 1 << 14
-_INT64_MAX = 2**63 - 1
-
 
 class _LazyNumpy(types.ModuleType):
-    """numpy, imported at the first attribute read and each attribute then
-    kept here.  The import system's module lock makes a first read from two
-    threads wait for one import (importlib.util.LazyLoader does not before
-    Python 3.12.3: a second reader sees the half-run module)."""
+    """numpy, imported at the first attribute read (the first scan), each
+    attribute then kept here.  The import lock makes a first read from two
+    threads wait for one import; importlib.util.LazyLoader lets the second
+    see the half-run module before Python 3.12.3."""
 
     def __getattr__(self, name: str):
         import numpy
@@ -72,6 +65,10 @@ class _LazyNumpy(types.ModuleType):
 
 
 np = sys.modules.get("numpy") or _LazyNumpy("numpy")
+
+# matrix entries per batch of scan work: elimination, enumeration, row tests
+_BLOCK = 1 << 14
+_INT64_MAX = 2**63 - 1
 SCAN_MEMORY_BUDGET = 256 * 2**20
 # Whole-ring int64 arrays budgeted while the census masks are built: the
 # stack, x^2, x^3, x - x^2, power operands and matmul temporaries.

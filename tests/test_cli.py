@@ -480,20 +480,22 @@ class TestColdImport:
         )
         assert out == "True\n"
 
-    def test_two_threads_share_the_first_import(self):
-        """Both first reads of np wait for the one import: neither sees a
-        half-run numpy module."""
+    def test_threads_share_the_first_import(self):
+        """Every first read of np waits for the one import: no thread sees
+        a half-run numpy module."""
         out = self.fresh(
             "import threading\n"
             "from ringinv import modular\n"
             "from ringinv._scan import RingScan, np\n"
-            "start, sums = threading.Barrier(2), []\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start, sums = threading.Barrier(4), []\n"
             "def first_read():\n"
             "    start.wait()\n"
             "    sums.append(int(np.asarray([1, 2]).sum()))\n"
-            "threads = [threading.Thread(target=first_read) for _ in range(2)]\n"
+            "threads = [threading.Thread(target=first_read) for _ in range(4)]\n"
             "for t in threads: t.start()\n"
-            "for t in threads: t.join()\n"
-            "print(sums, int(RingScan(modular(9)).masks['hirano'].sum()))\n"
+            "for t in threads: t.join(timeout=60)\n"
+            "print(sum(t.is_alive() for t in threads), sums,\n"
+            "      int(RingScan(modular(9)).masks['hirano'].sum()))\n"
         )
-        assert out == "[3, 3] 9\n"
+        assert out == "0 [3, 3, 3, 3] 9\n"
