@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -75,6 +76,17 @@ def test_census_phases_runs_the_census_steps():
             "scan", "masks", "drazin_codes", "inverse_scans", "verdicts", "checks"
         ]
         assert all(seconds > 0 for seconds in took.values()), literal
+
+
+def test_cold_cli_runs_every_call_once(tmp_path):
+    out = tmp_path / "cold.json"
+    result = _run_script("cold_cli.py", str(ROOT), "--rounds", "1", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    (checkout,) = json.loads(out.read_text())["checkouts"]
+    script = _load_script("cold_cli")
+    assert list(checkout["calls"]) == [" ".join(argv) for argv in script.CALLS]
+    for call in checkout["calls"].values():
+        assert 0 < call["min_s"] == call["median_s"] and call["peak_rss_mb"] > 0
 
 
 def test_cli_battery_help():
