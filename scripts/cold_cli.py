@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time fresh ``python -m ringinv`` calls in one or more checkouts.
 
-    python3 scripts/cold_cli.py CHECKOUT [CHECKOUT ...] [--rounds N] [--out FILE]
+    python3 scripts/cold_cli.py CHECKOUT [CHECKOUT ...] [--rounds N] > FILE
 
 Each call is a new interpreter, as a user's shell runs it: interpreter
 start, ``import ringinv``, the answer.  The calls are one ``classify`` per
@@ -84,7 +84,6 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT")
     parser.add_argument("--rounds", type=int, default=9)
-    parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be positive")
@@ -128,11 +127,7 @@ def main() -> int:
             for checkout in checkouts
         ],
     }
-    text = json.dumps(result, indent=2)
-    if args.out:
-        args.out.write_text(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(result, indent=2))
     return 0
 
 

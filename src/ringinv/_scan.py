@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import types
 from functools import cached_property
 
@@ -64,7 +63,7 @@ class _LazyNumpy(types.ModuleType):
         return getattr(self, name)
 
 
-np = sys.modules.get("numpy") or _LazyNumpy("numpy")
+np = _LazyNumpy("numpy")
 
 # matrix entries per batch of scan work: elimination, enumeration, row tests
 _BLOCK = 1 << 14

@@ -472,13 +472,14 @@ class TestColdImport:
         )
         assert "strongly 2-nil-clean: yes" in out and out.endswith("True\n")
 
-    def test_an_imported_numpy_is_used_as_it_is(self):
+    def test_np_reads_give_numpys_own_objects(self):
         out = self.fresh(
-            "import numpy\n"
             "from ringinv import _scan, census\n"
-            "print(_scan.np is numpy is census.np)\n"
+            "import numpy\n"
+            "print(census.np is _scan.np, _scan.np.ndarray is numpy.ndarray,\n"
+            "      _scan.np.remainder is numpy.remainder)\n"
         )
-        assert out == "True\n"
+        assert out == "True True True\n"
 
     def test_threads_share_the_first_import(self):
         """Every first read of np waits for the one import: no thread sees

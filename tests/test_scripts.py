@@ -78,11 +78,10 @@ def test_census_phases_runs_the_census_steps():
         assert all(seconds > 0 for seconds in took.values()), literal
 
 
-def test_cold_cli_runs_every_call_once(tmp_path):
-    out = tmp_path / "cold.json"
-    result = _run_script("cold_cli.py", str(ROOT), "--rounds", "1", "--out", str(out))
+def test_cold_cli_runs_every_call_once():
+    result = _run_script("cold_cli.py", str(ROOT), "--rounds", "1")
     assert result.returncode == 0, result.stderr
-    (checkout,) = json.loads(out.read_text())["checkouts"]
+    (checkout,) = json.loads(result.stdout)["checkouts"]
     script = _load_script("cold_cli")
     assert list(checkout["calls"]) == [" ".join(argv) for argv in script.CALLS]
     for call in checkout["calls"].values():
