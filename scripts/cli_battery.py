@@ -19,7 +19,9 @@ Z/12, M2(Z/2) and M2(Z/3); eight censuses, four of them on composite moduli
 near the caps; integer matrices; laws 3.3 and 3.4 where 2 is not a unit;
 laws 2.2, 3.1 and 3.6 (``--json``) on M2(Z/6) and Z/360; refused inputs,
 among them numbers of 6 021 digits (2^20000, above Python's default
-int-string limit) and a superscript digit.  That is 745 runs.  A call that
+int-string limit) and a superscript digit; element and ring literals, the
+refused ones whose messages the literal tests pin and accepted ones with
+tabs, newlines and Unicode minus signs.  That is 778 runs.  A call that
 raises instead of exiting is recorded with the exception's type as its exit
 code.
 """
@@ -95,6 +97,22 @@ OTHER_RUNS = (
     *(("verify", law, ring, "--json")
       for ring in ("M2(Z/6)", "Z/360") for law in ("2.2", "3.1", "3.6")),
     ("classify", f"Z/{BIG}", "3"), ("classify", "Z/9", BIG), ("classify", "Z/9", "²"),
+    # element literals: the refused texts whose message tests/test_literals.py
+    # pins, at the interpreter's default digit limit, and accepted whitespace
+    # and minus signs
+    *(("classify", "M2(Z/9)", text) for text in (
+        "[[- 3]]", "[[1,2],[3,4]", "[[1,,2]]", "[[1,2],]", "[]", "[ ]", "[[]]",
+        "[[1,2] [3,4]]", "", "[[1,2],[3]]", "[[1,2,3],[4,5,6]]", "[1,2]", "5",
+        "[[1,2],[3,4]] junk", "[[1,0],[0,\u0663]]", "[[1,2],[3,4]]" + " " * 80 + "x",
+        "[[1,0],[0,-1" + "0" * 4300 + "]]",
+        " [ [ 1 , -2 ] , [ 3 , 4 ] ] ", "\t[\n[1,-2]\n,\t[3,4]\t]\n", "[[\u22121,2],[3,\u22124]]",
+    )),
+    ("classify", "Z/9", "-1\u00b2"), ("classify", "Z/9", "1" + "0" * 4300),
+    ("classify", "Z/9", "\u22122"), ("classify", "Z/9", "\u2212 2"),
+    *(("classify", ring, "1") for ring in (
+        "Z /9", "Z/ 9", "M 2(Z/9)", "M2(Z /9)", "Z/\u00b2", "M\u0662(Z/3)", "Z/1" + "0" * 4300,
+        "M2(Z/3)" + " " * 72 + ")", "M2(Z/3)" + " " * 200 + "x" + " " * 200,
+    )),
 )
 
 

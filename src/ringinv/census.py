@@ -370,6 +370,10 @@ class _LawContext:
     def scan(self) -> RingScan:
         return RingScan(self.ring)
 
+    @cached_property
+    def tripotents(self) -> list[Element]:
+        return [p for p in self.ring.elements() if is_tripotent(p)]
+
     def scanned_hirano(self, index: int) -> list[int]:
         """The Hirano inverses the equation scan finds for one element,
         scanned once per index."""
@@ -495,11 +499,8 @@ def _law_inverse_of_inverse(ctx: _LawContext, a: Element) -> None:
 def _law_tripotent_split(ctx: _LawContext, a: Element) -> None:
     d = tripotent_decomposition(a)
     if ctx.ring.size() <= 100:
-        tripotents = np.flatnonzero(ctx.scan.masks["tripotent"]).tolist()
         matches = [
-            p
-            for p in map(ctx.ring.element_at, tripotents)
-            if is_nilpotent(a - p) is not None and p * a == a * p
+            p for p in ctx.tripotents if is_nilpotent(a - p) is not None and p * a == a * p
         ]
         if d.tripotent not in matches:
             raise VerificationError("constructed tripotent not found by the brute-force search")

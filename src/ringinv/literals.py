@@ -2,9 +2,12 @@
 
 Ring grammar:     Z   Z/9   M2(Z/3)   M3(Z)
 Element grammar:  an integer for scalar rings, a row-major nested list such
-                  as [[-2,3,2],[-2,3,2],[1,-1,-1]] for matrix rings; one
-                  list rule reads a row of integers and a list of rows.
+                  as [[-2,3,2],[-2,3,2],[1,-1,-1]] for matrix rings.
 
+One pattern cuts a literal into tokens, a number ('-' and ASCII digits) or
+one other character, whitespace before each but none inside 'M2' or 'Z/9'.
+Each parser walks its tokens once: a matrix as rows of any length, then
+trailing input, then its k×k shape.  Only a refusal looks up positions.
 ``str`` of a ring or an element renders the same grammar, so every
 emitted literal parses back to what it came from.  A Unicode minus sign
 is accepted as input.  Numbers are ASCII digits, at most
@@ -14,6 +17,7 @@ sys.get_int_max_str_digits() of them.
 from __future__ import annotations
 
 import functools
+import re
 import sys
 
 from .rings import Element, RingSpec, Z, matrix, modular
@@ -38,76 +42,48 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Cursor:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.text, self.pos)
-        self.pos += 1
-
-    def fail(self, message: str) -> "ParseError":
-        return ParseError(message, self.text, self.pos)
-
-    def unsigned_int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", self.text, start)
-        digits = self.text[start:self.pos]
-        if not digits.isascii():
-            at = start + next(i for i, ch in enumerate(digits) if not ch.isascii())
-            raise ParseError("expected an ASCII digit", self.text, at)
-        try:
-            return int(digits)
-        except ValueError:  # ASCII digits fail only above the interpreter's limit
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(
-                f"number has {len(digits)} digits, above the limit of {limit}",
-                self.text,
-                start,
-            ) from None
-
-    def signed_int(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            sign = -1
-            self.pos += 1
-        return sign * self.unsigned_int()
-
-    def expect_end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("unexpected trailing input", self.text, self.pos)
+_TOKEN = re.compile(r"\s*(-?[0-9]+|\S)")
 
 
-def _normalize(text: str) -> str:
-    return text.replace("−", "-")
+def _tokens(text: str) -> tuple[str, list[str]]:
+    """The text with '-' for each Unicode minus, and its tokens, then "" for
+    its end.  A non-ASCII token is read as "?", which no rule accepts: int()
+    would take a non-ASCII decimal digit for a number."""
+    text = text.replace("−", "-")
+    tokens = _TOKEN.findall(text)
+    if not text.isascii():
+        tokens = [token if token.isascii() else "?" for token in tokens]
+    tokens.append("")
+    return text, tokens
 
 
-def _parse_scalar_ring(cur: _Cursor) -> RingSpec:
-    cur.skip_ws()
-    if cur.peek() != "Z":
-        raise cur.fail("expected a ring literal starting with 'Z' or 'M'")
-    cur.take("Z")
-    if cur.peek() == "/":
-        cur.take("/")
-        at = cur.pos
-        n = cur.unsigned_int()
-        if n < 2:
-            raise ParseError("modulus must be at least 2", cur.text, at)
-        return modular(n)
-    return Z
+def _starts(text: str) -> list[int]:
+    """Where each token of _tokens(text) starts; its end at len(text)."""
+    return [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+
+
+def _number_refusal(text: str, at: int) -> ParseError:
+    """Why no number starts at ``at``, where one should."""
+    rest = text[at:]
+    end = at + len(rest) - len(rest.lstrip("0123456789"))
+    if text[end:end + 1].isdigit():
+        return ParseError("expected an ASCII digit", text, end)
+    if end == at:
+        return ParseError("expected a number", text, at)
+    limit = sys.get_int_max_str_digits()  # ASCII digits fail only above the limit
+    return ParseError(f"number has {end - at} digits, above the limit of {limit}", text, at)
+
+
+def _refusal(text: str, tokens: list[str], j: int, message: str | None = None) -> ParseError:
+    """The error at token j, where a walk stopped: ``message``, or why no number
+    starts there; first, though, a non-ASCII digit right after a number."""
+    starts = _starts(text)
+    end = starts[j - 1] + len(tokens[j - 1])
+    if j and tokens[j - 1][-1].isdigit() and text[end:end + 1].isdigit():
+        return ParseError("expected an ASCII digit", text, end)
+    if message is None:
+        return _number_refusal(text, starts[j] + (tokens[j][:1] == "-"))
+    return ParseError(message, text, starts[j])
 
 
 def parse_ring(text: str) -> RingSpec:
@@ -125,61 +101,84 @@ def parse_ring(text: str) -> RingSpec:
 
 @functools.lru_cache(maxsize=64)
 def _parse_ring(text: str, digit_limit: int) -> RingSpec:
-    cur = _Cursor(_normalize(text))
-    cur.skip_ws()
-    if cur.peek() == "M":
-        cur.take("M")
-        at = cur.pos
-        dim = cur.unsigned_int()
-        if dim < 1:
-            raise ParseError("matrix dimension must be at least 1", cur.text, at)
-        cur.skip_ws()
-        cur.take("(")
-        base = _parse_scalar_ring(cur)
-        cur.skip_ws()
-        cur.take(")")
-        ring = matrix(base, dim)
-    else:
-        ring = _parse_scalar_ring(cur)
-    cur.expect_end()
+    text, tokens = _tokens(text)
+    starts = _starts(text)
+
+    def number(i: int, least: int, what: str) -> int:
+        """The number token i spells, written right after token i - 1."""
+        at, token = starts[i - 1] + 1, tokens[i]
+        end = at + len(token)
+        if starts[i] != at or not token.isdigit() or text[end:end + 1].isdigit():
+            raise _number_refusal(text, at)
+        try:
+            n = int(token)
+        except ValueError:
+            raise _number_refusal(text, at) from None
+        if n < least:
+            raise ParseError(f"{what} must be at least {least}", text, at)
+        return n
+
+    i = dim = 0
+    if tokens[0] == "M":
+        dim = number(1, 1, "matrix dimension")
+        if tokens[2] != "(":
+            raise ParseError("expected '('", text, starts[2])
+        i = 3
+    if tokens[i] != "Z":
+        raise ParseError("expected a ring literal starting with 'Z' or 'M'", text, starts[i])
+    i, ring = i + 1, Z
+    if tokens[i] == "/" and starts[i] == starts[i - 1] + 1:
+        ring = modular(number(i + 1, 2, "modulus"))
+        i += 2
+    if dim:
+        if tokens[i] != ")":
+            raise ParseError("expected ')'", text, starts[i])
+        ring, i = matrix(ring, dim), i + 1
+    if tokens[i]:
+        raise ParseError("unexpected trailing input", text, starts[i])
     return ring
-
-
-def _bracketed(cur: _Cursor, item) -> list:
-    """'[' item (',' item)* ']', whitespace allowed around each item."""
-    cur.take("[")
-    items = []
-    while True:
-        cur.skip_ws()
-        items.append(item(cur))
-        cur.skip_ws()
-        if cur.peek() != ",":
-            cur.take("]")
-            return items
-        cur.take(",")
-
-
-def _parse_row(cur: _Cursor) -> list[int]:
-    return _bracketed(cur, _Cursor.signed_int)
 
 
 def parse_element(ring: RingSpec, text: str) -> Element:
     """Parse an element literal in ``ring``; negatives reduce canonically."""
-    cur = _Cursor(_normalize(text))
-    cur.skip_ws()
+    text, tokens = _tokens(text)
     if not ring.is_matrix:
-        if cur.peek() == "[":
-            raise cur.fail(f"{ring} takes an integer literal, not a matrix")
-        value = cur.signed_int()
-        cur.expect_end()
-        return ring.element(value)
-    if cur.peek() != "[":
-        raise cur.fail(f"{ring} takes a row-major matrix literal like [[0,1],[1,1]]")
-    shape_at = cur.pos
-    rows = _bracketed(cur, _parse_row)
-    cur.expect_end()
+        if tokens[0] == "[":
+            raise _refusal(text, tokens, 0, f"{ring} takes an integer literal, not a matrix")
+        try:
+            value = int(tokens[0])
+        except ValueError:
+            raise _refusal(text, tokens, 0) from None
+        if tokens[1]:
+            raise _refusal(text, tokens, 1, "unexpected trailing input")
+        return ring._reduce((value,))
+    if tokens[0] != "[":
+        message = f"{ring} takes a row-major matrix literal like [[0,1],[1,1]]"
+        raise _refusal(text, tokens, 0, message)
+    entries: list[int] = []
+    lengths = []
+    i, sep = 1, ","
+    while sep == ",":  # tokens[i] opens a row
+        if tokens[i] != "[":
+            raise _refusal(text, tokens, i, "expected '['")
+        before, sep = len(entries), ","
+        while sep == ",":
+            try:
+                entries.append(int(tokens[i + 1]))
+            except ValueError:
+                raise _refusal(text, tokens, i + 1) from None
+            i += 2
+            sep = tokens[i]
+        if sep != "]":
+            raise _refusal(text, tokens, i, "expected ']'")
+        lengths.append(len(entries) - before)
+        i += 2
+        sep = tokens[i - 1]
+    if sep != "]":
+        raise _refusal(text, tokens, i - 1, "expected ']'")
+    if tokens[i]:
+        raise _refusal(text, tokens, i, "unexpected trailing input")
     k = ring.dim
-    if len(rows) != k or any(len(row) != k for row in rows):
-        raise ParseError(f"expected a {k}x{k} matrix", cur.text, shape_at)
-    return ring.element(rows)
-
+    if len(lengths) != k or lengths.count(k) != k:
+        raise _refusal(text, tokens, 0, f"expected a {k}x{k} matrix")
+    return ring._reduce(entries)

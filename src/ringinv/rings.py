@@ -388,11 +388,11 @@ class Element:
         return self if result is base else _element(ring, result)
 
     def __str__(self) -> str:
-        if self.ring.is_matrix:
-            return "[" + ",".join(
-                "[" + ",".join(str(v) for v in row) + "]" for row in self.payload
-            ) + "]"
-        return str(self.payload)
+        k = self.ring.dim
+        if k:
+            e = list(self.entries)
+            return str([e[i:i + k] for i in range(0, k * k, k)]).replace(" ", "")
+        return str(self.entries[0])
 
     def __repr__(self) -> str:
         return f"Element({self.ring}, {self})"

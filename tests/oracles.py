@@ -31,6 +31,7 @@ above.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from ringinv.gen_inverse import (
     check_strongly_drazin,
 )
 from ringinv.lifting import LiftedIdempotent, Poly, PolynomialCertificate, _trim, poly_scale
+from ringinv.literals import ParseError
 from ringinv.rings import (
     Element,
     InfiniteRingError,
@@ -51,6 +53,9 @@ from ringinv.rings import (
     PreconditionError,
     RingSpec,
     VerificationError,
+    Z,
+    matrix,
+    modular,
     nilpotency_bound,
     unit_exponent,
 )
@@ -413,3 +418,137 @@ def element_hirano_inverse(a: Element) -> HiranoCertificate | None:
 def element_hirano_and_strongly_drazin(a: Element):
     hir = element_hirano_inverse(a)
     return hir, None if hir is None else element_check_strongly_drazin(a, hir.b)
+
+
+class _Cursor:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.text, self.pos)
+        self.pos += 1
+
+    def fail(self, message: str) -> ParseError:
+        return ParseError(message, self.text, self.pos)
+
+    def unsigned_int(self) -> int:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected a number", self.text, start)
+        digits = self.text[start:self.pos]
+        if not digits.isascii():
+            at = start + next(i for i, ch in enumerate(digits) if not ch.isascii())
+            raise ParseError("expected an ASCII digit", self.text, at)
+        try:
+            return int(digits)
+        except ValueError:  # ASCII digits fail only above the interpreter's limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                f"number has {len(digits)} digits, above the limit of {limit}",
+                self.text,
+                start,
+            ) from None
+
+    def signed_int(self) -> int:
+        sign = 1
+        if self.peek() == "-":
+            sign = -1
+            self.pos += 1
+        return sign * self.unsigned_int()
+
+    def expect_end(self) -> None:
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise ParseError("unexpected trailing input", self.text, self.pos)
+
+
+def _cursor_scalar_ring(cur: _Cursor) -> RingSpec:
+    cur.skip_ws()
+    if cur.peek() != "Z":
+        raise cur.fail("expected a ring literal starting with 'Z' or 'M'")
+    cur.take("Z")
+    if cur.peek() == "/":
+        cur.take("/")
+        at = cur.pos
+        n = cur.unsigned_int()
+        if n < 2:
+            raise ParseError("modulus must be at least 2", cur.text, at)
+        return modular(n)
+    return Z
+
+
+def cursor_parse_ring(text: str) -> RingSpec:
+    """parse_ring one character at a time, unmemoised."""
+    cur = _Cursor(text.replace("\u2212", "-"))
+    cur.skip_ws()
+    if cur.peek() == "M":
+        cur.take("M")
+        at = cur.pos
+        dim = cur.unsigned_int()
+        if dim < 1:
+            raise ParseError("matrix dimension must be at least 1", cur.text, at)
+        cur.skip_ws()
+        cur.take("(")
+        base = _cursor_scalar_ring(cur)
+        cur.skip_ws()
+        cur.take(")")
+        ring = matrix(base, dim)
+    else:
+        ring = _cursor_scalar_ring(cur)
+    cur.expect_end()
+    return ring
+
+
+def _bracketed(cur: _Cursor, item) -> list:
+    """'[' item (',' item)* ']', whitespace allowed around each item."""
+    cur.take("[")
+    items = []
+    while True:
+        cur.skip_ws()
+        items.append(item(cur))
+        cur.skip_ws()
+        if cur.peek() != ",":
+            cur.take("]")
+            return items
+        cur.take(",")
+
+
+def cursor_parse_element(ring: RingSpec, text: str) -> Element:
+    """parse_element one character at a time."""
+    cur = _Cursor(text.replace("\u2212", "-"))
+    cur.skip_ws()
+    if not ring.is_matrix:
+        if cur.peek() == "[":
+            raise cur.fail(f"{ring} takes an integer literal, not a matrix")
+        value = cur.signed_int()
+        cur.expect_end()
+        return ring.element(value)
+    if cur.peek() != "[":
+        raise cur.fail(f"{ring} takes a row-major matrix literal like [[0,1],[1,1]]")
+    shape_at = cur.pos
+    rows = _bracketed(cur, lambda cur: _bracketed(cur, _Cursor.signed_int))
+    cur.expect_end()
+    k = ring.dim
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise ParseError(f"expected a {k}x{k} matrix", cur.text, shape_at)
+    return ring.element(rows)
+
+
+def joined_str(a: Element) -> str:
+    """str(a) by nested joins over the payload rows."""
+    if a.ring.is_matrix:
+        return "[" + ",".join(
+            "[" + ",".join(str(v) for v in row) + "]" for row in a.payload
+        ) + "]"
+    return str(a.payload)

@@ -472,6 +472,16 @@ class TestColdImport:
         )
         assert "strongly 2-nil-clean: yes" in out and out.endswith("True\n")
 
+    def test_tripotent_split_law_never_runs_numpy(self):
+        """Law 3.3 lists the tripotents of its brute-force search by a plain
+        walk of the ring, not by the equation scan."""
+        out = self.fresh(
+            "import ringinv.cli\n"
+            "ringinv.cli.main(['verify', '3.3', 'Z/27'])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert "27 checked, 0 violations" in out and out.endswith("False\n")
+
     def test_np_reads_give_numpys_own_objects(self):
         out = self.fresh(
             "from ringinv import _scan, census\n"

@@ -5,7 +5,8 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringinv import (
     ParseError,
@@ -17,7 +18,8 @@ from ringinv import (
 )
 from ringinv.literals import _parse_ring
 
-from conftest import ring_elements
+from conftest import SMALL_RINGS, ring_elements
+from oracles import cursor_parse_element, cursor_parse_ring, joined_str
 
 
 class TestRingGrammar:
@@ -239,3 +241,102 @@ class TestParseRingMemo:
         digit_limit(640)
         with pytest.raises(ParseError, match="641 digits, above the limit of 640"):
             parse_ring(text)
+
+
+LITERAL_RINGS = SMALL_RINGS + [matrix(Z, 3)]
+
+# what a mutation inserts or puts in place of one character: the grammar's
+# own characters, whitespace, a Unicode minus, digits that str.isdigit
+# accepts but ASCII does not, and numbers at and one above the digit limit
+_LIMIT = sys.get_int_max_str_digits()
+MUTATIONS = [
+    *"[],-0123456789ZM/()x", " ", "\t", "\n", "\u00a0", "\u2212", "\u00b2", "\u0663",
+    "1" + "0" * (_LIMIT - 1), "9" * (_LIMIT + 1),
+]
+
+
+def outcome(parse, *args):
+    """What a parser returns, or its refusal's message and position."""
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def _literal(ring, values) -> str:
+    if not ring.is_matrix:
+        return str(values[0])
+    k = ring.dim
+    rows = (values[i:i + k] for i in range(0, k * k, k))
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
+
+
+@st.composite
+def mutated(draw, text):
+    """text with up to three characters inserted, deleted or replaced."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.sampled_from(["", *MUTATIONS])) + text[at + cut:]
+    return text
+
+
+@st.composite
+def mutated_element_literals(draw):
+    ring = draw(st.sampled_from(LITERAL_RINGS))
+    size = max(1, ring.dim) ** 2
+    values = draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
+    return ring, draw(mutated(_literal(ring, values)))
+
+
+class TestParserParity:
+    """The token walk answers as the character cursor it replaced (kept in
+    tests/oracles.py): the same element or ring, or the same message and
+    position."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LITERAL_RINGS), st.text(max_size=40))
+    def test_random_text(self, ring, text):
+        assert outcome(parse_element, ring, text) == outcome(cursor_parse_element, ring, text)
+        assert outcome(parse_ring, text) == outcome(cursor_parse_ring, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(LITERAL_RINGS),
+        st.text(st.sampled_from(MUTATIONS[:-2]), max_size=40),
+    )
+    def test_text_of_the_grammars_characters(self, ring, text):
+        assert outcome(parse_element, ring, text) == outcome(cursor_parse_element, ring, text)
+        assert outcome(parse_ring, text) == outcome(cursor_parse_ring, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_element_literals())
+    def test_mutated_element_literal(self, case):
+        ring, text = case
+        assert outcome(parse_element, ring, text) == outcome(cursor_parse_element, ring, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LITERAL_RINGS).flatmap(lambda ring: mutated(str(ring))))
+    def test_mutated_ring_literal(self, text):
+        assert outcome(parse_ring, text) == outcome(cursor_parse_ring, text)
+
+
+class TestRenderParity:
+    """str(a) renders what the nested joins it replaced (tests/oracles.py)
+    rendered."""
+
+    @given(ring_elements())
+    def test_small_rings(self, a):
+        assert str(a) == joined_str(a)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.integers(-(10**40), 10**40), min_size=k * k, max_size=k * k
+            ).map(lambda values: matrix(Z, k).element(
+                [values[i:i + k] for i in range(0, k * k, k)]
+            ))
+        )
+    )
+    def test_integer_matrices_with_long_and_negative_entries(self, a):
+        assert str(a) == joined_str(a)
