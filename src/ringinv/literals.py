@@ -4,14 +4,13 @@ Ring grammar:     Z   Z/9   M2(Z/3)   M3(Z)
 Element grammar:  an integer for scalar rings, a row-major nested list such
                   as [[-2,3,2],[-2,3,2],[1,-1,-1]] for matrix rings.
 
-One pattern cuts a literal into tokens, a number ('-' and ASCII digits) or
-one other character, whitespace before each but none inside 'M2' or 'Z/9'.
-Each parser walks its tokens once: a matrix as rows of any length, then
-trailing input, then its k×k shape.  Only a refusal looks up positions.
-``str`` of a ring or an element renders the same grammar, so every
-emitted literal parses back to what it came from.  A Unicode minus sign
-is accepted as input.  Numbers are ASCII digits, at most
-sys.get_int_max_str_digits() of them.
+One pattern cuts a literal into tokens, each a number (an optional '-' and
+ASCII digits, at most sys.get_int_max_str_digits() of them) or one other
+character, with whitespace before it but none inside 'M2' or 'Z/9'.  Each
+parser walks its tokens once: a matrix as rows of any length, then trailing
+input, then its k×k shape.  Only a refusal looks up positions.  ``str`` of
+a ring or an element renders the same grammar, so every emitted literal
+parses back to what it came from.  A Unicode minus sign is accepted as input.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringinv import (
@@ -317,6 +317,11 @@ class TestParserParity:
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(LITERAL_RINGS).flatmap(lambda ring: mutated(str(ring))))
+    # a non-ASCII digit right after a ring's number is refused before that
+    # number's range, or the '(' after it, is checked
+    @example("M0\u00b2(Z)")
+    @example("Z/1\u0663")
+    @example("M2\u00b2(Z/3)")
     def test_mutated_ring_literal(self, text):
         assert outcome(parse_ring, text) == outcome(cursor_parse_ring, text)
 
