@@ -17,11 +17,12 @@ sampled (``--samples 200 --seed 4``), with ``--json --seed 0 --samples
 ``decompose``, human and ``--json``, on every element of Z/5, Z/9, Z/25,
 Z/12, M2(Z/2) and M2(Z/3); eight censuses, four of them on composite moduli
 near the caps; integer matrices; laws 3.3 and 3.4 where 2 is not a unit;
-laws 2.2, 3.1 and 3.6 (``--json``) on M2(Z/6) and Z/360; refused inputs,
+laws 2.2, 3.1 and 3.6 (``--json``) on M2(Z/6) and Z/360; censuses and
+scanning laws on each side of the scan's int32 bound; refused inputs,
 among them numbers of 6 021 digits (2^20000, above Python's default
 int-string limit) and a superscript digit; element and ring literals, the
 refused ones whose messages the literal tests pin and accepted ones with
-tabs, newlines and Unicode minus signs.  That is 778 runs.  A call that
+tabs, newlines and Unicode minus signs.  That is 791 runs.  A call that
 raises instead of exiting is recorded with the exception's type as its exit
 code.
 """
@@ -93,6 +94,13 @@ OTHER_RUNS = (
     ("verify", "2.2", "M3(Z/4)"), ("verify", "3.1", "M3(Z/4)"),
     ("verify", "4.1", "M2(Z/7)", "--samples", "0"),
     ("verify", "2.1", "Z"), (),
+    # scan widths: int32 stacks up to Z/46337, int64 from Z/46349; composites
+    # whose components are int32 and whose full modulus is int64, Z/98337's
+    # lift above 2^31
+    *(("census", ring, *seed) for ring in ("Z/32768", "Z/46337", "Z/46349", "Z/59049")
+      for seed in ((), ("--seed", "3"))),
+    ("census", "M2(Z/23)"), ("census", "Z/720720"), ("census", "Z/98337"),
+    ("verify", "2.2", "Z/2187"), ("verify", "3.1", "M2(Z/5)"),
     # the laws that read the scan, on composite moduli
     *(("verify", law, ring, "--json")
       for ring in ("M2(Z/6)", "Z/360") for law in ("2.2", "3.1", "3.6")),

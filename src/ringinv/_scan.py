@@ -12,15 +12,15 @@ elements, D the ring's exponent of drazin_finite, from one stack power.
 inverse_scans solves the three defining equation systems, and nothing else,
 for a batch of elements: it generates the centraliser of each a (the
 solutions of ab = ba, usually a small fraction of the ring) and tests
-bab = b on those rows only, in row blocks of at most _BLOCK matrix entries,
-each the rows of one or more centralisers beside their a; whole-ring
-centralisers (every a of Z/n, and the scalars) are broadcast views of the
-stack.  The rows that pass are gathered over the call and tested for the
-three nilpotent defects once per _BLOCK // d^2 of them.  Each stage runs
-once per batch: one elimination over the stacked commutator matrices, one
-product per group of centralisers with the same generator orders.  The
-products ab that a generated centraliser's self-check ab = ba forms are
-the ones bab = b is then tested with.
+bab = b on those rows only, in row blocks of at most _BLOCK bytes of matrix
+entries, each the rows of one or more centralisers beside their a;
+whole-ring centralisers (every a of Z/n, and the scalars) are broadcast
+views of the stack.  The rows that pass are gathered over the call and
+tested for the three nilpotent defects once per block's worth of them.
+Each stage runs once per batch: one elimination over the stacked
+commutator matrices, one product per group of centralisers with the same
+generator orders.  The products ab that a generated centraliser's
+self-check ab = ba forms are the ones bab = b is then tested with.
 
 Over a composite m, Mk(Z/m) is the product of the Mk(Z/q), q the prime
 powers of m, and each criterion and defining equation holds iff it holds in
@@ -31,12 +31,19 @@ components' same mask, read at every element's component code
 sets, each tuple (b_q) lifted to sum e_q b_q mod m, e_q the CRT idempotent
 of q.  Only drazin_codes works at the full modulus.
 
-Entries are integers below m, and a product is reduced mod m before it is
-used again, except that bab = b multiplies b by the unreduced ab and
-reduces once; check_scan_fits refuses a ring where that product could
-overflow int64, so results are exact.  Every reduction by a scalar modulus
-goes through _reduce, which computes x - (x // m) * m in place, about half
-the cost of x % m: numpy divides by a scalar faster than it takes a remainder.
+Entries are integers below m, held in the narrowest integer type that
+keeps every product exact (_width): int32 when d^2 m^2 <= 2^31 - 1, else
+int64, for the stack and every array built from it.  Every product is
+reduced mod m before it is multiplied again, so the widest value formed is
+a sum of at most d^2 products of two entries, below d^2 m^2: the centraliser
+enumeration's d^2 coefficients times generators; a matrix product has d
+terms.  Indexes fit either type, as check_scan_fits admits at most 2^22
+stack entries.  Only the CRT lift of a composite's component sets
+(e_q b_q, e_q below m) is formed in int64.  Every reduction by a scalar
+modulus goes through _reduce, which computes x - (x // m) * m in place,
+about half the cost of x % m: numpy divides by a scalar faster than it
+takes a remainder, and int32 about three times faster than int64.
+Equality of matrices is tested by _all_entries, column by column.
 """
 
 from __future__ import annotations
@@ -65,8 +72,10 @@ class _LazyNumpy(types.ModuleType):
 
 np = _LazyNumpy("numpy")
 
-# matrix entries per batch of scan work: elimination, enumeration, row tests
-_BLOCK = 1 << 14
+# bytes of matrix entries per batch of scan work: elimination, enumeration,
+# row tests; 2^15 int32 or 2^14 int64 entries
+_BLOCK = 1 << 17
+_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 SCAN_MEMORY_BUDGET = 256 * 2**20
 # Whole-ring int64 arrays budgeted while the census masks are built: the
@@ -77,23 +86,42 @@ _WORKING_COPIES = 8
 _REMAINDER_MAX = 1 << 11
 
 
+def _width(d: int, m: int) -> type:
+    """The integer type of a scan of d x d matrices over Z/m: int32 when
+    d^2 m^2, above its widest sum of products, fits int32; else int64."""
+    return np.int32 if d * d * m * m <= _INT32_MAX else np.int64
+
+
 def _reduce(x: np.ndarray, m: int) -> np.ndarray:
-    """x mod m, in place, for an int64 array x; returns x.
+    """x mod m, in place, for an int32 or int64 array x; returns x.
 
     Computes x - (x // m) * m, floor division as x % m, on slices of at most
-    _BLOCK entries, their quotients in one buffer of a slice.  An array of
-    at most _REMAINDER_MAX entries, or one that is not C-contiguous (no flat
-    view), takes x % m in place instead.
+    _BLOCK bytes, their quotients in one buffer of a slice of x's type.  At
+    the type's extremes (x // m) * m can wrap, but the difference, in
+    [0, m), is still exact: integer arithmetic wraps modulo 2^bits.  An
+    array of at most _REMAINDER_MAX entries, or one that is not C-contiguous
+    (no flat view), takes x % m in place instead.
     """
     if x.size <= _REMAINDER_MAX or not x.flags.c_contiguous:
         return np.remainder(x, m, out=x)
     flat = x.reshape(-1)
-    buffer = np.empty(min(flat.size, _BLOCK), dtype=np.int64)
-    for lo in range(0, flat.size, _BLOCK):
-        part = flat[lo : lo + _BLOCK]
+    block = _BLOCK // x.itemsize
+    buffer = np.empty(min(flat.size, block), dtype=x.dtype)
+    for lo in range(0, flat.size, block):
+        part = flat[lo : lo + block]
         quotient = np.floor_divide(part, m, out=buffer[: part.size])
         part -= np.multiply(quotient, m, out=quotient)
     return x
+
+
+def _all_entries(flags: np.ndarray) -> np.ndarray:
+    """flags.all(axis=(-2, -1)) for a stack of boolean matrices: the
+    entries copied to one contiguous row per matrix position, then ANDed
+    row by row, which numpy does several times faster than it reduces each
+    matrix's few entries."""
+    k = flags.shape[-2] * flags.shape[-1]
+    columns = np.ascontiguousarray(flags.reshape(-1, k).T)
+    return columns.all(axis=0).reshape(flags.shape[:-2])
 
 
 def _inverse_table(q: int) -> np.ndarray:
@@ -120,15 +148,15 @@ def _kernels_mod(
     order g, and a column without a pivot generates one of order q.  The
     matrices step together: one with no pivot left is zero, so its
     coefficient row is zero and the step leaves it as it is.  inverse[x] is
-    the inverse of x mod q for every unit x.
+    the inverse of x mod q for every unit x.  Every array is in mats' type.
     """
     n, k = mats.shape[:2]
     items = np.arange(n)
-    gcds = np.gcd(np.arange(q), q)
+    gcds = np.gcd(np.arange(q, dtype=mats.dtype), q)
     mats = _reduce(mats.copy(), q)
-    v = np.zeros((n, k, k), dtype=np.int64)
+    v = np.zeros((n, k, k), dtype=mats.dtype)
     v[:, range(k), range(k)] = 1
-    orders = np.full((n, k), q, dtype=np.int64)
+    orders = np.full((n, k), q, dtype=mats.dtype)
     while True:
         g = gcds[mats].reshape(n, k * k)
         pivot = g.argmin(axis=1)
@@ -152,10 +180,12 @@ def _kernels_mod(
 def check_scan_fits(ring: RingSpec) -> None:
     """Refuse, before allocating, a ring whose stack overflows int64 or memory.
 
-    The widest product is b(ab) with ab unreduced: d products of an entry
-    below m and one below d*(m-1)^2, so d^2*(m-1)^3 must fit in int64; the
-    stack and its working copies hold size*d*d int64 entries each and must
-    fit in SCAN_MEMORY_BUDGET bytes.  The message names each limit exceeded.
+    d^2*(m-1)^3 must fit in int64, the bound of b(ab) with ab unreduced.
+    The scan no longer forms that product: it reduces every product before
+    the next (see _width), so the bound is conservative and kept as the
+    refusal rule.  The stack and its working copies, budgeted as size*d*d
+    int64 entries each, must fit in SCAN_MEMORY_BUDGET bytes, so an index
+    fits int32.  The message names each limit exceeded.
     """
     if not ring.is_finite:
         raise InfiniteRingError(f"cannot scan {ring}")
@@ -174,7 +204,8 @@ def check_scan_fits(ring: RingSpec) -> None:
 
 
 class RingScan:
-    """All elements of a finite ring as an (N, d, d) integer stack.
+    """All elements of a finite ring as an (N, d, d) integer stack, of type
+    _width(d, m).
 
     A scalar ring Z/n is handled as 1x1 matrices, multiplied elementwise.
     The stack and ``codes`` are the vectorized form of RingSpec.element_at
@@ -188,22 +219,23 @@ class RingScan:
         d, m = max(1, ring.dim), ring.modulus
         self.dim, self.modulus = d, m
         k = d * d
-        entries = np.empty((self.size, k), dtype=np.int64)
-        rest = np.arange(self.size, dtype=np.int64)
+        dtype = _width(d, m)
+        entries = np.empty((self.size, k), dtype=dtype)
+        rest = np.arange(self.size, dtype=dtype)
         for pos in range(k - 1, -1, -1):  # one division per digit, the digit as scratch
             digit, quotient = entries[:, pos], rest // m
             np.multiply(quotient, m, out=digit)
             np.subtract(rest, digit, out=digit)
             rest = quotient
         self.stack = entries.reshape(self.size, d, d)
-        self._radix = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        self._radix = m ** np.arange(k - 1, -1, -1, dtype=dtype)
         self._bound = nilpotency_bound(ring)
         self._unit_exponent = unit_exponent(ring)
         self._drazin_exponent = ring._drazin_exponent
         # the d^2 x d^2 matrix a (x) I - I (x) a^T of x -> ax - xa on
         # row-major entries is linear in a: _commutator @ a.ravel()
-        eye = np.eye(d, dtype=np.int64)
-        units = np.eye(k, dtype=np.int64).reshape(k, d, d)
+        eye = np.eye(d, dtype=dtype)
+        units = np.eye(k, dtype=dtype).reshape(k, d, d)
         self._commutator = np.stack(
             [np.kron(u, eye) - np.kron(eye, u.T) for u in units], axis=-1
         ).reshape(k * k, k)
@@ -216,6 +248,10 @@ class RingScan:
     def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x times y, pair by pair of matrices, not reduced mod m."""
         return x * y if self.dim == 1 else np.matmul(x, y)
+
+    def _block_entries(self) -> int:
+        """Entries of the stack's type per block of _BLOCK bytes."""
+        return _BLOCK // self.stack.itemsize
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _reduce(self._product(x, y), self.modulus)
@@ -260,15 +296,15 @@ class RingScan:
             masks = self._from_components(lambda part: part.masks.values())
             return dict(zip(self._parts[0][0].masks, masks))
         m, x = self.modulus, self.stack
-        nilpotent = ~self._power(x, self._bound).any(axis=(1, 2))
-        identity = np.eye(self.dim, dtype=np.int64)
-        unit = (self._power(x, self._unit_exponent) == identity).all(axis=(1, 2))
+        nilpotent = _all_entries(self._power(x, self._bound) == 0)
+        identity = np.eye(self.dim, dtype=x.dtype)
+        unit = _all_entries(self._power(x, self._unit_exponent) == identity)
         x2 = self._mul(x, x)
         x3 = self._mul(x2, x)
         return {
             "nilpotent": nilpotent,
-            "idempotent": (x2 == x).all(axis=(1, 2)),
-            "tripotent": (x3 == x).all(axis=(1, 2)),
+            "idempotent": _all_entries(x2 == x),
+            "tripotent": _all_entries(x3 == x),
             "unit": unit,
             "strongly_drazin": nilpotent[self.codes(_reduce(x - x2, m))],
             "hirano": nilpotent[self.codes(_reduce(x - x3, m))],
@@ -291,7 +327,7 @@ class RingScan:
         rows[i] commutes with a[i]."""
         a = a[:, None]
         ab = self._mul(a, rows)
-        bad = ~(ab == self._mul(rows, a)).all(axis=(1, 2, 3))
+        bad = ~_all_entries(ab == self._mul(rows, a)).all(axis=1)
         if bad.any():
             raise VerificationError(
                 f"generated centraliser of {a[bad.argmax(), 0].tolist()} holds a "
@@ -315,7 +351,7 @@ class RingScan:
         mixed-radix coefficient grid with the generators enumerates it, each
         element once.  Generators are sorted by descending order, and the
         centralisers whose orders agree are enumerated by one batched
-        product, at most _BLOCK matrix entries at a time unless one
+        product, at most _BLOCK bytes of entries at a time unless one
         centraliser is larger.  Raises VerificationError unless every
         generator (for the whole ring) or every generated row commutes with
         its a and, per a, the codes are distinct.
@@ -324,9 +360,10 @@ class RingScan:
         if d == 1:
             yield np.arange(n), None, None, None
             return
-        k = d * d
-        step = max(1, _BLOCK // (k * k))
-        inverse = _inverse_table(m)
+        k, dtype = d * d, self.stack.dtype
+        block = self._block_entries()
+        step = max(1, block // (k * k))
+        inverse = _inverse_table(m).astype(dtype)
         for start in range(0, n, step):
             part = a[start : start + step]
             commutators = (part.reshape(-1, k) @ self._commutator.T).reshape(-1, k, k)
@@ -345,8 +382,8 @@ class RingScan:
                     self._check_commuting(part[members], g.reshape(len(members), -1, d, d))
                     yield start + members, None, None, None
                     continue
-                digits = np.indices(kept).reshape(len(kept), -1).T
-                per = max(1, _BLOCK // (len(digits) * k))
+                digits = np.indices(kept, dtype=dtype).reshape(len(kept), -1).T
+                per = max(1, block // (len(digits) * k))
                 for lo in range(0, len(members), per):
                     sub = members[lo : lo + per]
                     flat = _reduce(np.matmul(digits, g[lo : lo + per]), m)
@@ -391,7 +428,7 @@ class RingScan:
         (_centralisers); bab = b is tested on the rows of all the
         centralisers, block by block (_row_blocks, _solve_rows), and the
         respective nilpotent defects on the rows that solve it, gathered
-        over the call and tested at most _BLOCK // d^2 at a time
+        over the call and tested at most a block's rows at a time
         (_test_defects).  Over a composite m the components scan instead
         (_lift_scans).  Returns, per index in order, ascending index lists
         for the Hirano, strongly Drazin and Drazin systems.
@@ -401,7 +438,7 @@ class RingScan:
         if self._parts:
             self._lift_scans(a, found)
             return found
-        limit = max(1, _BLOCK // self.dim**2)
+        limit = max(1, self._block_entries() // self.dim**2)
         solved: list[tuple] = []
         held = 0
         for block in self._row_blocks(a):
@@ -418,7 +455,9 @@ class RingScan:
     def _lift_scans(self, a: np.ndarray, found: list[dict]) -> None:
         """Append to found, per system, the product of the components' sets
         of each a: every tuple (b_q) of the component indexes, lifted to sum
-        e_q b_q mod m in one step for the batch, and sorted per a."""
+        e_q b_q mod m in one step for the batch, and sorted per a.  The lift
+        is formed in int64: e_q, below m, times b_q may overflow int32 even
+        where every component scan is int32."""
         scans = [
             part.inverse_scans(part.codes(_reduce(a.copy(), part.modulus)))
             for part, _ in self._parts
@@ -430,26 +469,28 @@ class RingScan:
                 for b in itertools.product(*sets)
             ]
             owners, *picks = np.array(rows, dtype=np.int64).reshape(-1, len(scans) + 1).T
-            lifted = sum(e * part.stack[b] for (part, e), b in zip(self._parts, picks))
+            lifted = sum(
+                e * part.stack[b].astype(np.int64) for (part, e), b in zip(self._parts, picks)
+            )
             codes = self.codes(_reduce(lifted, self.modulus))
             for owner, code in sorted(zip(owners.tolist(), codes.tolist())):
                 found[owner][key].append(code)
 
     def _row_blocks(self, a: np.ndarray):
         """Yield the centralisers of the stack a as row blocks (members, rows,
-        codes, ab) of at most _BLOCK // d^2 rows: rows[i], shape (c, d, d),
+        codes, ab) of at most a block's rows: rows[i], shape (c, d, d),
         and codes[i] are rows of the centraliser of a[members[i]] and their
         indexes, the whole centraliser unless it is larger than a block, and
         ab[i] their products with a[members[i]], or None for a whole-ring
         centraliser.  Whole-ring centralisers are broadcast views of the
         stack, as many per block as fit, so the stack is never copied per a."""
         d, n = self.dim, self.size
-        limit = max(1, _BLOCK // (d * d))
+        limit = max(1, self._block_entries() // (d * d))
         for members, rows, codes, ab in self._centralisers(a):
             if rows is None:
                 shape = (len(members), n)
                 rows = np.broadcast_to(self.stack, shape + (d, d))
-                codes = np.broadcast_to(np.arange(n), shape)
+                codes = np.broadcast_to(np.arange(n, dtype=self.stack.dtype), shape)
             count = codes.shape[1]
             per = max(1, limit // count)  # centralisers per block
             for i in range(0, len(members), per):
@@ -459,12 +500,11 @@ class RingScan:
 
     def _solve_rows(self, a, members, rows, codes, ab) -> tuple:
         """bab = b on one row block, each a broadcast over its own rows, with
-        ab the block's products (formed here, unreduced, when None): the
-        owners (positions in a), indexes and products ab of the rows that
-        solve it."""
+        ab the block's products mod m (formed here when None): the owners
+        (positions in a), indexes and products ab of the rows that solve it."""
         if ab is None:
-            ab = self._product(a[members, None], rows)
-        passing = np.flatnonzero((self._mul(rows, ab) == rows).all(axis=(2, 3)))
+            ab = self._mul(a[members, None], rows)
+        passing = np.flatnonzero(_all_entries(self._mul(rows, ab) == rows))
         i, j = np.divmod(passing, codes.shape[1])  # np.nonzero is slow on 2-D masks
         return members[i], codes[i, j], ab[i, j]
 
@@ -478,7 +518,6 @@ class RingScan:
         if not owners.size:
             return
         own = a[owners]
-        _reduce(ab, m)
         defects = (
             ("hirano", self._mul(own, own) - ab),
             ("strongly_drazin", own - ab),

@@ -79,7 +79,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from ._scan import RingScan, np
+from ._scan import RingScan, _all_entries, np
 from .calculus import (
     cline,
     commuting_product,
@@ -177,8 +177,8 @@ def _scan_verdicts(scan: RingScan, indexes, scanned) -> list[tuple]:
     a = scan.stack[np.asarray(indexes, dtype=np.int64)]
     d = scan.stack[[f["drazin"][0] if len(f["drazin"]) == 1 else 0 for f in scanned]]
     ad = scan._mul(a, d)
-    pairs = ((d, 0), (ad, a), (d, a), (ad, np.eye(scan.dim, dtype=np.int64)))
-    return list(zip(*((x == y).all(axis=(1, 2)).tolist() for x, y in pairs)))
+    pairs = ((d, 0), (ad, a), (d, a), (ad, np.eye(scan.dim, dtype=a.dtype)))
+    return list(zip(*(_all_entries(x == y).tolist() for x, y in pairs)))
 
 
 def _cross_check_element(

@@ -220,35 +220,46 @@ def filtered_inverse_scans(scan: RingScan, indexes) -> list[tuple[np.ndarray, di
     of size below k^2 m^2, exact in a float64 product; d / m is then
     integral iff m divides d, so a pair commutes iff the fractional parts
     of its k^2 quotients, all >= 0, sum to 0.  bab = b and the defects are
-    tested on the commuting pairs only.
+    tested on the commuting pairs only.  Every product is formed here, in
+    int64 whatever the scan's integer type, and reduced by %; only the
+    nilpotent mask is the scan's.
 
     Returns, per index, the indexes of the elements commuting with it (an
     array) and the three index lists of inverse_scan.
     """
     m, n, k = scan.modulus, scan.size, scan.dim
     assert k * k * m * m < 2**53
-    flat = scan.stack.reshape(n, k * k).astype(np.float64)
+    stack = scan.stack.astype(np.int64)
+    radix = m ** np.arange(k * k - 1, -1, -1, dtype=np.int64)
+
+    def mul(x, y):
+        return np.matmul(x, y) % m
+
+    def codes(x):
+        return x.reshape(-1, k * k) @ radix
+
+    flat = stack.reshape(n, k * k).astype(np.float64)
     units = np.eye(k * k, dtype=np.int64).reshape(k * k, k, k)
     chunk = max(1, _PAIR_ENTRIES // (n * k * k))
     found = []
     for start in range(0, len(indexes), chunk):
-        a = scan.stack[list(indexes[start : start + chunk])]
-        maps = scan._mul(a[:, None], units) - scan._mul(units, a[:, None])
+        a = stack[list(indexes[start : start + chunk])]
+        maps = mul(a[:, None], units) - mul(units, a[:, None])
         # column j * k^2 + s holds entry s of ab - ba for the j-th a
         cols = maps.reshape(len(a), k * k, k * k).transpose(1, 0, 2).reshape(k * k, -1)
         fractions = (flat @ cols) / m
         fractions -= np.floor(fractions)
         shared = (fractions.reshape(-1, k * k) @ np.ones(k * k) == 0).reshape(n, -1).T
         pairs, commuting = np.nonzero(shared)
-        pa, pb = a[pairs], scan.stack[commuting]
-        ab = scan._mul(pa, pb)
-        keep = (scan._mul(pb, ab) == pb).all(axis=(1, 2))
+        pa, pb = a[pairs], stack[commuting]
+        ab = mul(pa, pb)
+        keep = (mul(pb, ab) == pb).all(axis=(1, 2))
         which, b, pa, ab = pairs[keep], commuting[keep], pa[keep], ab[keep]
         nilpotent = scan.masks["nilpotent"]
         defects = (
-            nilpotent[scan.codes((scan._mul(pa, pa) - ab) % m)],
-            nilpotent[scan.codes((pa - ab) % m)],
-            nilpotent[scan.codes((pa - scan._mul(pa, ab)) % m)],
+            nilpotent[codes((mul(pa, pa) - ab) % m)],
+            nilpotent[codes((pa - ab) % m)],
+            nilpotent[codes((pa - mul(pa, ab)) % m)],
         )
         # np.nonzero walks shared row by row, so the pairs of each a, kept
         # or not, are one slice between its bounds

@@ -341,8 +341,9 @@ class TestCensusMasks:
             check_scan_fits(matrix(modular(2**31 + 11), 2))
 
     def test_scan_guard_bounds_the_unreduced_row_product(self):
-        # b(ab) with ab unreduced reaches d^2 (m-1)^3: 2^21 fits int64 and
-        # 2^21 + 1 does not, though both stacks fit the memory budget
+        # the refusal rule is the size of b(ab) with ab unreduced, d^2 (m-1)^3,
+        # though the scan reduces ab first and forms no such product: 2^21
+        # fits int64 and 2^21 + 1 does not, though both stacks fit the budget
         for m in (2**21, 2**21 + 1):
             assert _scan._WORKING_COPIES * m * 8 <= _scan.SCAN_MEMORY_BUDGET
         check_scan_fits(modular(2**21))

@@ -8,7 +8,10 @@ the whole ring; a composite modulus generates none of its own), and the
 scan, batched or one element at a time, must return the same three index
 lists.
 The one-matrix elimination kernel_mod is the oracle of the batched one,
-and x % m the oracle of the in-place reduction kernel _reduce.
+x % m the oracle of the in-place reduction kernel _reduce, and
+.all(axis=(-2, -1)) the oracle of the column-wise _all_entries.  On each
+side of the int32 bound d^2 m^2 <= 2^31 - 1 the scan must agree with the
+int64 filter and the per-element criteria.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ from hypothesis import strategies as st
 from ringinv import (
     CensusMismatchError,
     VerificationError,
+    has_hirano,
+    has_strongly_drazin,
+    is_idempotent,
+    is_nilpotent,
+    is_tripotent,
+    is_unit,
     matrix,
     modular,
     run_census,
@@ -143,7 +152,9 @@ MODULI = st.one_of(
     ),
     st.integers(2, 10**6),
 )
-REDUCE_SIZES = [0, 1, _scan._BLOCK - 1, _scan._BLOCK, _scan._BLOCK + 1, 3 * _scan._BLOCK + 5]
+# int64 entries per block of _BLOCK bytes, and the sizes on either side of it
+INT64_BLOCK = _scan._BLOCK // 8
+REDUCE_SIZES = [0, 1, INT64_BLOCK - 1, INT64_BLOCK, INT64_BLOCK + 1, 3 * INT64_BLOCK + 5]
 
 
 def counting_rows(monkeypatch) -> list[int]:
@@ -186,20 +197,22 @@ class TestCentraliserParity:
             assert scan.inverse_scan(index) == found, index
             assert one == found, index
 
-    @pytest.mark.parametrize("block", [_scan._BLOCK, 64], ids=["budget", "tiny budget"])
+    # _BLOCK in bytes: the budget, and 64 int32 entries
+    @pytest.mark.parametrize("block", [_scan._BLOCK, 256], ids=["budget", "tiny budget"])
     @pytest.mark.parametrize(
         "ring", [matrix(modular(6), 2), matrix(modular(2), 3), modular(12)], ids=str
     )
     def test_shuffled_batch_with_repeats_matches_batches_of_one(self, ring, block, monkeypatch):
         """Scalars (whole-ring centralisers) and non-scalars, in shuffled
         order, each index twice or more, across the elimination's chunk of
-        _BLOCK // k^2 matrices and across row blocks."""
+        _BLOCK // (4 k^2) int32 matrices and across row blocks."""
         monkeypatch.setattr(_scan, "_BLOCK", block)
         scan = RingScan(ring)
         scalars = [ring.index_of(c * ring.one()) for c in range(ring.modulus)]
         indexes = list(range(ring.size())) * 2 + scalars * 3
         random.Random(1).shuffle(indexes)
-        assert not ring.dim or len(indexes) > block // ring.dim**4
+        assert scan.stack.itemsize == 4
+        assert not ring.dim or len(indexes) > block // (4 * ring.dim**4)
         single = {i: scan.inverse_scan(i) for i in set(indexes)}
         assert scan.inverse_scans(indexes) == [single[i] for i in indexes]
         checked = scalars + indexes[:20]
@@ -226,11 +239,13 @@ class TestCentraliserParity:
         ids=["Z/13", "Z/32", "Z/49", "Z/61", "Z/64", "Z/67", "M2(Z/2) scalars"],
     )
     def test_whole_ring_grids_match_batches_of_one(self, ring, indexes, first_block, monkeypatch):
-        """With _BLOCK at 64 entries, on each side of the grid's limits: the
-        batched scan equals batches of one and the filter, and its row
-        blocks hold exactly the centralisers, at most 64 // d^2 rows each."""
-        monkeypatch.setattr(_scan, "_BLOCK", 64)
+        """With _BLOCK at 256 bytes, 64 int32 entries, on each side of the
+        grid's limits: the batched scan equals batches of one and the
+        filter, and its row blocks hold exactly the centralisers, at most
+        64 // d^2 rows each."""
+        monkeypatch.setattr(_scan, "_BLOCK", 256)
         scan = RingScan(ring)
+        assert scan.stack.itemsize == 4
         single = [scan.inverse_scan(i) for i in indexes]
         blocks = counting_rows(monkeypatch)
         assert scan.inverse_scans(indexes) == single
@@ -241,9 +256,9 @@ class TestCentraliserParity:
 
     def test_composite_grids_match_batches_of_one(self, monkeypatch):
         """Z/65 = Z/5 x Z/13 scans its components' grids, each below the
-        64-entry limits: the batched scan equals batches of one and the
-        filter."""
-        monkeypatch.setattr(_scan, "_BLOCK", 64)
+        64-entry (256-byte) limits: the batched scan equals batches of one
+        and the filter."""
+        monkeypatch.setattr(_scan, "_BLOCK", 256)
         ring = modular(65)
         scan = RingScan(ring)
         single = [scan.inverse_scan(i) for i in range(65)]
@@ -394,7 +409,7 @@ class TestScanCost:
         touched = sum(blocks)
         assert touched == sum(len(commuting) for commuting, _ in oracle(M4Z2, tuple(indexes)))
         assert touched < 0.05 * SAMPLES * M4Z2.size()
-        assert widest <= min(touched, _scan._BLOCK // 16)
+        assert widest <= min(touched, _scan._BLOCK // (scan.stack.itemsize * 16))
 
     @pytest.mark.parametrize("law", ["2.2", "3.1"])
     def test_arity_one_law_rows_are_the_centralisers(self, law, monkeypatch):
@@ -460,6 +475,69 @@ class TestScanCost:
             assert sorted(scanned) == list(range(27)), law
 
 
+# Z/m on each side of the int32 bound (46340^2 < 2^31 - 1 < 46341^2), and
+# composites whose components are int32 and whose full modulus is not; the
+# lift of Z/98337 = Z/3 x Z/32779 forms e_q b_q above 2^31 - 1 (e_q = 65559
+# for q = 32779), that of Z/720720 stays below it.
+WIDTH_RINGS = [
+    (modular(32768), np.int32),
+    (modular(46337), np.int32),
+    (modular(46349), np.int64),
+    (modular(59049), np.int64),
+    (modular(720720), np.int64),
+    (modular(98337), np.int64),
+]
+CRITERIA = {
+    "nilpotent": lambda a: is_nilpotent(a) is not None,
+    "idempotent": is_idempotent,
+    "tripotent": is_tripotent,
+    "unit": is_unit,
+    "strongly_drazin": has_strongly_drazin,
+    "hirano": has_hirano,
+}
+
+
+@pytest.mark.usefixtures("wall_clock_limit")
+class TestScanWidths:
+    @pytest.mark.parametrize("ring, width", WIDTH_RINGS, ids=[str(r) for r, _ in WIDTH_RINGS])
+    def test_scan_matches_the_int64_oracle_at_the_width_bound(self, ring, width):
+        """Seeded sample indexes and the widest entries m - 1, m - 2 and
+        m // 2, whose int32 products overflow above the bound: the scan
+        equals the int64 filter, and each mask the per-element criterion."""
+        scan = RingScan(ring)
+        assert scan.stack.dtype == width
+        assert all(part.stack.dtype == np.int32 for part, _ in scan._parts)
+        m = ring.modulus
+        indexes = sorted(set(random.Random(5).sample(range(m), 20)) | {m - 1, m - 2, m // 2})
+        expected = [found for _, found in filtered_inverse_scans(scan, indexes)]
+        assert scan.inverse_scans(indexes) == expected
+        for index in indexes:
+            a = ring.element_at(index)
+            got = {name: bool(mask[index]) for name, mask in scan.masks.items()}
+            assert got == {name: criterion(a) for name, criterion in CRITERIA.items()}, index
+
+    @pytest.mark.parametrize(
+        "d, m, width",
+        [(1, 46340, np.int32), (1, 46341, np.int64), (2, 23170, np.int32), (2, 23171, np.int64)],
+    )
+    def test_width_is_int32_while_d2_m2_fits(self, d, m, width):
+        assert _scan._width(d, m) is width
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        lead=st.lists(st.integers(0, 5), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_all_entries_matches_all_over_each_matrix(self, d, lead, seed):
+        """Stacks of shape lead + (d, d), an empty leading dimension
+        included, mostly True so that whole matrices of True occur."""
+        flags = np.random.default_rng(seed).random((*lead, d, d)) < 0.9
+        got = _scan._all_entries(flags)
+        assert got.shape == tuple(lead)
+        assert np.array_equal(got, flags.all(axis=(-2, -1)))
+
+
 class TestReduce:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -483,6 +561,22 @@ class TestReduce:
         assert np.array_equal(x, values % m)
         if strided:
             assert not base[1::2].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 46340),
+        size=st.sampled_from([0, 1, 2 * INT64_BLOCK - 1, 2 * INT64_BLOCK, 6 * INT64_BLOCK + 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_int32_matches_remainder_in_place(self, m, size, seed):
+        """int32 entries from -(2^31 - 1) to 2^31 - 1, above the widest an
+        int32 scan forms, across its blocks of _BLOCK // 4 entries."""
+        top = 2**31 - 1
+        values = np.random.default_rng(seed).integers(-top, top, size, endpoint=True)
+        values[:2] = [top, -top][:size]
+        x = values.astype(np.int32)
+        assert _scan._reduce(x, m) is x and x.dtype == np.int32
+        assert np.array_equal(x, values % m)
 
     def test_keeps_the_shape_of_a_stack(self):
         x = np.arange(-3 * _scan._BLOCK, 3 * _scan._BLOCK, 3, dtype=np.int64).reshape(-1, 2, 2)
