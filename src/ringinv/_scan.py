@@ -38,9 +38,9 @@ reduced mod m before it is multiplied again, so the widest value formed is
 a sum of at most d^2 products of two entries, below d^2 m^2: the centraliser
 enumeration's d^2 coefficients times generators; a matrix product has d
 terms.  Indexes fit either type, as check_scan_fits admits at most 2^22
-stack entries; a table is read at int32 codes with take, which numpy runs
-about twice as fast as indexing by them.  Only the CRT lift of a composite's component sets
-(e_q b_q, e_q below m) is formed in int64.  Every reduction by a scalar
+stack entries; a table is read at codes with take, which numpy runs about
+twice as fast as indexing by them.  Only the CRT lift of a composite's
+component sets (e_q b_q, e_q below m) is formed in int64.  Every reduction by a scalar
 modulus goes through _reduce, which computes x - (x // m) * m in place,
 about half the cost of x % m: numpy divides by a scalar faster than it
 takes a remainder, and int32 about three times faster than int64.
@@ -182,8 +182,8 @@ def check_scan_fits(ring: RingSpec) -> None:
     """Refuse, before allocating, a ring whose stack overflows int64 or memory.
 
     d^2*(m-1)^3 must fit in int64, the bound of b(ab) with ab unreduced.
-    The scan no longer forms that product: it reduces every product before
-    the next (see _width), so the bound is conservative and kept as the
+    The scan forms no such product: it reduces every product before the
+    next (see _width), so the bound is conservative and kept as the
     refusal rule.  The stack and its working copies, budgeted as size*d*d
     int64 entries each, must fit in SCAN_MEMORY_BUDGET bytes, so an index
     fits int32.  The message names each limit exceeded.
