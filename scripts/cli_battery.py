@@ -22,7 +22,8 @@ scanning laws on each side of the scan's int32 bound; refused inputs,
 among them numbers of 6 021 digits (2^20000, above Python's default
 int-string limit) and a superscript digit; element and ring literals, the
 refused ones whose messages the literal tests pin and accepted ones with
-tabs, newlines and Unicode minus signs.  That is 791 runs.  A call that
+tabs, newlines and Unicode minus signs; negative and many-digit entries
+over M2(Z), M8(Z) and M8(Z/10^4299), rendered.  That is 823 runs.  A call that
 raises instead of exiting is recorded with the exception's type as its exit
 code.
 """
@@ -124,6 +125,41 @@ OTHER_RUNS = (
 )
 
 
+def _rows(rows: list[list[int]]) -> str:
+    """A matrix literal, written without int -> str so that an entry may
+    pass the interpreter's digit limit."""
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
+
+
+def _upper(k: int, diagonal: int, above: str) -> list[list]:
+    """k-by-k rows with ``diagonal`` on the diagonal and the text ``above``
+    above it."""
+    return [[diagonal if i == j else above if j > i else 0 for j in range(k)] for i in range(k)]
+
+
+# the largest power of ten whose decimal text the interpreter's default digit
+# limit (4 300) accepts
+LIMIT_MODULUS = "1" + "0" * 4299
+
+RENDER_RUNS = (
+    # rendering: negative and many-digit entries over M2(Z) and M8(Z), and
+    # entries of 4 300 digits over M8(Z/10^4299); decompose is left out there,
+    # because its certificates pass the digit limit (ROADMAP item 19)
+    *([command, ring, text, *flags] for command in ("classify", "decompose")
+      for flags in ((), ("--json",)) for ring, text in (
+        ("M2(Z)", "[[-3,-7],[-2,-5]]"),
+        ("M2(Z)", _rows([[1, "-" + "9" * 4000], [0, 0]])),
+        ("M2(Z)", _rows([[-1, "8" * 2000], [0, 1]])),
+        ("M2(Z)", _rows([[0, "-" + "7" * 4300], [0, 0]])),
+        ("M8(Z)", _rows(_upper(8, 0, "-" + "3" * 500))),
+        ("M8(Z)", _rows(_upper(8, 1, "-" + "5" * 60))),
+        ("M8(Z)", _rows(_upper(8, -1, "0"))),
+    )),
+    *(["classify", f"M8(Z/{LIMIT_MODULUS})", text, *flags] for flags in ((), ("--json",))
+      for text in (_rows(_upper(8, 0, "-1")), _rows(_upper(8, 0, "9" * 4299)))),
+)
+
+
 def _literal(matrix: bool, entries: tuple[int, ...]) -> str:
     if not matrix:
         return str(entries[0])
@@ -141,7 +177,7 @@ def battery() -> list[list[str]]:
                 runs.append([command, ring, element])
                 runs.append([command, ring, element, "--json"])
     runs += [["census", *rest] for rest in CENSUSES]
-    runs += [list(argv) for argv in OTHER_RUNS]
+    runs += [list(argv) for argv in OTHER_RUNS + RENDER_RUNS]
     return runs
 
 

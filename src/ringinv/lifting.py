@@ -114,20 +114,19 @@ class PolynomialCertificate:
 
         The accumulator starts as the leading coefficient on the diagonal,
         not as zero, so no step multiplies zero by the subject: a polynomial
-        of degree d costs d kernel products.  Each step is one product and
-        the next coefficient added on the diagonal; over Z/n the
+        of degree d costs d calls of the ring's Horner-step kernel, each
+        acc*x plus the next coefficient on the diagonal; over Z/n the
         coefficients are reduced mod n first, which gives the same residue.
         The empty polynomial is zero.  One element is built, for the value.
         """
         ring = self.subject.ring
         if not self.coefficients:
             return ring.zero()
-        product, add, m = ring._product, ring._add, ring.modulus
-        x, one = self.subject.entries, ring.one().entries
+        horner, m, x = ring._horner, ring.modulus, self.subject.entries
         coefficients = self.coefficients if m is None else [c % m for c in self.coefficients]
-        acc = tuple([coefficients[-1] * v for v in one])
-        for c in reversed(coefficients[:-1]):
-            acc = add(product(acc, x, m), tuple([c * v for v in one]), m)
+        acc = tuple([coefficients[-1] * v for v in ring._one.entries])
+        for c in coefficients[-2::-1]:
+            acc = horner(acc, x, c, m)
         return _element(ring, acc)
 
 

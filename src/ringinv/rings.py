@@ -15,25 +15,27 @@ frozen ``Element`` directly: its entries are canonical by construction, so
 they are neither checked again nor passed through the dataclass ``__init__``.
 
 Arithmetic runs kernels compiled per ring shape, for k*k entries with
-k = max(1, dim): a product, an entrywise sum and an entrywise difference.
-Each is straight-line Python that unpacks both entry tuples into locals and
-writes out every result entry, reduced mod n over Z/n, so an operation
-costs its integer arithmetic and no slicing, ``map`` or ``sum`` calls.  A
-ring fetches its kernels on its first operation of each kind, and rings
-with the same k and kind of entry share them.  The source of a product
-kernel grows as k**3, so sizes above ``_UNROLL_MAX_DIM`` = 8 keep generic
-loops: 8 is the CLI's own dimension cap, and an 8x8 product kernel (512
-products) compiles in about 2 ms, but rings built through the library may
-be any size.
+k = max(1, dim): a product, an entrywise sum, an entrywise difference and a
+Horner step acc*x + c*1.  Each is straight-line Python that unpacks both
+entry tuples into locals and writes out every result entry, reduced mod n
+over Z/n, so an operation costs its integer arithmetic and no slicing,
+``map`` or ``sum`` calls.  A ring fetches its kernels on its first
+operation of each kind, and rings with the same k and kind of entry share
+them.  The source of a product kernel grows as k**3, so sizes above
+``_UNROLL_MAX_DIM`` = 8 keep generic loops: 8 is the CLI's own dimension
+cap, and an 8x8 product kernel (512 products) compiles in about 2 ms, but
+rings built through the library may be any size.  An element prints
+through one format template per ring, with a "%s" per entry.
 
 A chain of products on one ring (a power, a nilpotency test, the series
-that inverts a unipotent) runs the kernels on entry tuples and builds one
-element, for its result, instead of one element per link.  The nilpotency
-test and the unipotent series are cores on entry tuples, _nilpotency and
-_unipotent_inverse: is_nilpotent and inverse_of_unipotent wrap them, and
-lifting and gen_inverse call them on entries they computed, so testing a
-defect builds no element.  The series takes w's nilpotency witness from its
-caller, so a w already tested is not tested again.
+that inverts a unipotent, a polynomial evaluated by Horner's rule) runs the
+kernels on entry tuples and builds one element, for its result, instead of
+one element per link.  The nilpotency test and the unipotent series are
+cores on entry tuples, _nilpotency and _unipotent_inverse: is_nilpotent and
+inverse_of_unipotent wrap them, and lifting and gen_inverse call them on
+entries they computed, so testing a defect builds no element.  The series
+takes w's nilpotency witness from its caller, so a w already tested is not
+tested again.
 """
 
 from __future__ import annotations
@@ -147,11 +149,18 @@ class RingSpec:
         # the diagonal of a row-major k-by-k array sits at the multiples of k + 1
         return _element(self, tuple(int(i % (k + 1) == 0) for i in range(k * k)))
 
-    # The kernels on entry tuples, each called as ``kernel(a, b, modulus)``.
+    # The kernels on entry tuples, each called as ``kernel(a, b, modulus)``,
+    # except the Horner step ``kernel(acc, x, c, modulus)``, which gives
+    # acc*x + c*1 in one call.
     @functools.cached_property
     def _product(self):
         k = max(1, self.dim)
         return _product_kernel(k, self.is_finite) if k <= _UNROLL_MAX_DIM else _generic_product
+
+    @functools.cached_property
+    def _horner(self):
+        k = max(1, self.dim)
+        return _product_kernel(k, self.is_finite, True) if k <= _UNROLL_MAX_DIM else _generic_horner
 
     @functools.cached_property
     def _add(self):
@@ -166,6 +175,16 @@ class RingSpec:
         if k <= _UNROLL_MAX_DIM:
             return _entrywise_kernel(op, k, self.is_finite)
         return functools.partial(_generic_entrywise, _OPERATORS[op])
+
+    @functools.cached_property
+    def _format(self) -> str:
+        """The template ``str`` fills with the entry tuple by ``%``: "%s" for
+        Z and Z/n, "[[%s,%s],[%s,%s]]" for M2(.), and so on."""
+        k = self.dim
+        if not k:
+            return "%s"
+        row = "[" + ",".join(["%s"] * k) + "]"
+        return "[" + ",".join([row] * k) + "]"
 
     @functools.cached_property
     def _nilpotency_bound(self) -> int:
@@ -248,16 +267,17 @@ def _entry(v) -> int:
 _UNROLL_MAX_DIM = 8
 
 
-def _compile_kernel(label: str, k: int, finite: bool, entries: list[str]):
-    """Compile ``kernel(a, b, m)`` for row-major k-by-k entry tuples a and b:
-    the source unpacks them into locals a0.. and b0.. and returns the tuple of
-    the given entry expressions, each reduced mod m when ``finite`` (m is
-    ignored otherwise), the way dataclasses writes ``__init__``."""
+def _compile_kernel(label: str, k: int, finite: bool, entries: list[str], params: str = "a, b, m"):
+    """Compile ``kernel(params)`` for row-major k-by-k entry tuples a and b
+    among its parameters: the source unpacks them into locals a0.. and b0..
+    and returns the tuple of the given entry expressions, each reduced mod m
+    when ``finite`` (m is ignored otherwise), the way dataclasses writes
+    ``__init__``."""
     if finite:
         entries = [f"({e}) % m" for e in entries]
     n = k * k
     source = (
-        "def kernel(a, b, m):\n"
+        f"def kernel({params}):\n"
         f"    {', '.join(f'a{i}' for i in range(n))}, = a\n"
         f"    {', '.join(f'b{i}' for i in range(n))}, = b\n"
         f"    return ({', '.join(entries)},)\n"
@@ -267,13 +287,18 @@ def _compile_kernel(label: str, k: int, finite: bool, entries: list[str]):
     return namespace["kernel"]
 
 
-@functools.lru_cache(maxsize=2 * _UNROLL_MAX_DIM)
-def _product_kernel(k: int, finite: bool):
-    """The product of k-by-k entry tuples: the k*k dot products written out."""
+@functools.lru_cache(maxsize=4 * _UNROLL_MAX_DIM)
+def _product_kernel(k: int, finite: bool, horner: bool = False):
+    """The product of k-by-k entry tuples: the k*k dot products written out.
+    With ``horner``, the Horner step ``kernel(a, b, c, m)`` = a*b + c*1, which
+    adds the integer c to the k dot products on the diagonal."""
     dots = [
         " + ".join(f"a{i * k + t} * b{t * k + j}" for t in range(k))
+        + (" + c" if horner and i == j else "")
         for i in range(k) for j in range(k)
     ]
+    if horner:
+        return _compile_kernel("horner", k, finite, dots, "a, b, c, m")
     return _compile_kernel("product", k, finite, dots)
 
 
@@ -286,13 +311,19 @@ def _entrywise_kernel(op: str, k: int, finite: bool):
     return _compile_kernel(f"entrywise {op}", k, finite, [f"a{i} {op} b{i}" for i in range(k * k)])
 
 
-def _generic_product(a: tuple, b: tuple, m: int | None) -> tuple:
-    """The product of row-major square entry tuples of any size, reduced mod m
-    unless m is None: the fallback above _UNROLL_MAX_DIM."""
+def _generic_horner(a: tuple, b: tuple, c: int, m: int | None) -> tuple:
+    """a*b + c*1 for row-major square entry tuples of any size, reduced mod m
+    unless m is None: the Horner step above _UNROLL_MAX_DIM."""
     k = math.isqrt(len(a))
     cols = [b[j::k] for j in range(k)]
     sums = [sum(map(operator.mul, a[i:i + k], col)) for i in range(0, k * k, k) for col in cols]
+    sums[::k + 1] = [v + c for v in sums[::k + 1]]
     return tuple(sums) if m is None else tuple([v % m for v in sums])
+
+
+def _generic_product(a: tuple, b: tuple, m: int | None) -> tuple:
+    """The product a*b above _UNROLL_MAX_DIM: a Horner step with c = 0."""
+    return _generic_horner(a, b, 0, m)
 
 
 def _generic_entrywise(op, a: tuple, b: tuple, m: int | None) -> tuple:
@@ -388,11 +419,7 @@ class Element:
         return self if result is base else _element(ring, result)
 
     def __str__(self) -> str:
-        k = self.ring.dim
-        if k:
-            e = list(self.entries)
-            return str([e[i:i + k] for i in range(0, k * k, k)]).replace(" ", "")
-        return str(self.entries[0])
+        return self.ring._format % self.entries
 
     def __repr__(self) -> str:
         return f"Element({self.ring}, {self})"
@@ -623,14 +650,17 @@ def _unipotent_inverse(ring: RingSpec, w: tuple, witness: NilpotencyWitness) -> 
     """The entries of (1 + w)^-1, for the entry tuple w of an element of ring
     and the witness that w is nilpotent, by the series of
     inverse_of_unipotent; 1 + w is multiplied by the result on both sides to
-    check it, which also checks the witness."""
-    product, add, sub, m = ring._product, ring._add, ring._sub, ring.modulus
+    check it, which also checks the witness.
+
+    The series is the polynomial 1 + t + ... + t^(index-1) at t = -w, so
+    Horner's rule sums it in index - 1 steps acc <- acc*(-w) + 1."""
+    product, horner, m = ring._product, ring._horner, ring.modulus
     one = ring._one.entries
-    u = add(one, w, m)
-    acc = power = one
-    for j in range(1, witness.index):
-        power = product(power, w, m)
-        acc = sub(acc, power, m) if j % 2 else add(acc, power, m)
+    u = ring._add(one, w, m)
+    negated = ring._sub(ring._zero.entries, w, m)
+    acc = one
+    for _ in range(1, witness.index):
+        acc = horner(acc, negated, 1, m)
     if product(u, acc, m) != one or product(acc, u, m) != one:
         raise VerificationError("unipotent inversion failed; the nilpotency witness is invalid")
     return acc

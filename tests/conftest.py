@@ -109,22 +109,28 @@ def counting_renders(monkeypatch) -> list[int]:
 
 
 def counting_products(monkeypatch) -> list[int]:
-    """Patch every ring's product kernel, so products on entry tuples count
-    as well as ``Element * Element``; the one-item list counts the products.
+    """Patch every ring's product and Horner-step kernels, so products on
+    entry tuples count as well as ``Element * Element``; the one-item list
+    counts the products.  A Horner step acc*x + c*1 makes one product.
     Integer multiples are not products and are not counted."""
     calls = [0]
-    kernel_of = rings.RingSpec._product.func
 
-    def counting_kernel(ring):
-        kernel = kernel_of(ring)
+    def counting_property(name):
+        kernel_of = getattr(rings.RingSpec, name).func
 
-        def counting(a, b, m):
-            calls[0] += 1
-            return kernel(a, b, m)
+        def counting_kernel(ring):
+            kernel = kernel_of(ring)
 
-        return counting
+            def counting(*args):
+                calls[0] += 1
+                return kernel(*args)
 
-    monkeypatch.setattr(rings.RingSpec, "_product", property(counting_kernel))
+            return counting
+
+        monkeypatch.setattr(rings.RingSpec, name, property(counting_kernel))
+
+    counting_property("_product")
+    counting_property("_horner")
     return calls
 
 

@@ -26,7 +26,10 @@ element_has_hirano, element_has_strongly_drazin, element_hirano_inverse and
 element_hirano_and_strongly_drazin are the Hirano construction, its
 equation checks and the two existence criteria on Elements, as gen_inverse
 ran them before they moved to entry tuples, built on the Element chains
-above.
+above.  cursor_parse_ring and cursor_parse_element are the per-character
+parser that the literals' token walk replaced, and joined_str and
+listed_str the nested joins and the repr of a list of rows that
+Element.__str__'s per-ring format template replaced.
 """
 
 from __future__ import annotations
@@ -563,3 +566,12 @@ def joined_str(a: Element) -> str:
             "[" + ",".join(str(v) for v in row) + "]" for row in a.payload
         ) + "]"
     return str(a.payload)
+
+
+def listed_str(a: Element) -> str:
+    """str(a) by the repr of the list of rows, with its spaces stripped."""
+    k = a.ring.dim
+    if k:
+        e = list(a.entries)
+        return str([e[i:i + k] for i in range(0, k * k, k)]).replace(" ", "")
+    return str(a.entries[0])

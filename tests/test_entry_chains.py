@@ -115,6 +115,28 @@ def outcome(function, *args):
 coefficients = st.lists(st.integers(-50, 50) | st.integers(-(10**40), 10**40), max_size=12)
 
 
+class TestHornerAboveTheCap:
+    """The generic Horner step, which M9(Z/4) and M10(Z) take in place of a
+    compiled kernel, against the Element chains."""
+
+    RINGS = [matrix(modular(4), rings._UNROLL_MAX_DIM + 1), matrix(Z, rings._UNROLL_MAX_DIM + 2)]
+
+    def test_rings_take_the_generic_step(self):
+        assert all(ring._horner is rings._generic_horner for ring in self.RINGS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_elements(st.sampled_from(RINGS)), coefficients)
+    def test_certificate_evaluation(self, x, coeffs):
+        cert = PolynomialCertificate(tuple(coeffs), x)
+        assert cert.evaluate() == horner_evaluate(cert)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_elements(st.sampled_from(RINGS)))
+    def test_unipotent_inverse(self, w):
+        u = w + w.ring.one()
+        assert outcome(inverse_of_unipotent, u) == outcome(element_inverse_of_unipotent, u)
+
+
 class TestAgainstElementChains:
     @settings(max_examples=150, deadline=None)
     @given(chain_elements(), st.integers(0, 70))

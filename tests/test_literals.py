@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 
 from ringinv import (
     ParseError,
+    RingSpec,
     Z,
     matrix,
     modular,
     parse_element,
     parse_ring,
+    rings,
 )
 from ringinv.literals import _parse_ring
 
 from conftest import SMALL_RINGS, ring_elements
-from oracles import cursor_parse_element, cursor_parse_ring, joined_str
+from oracles import cursor_parse_element, cursor_parse_ring, joined_str, listed_str
 
 
 class TestRingGrammar:
@@ -345,3 +347,64 @@ class TestRenderParity:
     )
     def test_integer_matrices_with_long_and_negative_entries(self, a):
         assert str(a) == joined_str(a)
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+# Z and Z/n (k = 0), Mk(.) for k = 1..8, the compiled kernels' sizes, and k = 9
+RENDER_DIMS = range(rings._UNROLL_MAX_DIM + 2)
+
+
+def element_of(ring, values):
+    """The element of ring with these row-major entries."""
+    if not ring.is_matrix:
+        return ring.element(values[0])
+    k = ring.dim
+    return ring.element([values[i:i + k] for i in range(0, k * k, k)])
+
+
+@st.composite
+def rendered_elements(draw, k, moduli=st.none() | st.integers(2, 10**30)):
+    """An element of Z, Z/n or Mk(.) with entries up to 10^40 in size, one
+    of them, at a drawn position, up to the digit limit that str accepts."""
+    ring = RingSpec(draw(moduli), k)
+    n = max(1, k) ** 2
+    values = draw(st.lists(st.integers(-(10**40), 10**40), min_size=n, max_size=n))
+    values[draw(st.integers(0, n - 1))] = draw(
+        st.integers(-(10**DIGIT_LIMIT - 1), 10**DIGIT_LIMIT - 1)
+    )
+    return element_of(ring, values)
+
+
+def rendering(function, a):
+    """function(a), or the type and message of the ValueError it raised."""
+    try:
+        return function(a)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestFormatParity:
+    """str(a), one per-ring format template, renders what the repr of the
+    list of rows it replaced (tests/oracles.py) rendered, byte for byte."""
+
+    @pytest.mark.parametrize("k", RENDER_DIMS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_ring_shape(self, k, data):
+        a = data.draw(rendered_elements(k))
+        assert str(a) == listed_str(a)
+
+    @pytest.mark.parametrize("k", RENDER_DIMS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_an_entry_past_the_digit_limit(self, k, data):
+        """An entry one digit past the limit, over Z, Mk(Z) or a modulus
+        above it, raises the same ValueError from both renders, wherever it
+        sits."""
+        a = data.draw(rendered_elements(k, st.sampled_from([None, 10 ** (DIGIT_LIMIT + 1)])))
+        entries = list(a.entries)
+        i = data.draw(st.integers(0, len(entries) - 1))
+        entries[i] = data.draw(st.sampled_from([1, -1])) * 10**DIGIT_LIMIT
+        big = element_of(a.ring, entries)
+        assert rendering(str, big) == rendering(listed_str, big)
+        assert rendering(str, big)[0] is ValueError
